@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .experiments import (
     run_convergence,
     run_scenario,
 )
-from .stepping import EventThresholds, SchemeKind, StopEvent
+from .stepping import SchemeKind, StopEvent
 
 __all__ = [
     "main",
@@ -87,26 +87,25 @@ def write_surface_obj(path, curve: PeriodicCurve, segments: int = 64) -> None:
     if segments < 3:
         raise ValueError("segments must be >= 3")
     J = curve.node_count
-    lines = []
-    for j in range(J):
-        r = float(curve.positions[j, 0])
-        z = float(curve.positions[j, 1])
-        for k in range(segments):
-            phi = 2.0 * math.pi * k / segments
-            lines.append(f"v {_fmt(r * math.cos(phi))} {_fmt(z)} {_fmt(r * math.sin(phi))}")
-
-    def vid(j: int, k: int) -> int:
-        return 1 + (j % J) * segments + (k % segments)
-
-    for j in range(J):
-        for k in range(segments):
-            a = vid(j, k)
-            b = vid(j + 1, k)
-            c = vid(j + 1, k + 1)
-            d = vid(j, k + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    phi = [2.0 * math.pi * k / segments for k in range(segments)]
+    r = curve.positions[:, :1]
+    # elementwise IEEE products, the same floats as r * math.cos(phi)
+    x = r * np.array([math.cos(p) for p in phi])
+    w = r * np.array([math.sin(p) for p in phi])
+    j = np.arange(J)[:, None]
+    k = np.arange(segments)[None, :]
+    a = 1 + j * segments + k
+    b = 1 + (j + 1) % J * segments + k
+    c = 1 + (j + 1) % J * segments + (k + 1) % segments
+    d = 1 + j * segments + (k + 1) % segments
+    # per quad: triangles (a, b, c) and (a, c, d)
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(J, 6 * segments)
+    # one formatted row of nodes at a time keeps the text out of memory
+    with open(path, "w") as out:
+        for xw, z in zip(np.stack([x, w], axis=-1), curve.positions[:, 1].tolist()):
+            out.write((f"v %r {z!r} %r\n" * segments) % tuple(xw.ravel().tolist()))
+        for row in faces:
+            out.write(("f %d %d %d\n" * (2 * segments)) % tuple(row.tolist()))
 
 
 def _snapshot_label(t: float) -> str:
@@ -165,11 +164,7 @@ def write_evolution_bundle(
             }
             for snap, path in zip(result.snapshots, snapshot_paths)
         ],
-        "thresholds": {
-            "axis": EventThresholds().axis,
-            "collapse": EventThresholds().collapse,
-            "edge_fraction": EventThresholds().edge_fraction,
-        },
+        "thresholds": asdict(report.thresholds),
         "numerics": {
             "assembly": "exact closed-form element integrals",
             "source_quadrature": "gauss3 per element",

@@ -32,13 +32,9 @@ __all__ = [
     "mesh_ratio",
     "min_radial",
     "diameter",
-    "PAIRWISE_LIMIT",
 ]
 
 ERROR_RULES = ("gauss5", "nodal")
-
-# largest node count for which the O(J^2) pairwise diameter is used
-PAIRWISE_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -144,57 +140,57 @@ def min_radial(curve: PeriodicCurve) -> float:
 
 
 def diameter(curve: PeriodicCurve) -> float:
-    """Largest pairwise distance between nodes.
+    """Largest distance between two nodes, in O(J log J).
 
-    Direct O(J^2) comparison up to PAIRWISE_LIMIT nodes; beyond that the
-    farthest pair is found on the convex hull by a rotating-calipers
-    scan.
+    The farthest pair is an antipodal pair of convex hull vertices.  The
+    edge directions of a counterclockwise hull turn through 2 pi once, so
+    one sorted search over them finds the vertex k antipodal to every
+    edge.  Candidates are real node pairs, so rounding cannot overstate
+    the diameter; the neighbours k - 1, k + 1 cover an off-by-one search
+    and parallel edges.  A node polygon that turns one way at every node
+    and winds once is its own hull and skips Qhull.
     """
     pts = curve.positions
-    if len(pts) <= PAIRWISE_LIMIT:
-        return _diameter_pairwise(pts)
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        # degenerate (collinear) node set: the farthest pair joins
-        # coordinate extremes
-        idx = [pts[:, 0].argmin(), pts[:, 0].argmax(), pts[:, 1].argmin(), pts[:, 1].argmax()]
-        return _diameter_pairwise(pts[sorted(set(int(i) for i in idx))])
-    verts = pts[hull.vertices]  # counterclockwise
-    if len(verts) <= PAIRWISE_LIMIT:
-        return _diameter_pairwise(verts)
-    return _rotating_calipers(verts)
-
-
-def _diameter_pairwise(pts: np.ndarray) -> float:
-    if len(pts) < 2:
-        return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    return sqrt(float((diff * diff).sum(axis=2).max()))
-
-
-def _rotating_calipers(verts: np.ndarray) -> float:
-    """Diameter of a convex polygon given in counterclockwise order."""
+    turn = _turns(pts)
+    total = float(turn.sum())  # 2 pi times the winding number
+    if (turn > 0.0).all() and total < 3.0 * np.pi:
+        verts = pts
+    elif (turn < 0.0).all() and total > -3.0 * np.pi:
+        verts = pts[::-1]
+        turn = _turns(verts)
+    else:
+        try:
+            verts = pts[ConvexHull(pts).vertices]  # counterclockwise
+        except QhullError:
+            # collinear or coincident nodes: the farthest pair joins
+            # coordinate extremes
+            ext = pts[[pts[:, 0].argmin(), pts[:, 0].argmax(), pts[:, 1].argmin(), pts[:, 1].argmax()]]
+            diff = ext[:, None, :] - ext[None, :, :]
+            return sqrt(float((diff * diff).sum(axis=2).max()))
+        turn = _turns(verts)
     n = len(verts)
-    best_sq = 0.0
+    # direction of edge i (vertex i to i + 1) relative to edge 0
+    ang = np.maximum.accumulate(np.concatenate(([0.0], np.cumsum(turn[:-1]))))
+    k = np.searchsorted(np.concatenate((ang, ang + 2.0 * np.pi)), ang + np.pi) % n
+    # vertex i sits at entry i + 1 of the wrapped coordinates; edge i
+    # pairs vertex i or i + 1 with vertex k - 1, k or k + 1
+    x = np.concatenate((verts[-1:, 0], verts[:, 0], verts[:1, 0]))
+    y = np.concatenate((verts[-1:, 1], verts[:, 1], verts[:1, 1]))
+    far = k + np.array([[0], [1], [2]])
+    xf, yf = x[far], y[far]
+    best = 0.0
+    for near in slice(1, -1), slice(2, None):
+        dx, dy = x[near] - xf, y[near] - yf
+        best = max(best, float((dx * dx + dy * dy).max()))
+    return sqrt(best)
 
-    def dist_sq(i, k):
-        d = verts[i] - verts[k]
-        return float(d[0] * d[0] + d[1] * d[1])
 
-    k = 1
-    for i in range(n):
-        j = (i + 1) % n
-        edge = verts[j] - verts[i]
-        # advance the antipodal point while the supporting area grows
-        advanced = 0
-        while advanced < n:
-            nxt = (k + 1) % n
-            step = verts[nxt] - verts[k]
-            if edge[0] * step[1] - edge[1] * step[0] > 0.0:
-                k = nxt
-                advanced += 1
-            else:
-                break
-        best_sq = max(best_sq, dist_sq(i, k), dist_sq(j, k))
-    return sqrt(best_sq)
+def _turns(verts: np.ndarray) -> np.ndarray:
+    """Signed turning angle from edge i to edge i + 1 of a closed
+    polygon, edge i running from vertex i to vertex i + 1."""
+    x, y = verts[:, 0], verts[:, 1]
+    ex = np.diff(x, append=x[0])
+    ey = np.diff(y, append=y[0])
+    nx = np.concatenate((ex[1:], ex[:1]))
+    ny = np.concatenate((ey[1:], ey[:1]))
+    return np.arctan2(ex * ny - ey * nx, ex * nx + ey * ny)

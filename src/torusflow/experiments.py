@@ -25,6 +25,7 @@ from .stepping import (
     SchemeKind,
     StopEvent,
     StopKind,
+    _step_count,
     manufactured_forcing,
     manufactured_solution,
     run,
@@ -311,7 +312,7 @@ def run_scenario(
     itself is recorded in the report.
     """
     f = scenario_curve(name)
-    steps = int(round(t_end / dt))
+    steps = _step_count(t_end, dt)
     wanted: dict[int, float] = {}
     for t_req in snapshot_times:
         idx = min(max(int(round(t_req / dt)), 0), steps)

@@ -38,7 +38,6 @@ from .assembly import (
 from .curves import CurveFunction, PeriodicCurve, interpolate
 from .cyclic_solver import SolveStatus, solve_cyclic
 from .diagnostics import (
-    PAIRWISE_LIMIT,
     ErrorRecord,
     diameter,
     h1_seminorm_error,
@@ -147,7 +146,8 @@ class StepperState:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of a run: stopping event, final curve and per-step records."""
+    """Outcome of a run: stopping event, final curve, per-step records
+    and the event thresholds the run used."""
 
     scheme: SchemeKind
     node_count: int
@@ -156,6 +156,7 @@ class RunReport:
     event: StopEvent
     final: PeriodicCurve
     records: list[ErrorRecord] = field(default_factory=list)
+    thresholds: EventThresholds = field(default_factory=EventThresholds)
 
 
 def _check_weight(weight: PeriodicCurve, t_new: float) -> None:
@@ -267,11 +268,15 @@ _STEPPERS = {
 
 
 def _step_count(t_end: float, dt: float) -> int:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
-    steps = int(round(t_end / dt))
+    """Number of steps of size dt that reach t_end exactly."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end / dt overflows: t_end {t_end!r}, dt {dt!r}")
+    steps = int(round(ratio))
     if abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end must be an integer multiple of dt")
     return steps
@@ -310,7 +315,7 @@ def run(
     exact: Optional[CurveFunction] = None,
     thresholds: Optional[EventThresholds] = None,
     observers: Sequence[Callable] = (),
-    track_diameter: Optional[bool] = None,
+    track_diameter: bool = True,
     error_rule: str = "gauss5",
 ) -> RunReport:
     """March the curve from t = 0 to t_end or the first stopping event.
@@ -319,9 +324,9 @@ def run(
     ready polygon with ``node_count`` nodes.  When ``exact`` is given,
     every record carries error norms against it under ``error_rule``.
     Observers are called as observer(step, t, curve) for the initial
-    curve and every accepted step.  ``track_diameter=None`` records the
-    diameter only for node counts small enough for the direct pairwise
-    scan; the collapse event stays active either way.
+    curve and every accepted step.  ``track_diameter=False`` leaves the
+    diameter out of the records; the collapse event stays active either
+    way.
     """
     scheme = SchemeKind(scheme)
     steps = _step_count(t_end, dt)
@@ -332,7 +337,6 @@ def run(
     else:
         start = interpolate(initial, node_count, 0.0)
     thresholds = thresholds if thresholds is not None else EventThresholds()
-    track = (node_count <= PAIRWISE_LIMIT) if track_diameter is None else track_diameter
 
     records: list[ErrorRecord] = []
 
@@ -352,7 +356,7 @@ def run(
                 superconv_h1=e_sup,
                 mesh_ratio=mesh_ratio(curve),
                 min_radius=min_radial(curve),
-                diameter=diameter(curve) if track else nan,
+                diameter=diameter(curve) if track_diameter else nan,
             )
         )
         for obs in observers:
@@ -386,6 +390,7 @@ def run(
         event=event,
         final=state.current,
         records=records,
+        thresholds=thresholds,
     )
 
 

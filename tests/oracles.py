@@ -6,6 +6,8 @@ linear integrands, sharing no code path with the vectorized closed-form
 assembly under test.
 """
 
+import math
+
 import numpy as np
 
 GAUSS5_NODES, GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -124,6 +126,34 @@ def dense_step(scheme, cur, prev, dt, t, source=None):
         else:
             rhs = rhs + dense_source_load(source, J, t_src)
     return np.linalg.solve(matrix, rhs)
+
+
+def diameter_pairwise(pts):
+    """Largest distance over all O(J^2) node pairs."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt(float((diff * diff).sum(axis=2).max()))
+
+
+def loop_surface_obj(curve, segments):
+    """OBJ text of the revolved surface, one vertex and face at a time."""
+    J = curve.node_count
+    lines = []
+    for j in range(J):
+        r = float(curve.positions[j, 0])
+        z = float(curve.positions[j, 1])
+        for k in range(segments):
+            phi = 2.0 * math.pi * k / segments
+            lines.append(f"v {r * math.cos(phi)!r} {z!r} {r * math.sin(phi)!r}")
+
+    def vid(j, k):
+        return 1 + (j % J) * segments + (k % segments)
+
+    for j in range(J):
+        for k in range(segments):
+            a, b, c, d = vid(j, k), vid(j + 1, k), vid(j + 1, k + 1), vid(j, k + 1)
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    return "\n".join(lines) + "\n"
 
 
 def thomas_like_dense_solve(dense, rhs):

@@ -1,16 +1,25 @@
 import json
+import re
+import shlex
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torusflow import PeriodicCurve, interpolate, run_scenario, torus_circle
+from torusflow import EventThresholds, PeriodicCurve, interpolate, run_scenario, torus_circle
 from torusflow.cli import (
+    _build_parser,
     main,
     read_snapshot_csv,
     write_evolution_bundle,
     write_snapshot_csv,
     write_surface_obj,
 )
+
+from oracles import loop_surface_obj
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def small_curve():
@@ -90,6 +99,13 @@ class TestSurfaceObj:
                 assert np.hypot(x, w) == pytest.approx(r, abs=1e-12)
                 assert y == z
 
+    @pytest.mark.parametrize("segments", [3, 4, 7, 64])
+    def test_bytes_match_loop_writer(self, tmp_path, segments):
+        path = tmp_path / "m.obj"
+        curve = small_curve()
+        write_surface_obj(path, curve, segments=segments)
+        assert path.read_text() == loop_surface_obj(curve, segments)
+
     def test_rejects_degenerate_revolution(self, tmp_path):
         with pytest.raises(ValueError):
             write_surface_obj(tmp_path / "m.obj", small_curve(), segments=2)
@@ -130,6 +146,14 @@ class TestEvolutionBundle:
         assert [s["file"] for s in meta["snapshots"]] == ["snapshot_t0.csv", "snapshot_t0.01.csv"]
         assert [s["step"] for s in meta["snapshots"]] == [0, 10]
         assert set(meta["thresholds"]) == {"axis", "collapse", "edge_fraction"}
+
+    def test_metadata_records_thresholds_of_the_run(self, tmp_path):
+        used = EventThresholds(axis=0.25, collapse=2e-3, edge_fraction=1e-7)
+        run = run_scenario("torus:0.6", "bdf1", 16, 1e-3, 0.01, thresholds=used)
+        assert run.report.thresholds == used
+        bundle = write_evolution_bundle(run, tmp_path / "out")
+        meta = json.loads(bundle.metadata.read_text())
+        assert meta["thresholds"] == asdict(used)
 
     def test_snapshots_round_trip(self, result, tmp_path):
         bundle = write_evolution_bundle(result, tmp_path / "out")
@@ -261,8 +285,40 @@ class TestErrorHandling:
             assert main(argv) == 1
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--dt", "nan"), ("--dt", "inf"), ("--t-end", "nan"), ("--t-end", "inf")]
+    )
+    def test_nonfinite_step_inputs_are_named(self, capsys, tmp_path, flag, value):
+        argv = ["evolve", "--scenario", "torus:0.6", "--scheme", "cn", "--nodes", "16",
+                "--dt", "1e-3", "--t-end", "0.01", "--out", str(tmp_path / "z")]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+        assert not (tmp_path / "z").exists()
+
     def test_usage_errors_exit_via_argparse(self):
         with pytest.raises(SystemExit):
             main([])
         with pytest.raises(SystemExit):
             main(["converge", "--scheme", "bdf1", "--axis", "spatial", "--levels", "8", "--out", "-"])
+
+
+def readme_commands():
+    """The torusflow command lines of the README's shell blocks."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("torusflow "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestReadme:
+    def test_commands_parse(self):
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == ["converge", "evolve", "bisect"]
+        parser = _build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv)
+            assert args.subcommand == argv[0]

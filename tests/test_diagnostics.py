@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from torusflow import (
     PeriodicCurve,
@@ -12,7 +15,9 @@ from torusflow import (
     min_radial,
     superconvergence_error,
 )
-from torusflow.diagnostics import PAIRWISE_LIMIT, ErrorRecord, _diameter_pairwise
+from torusflow.diagnostics import ErrorRecord
+
+from oracles import diameter_pairwise
 
 EXACT = manufactured_solution()
 
@@ -106,24 +111,91 @@ class TestDiameter:
         assert diameter(moved) == pytest.approx(diameter(base), rel=1e-12)
 
     def test_calipers_path_matches_pairwise(self):
-        # every node of a circle is a hull vertex, forcing the calipers scan
-        J = PAIRWISE_LIMIT + 476
+        # every node of a circle is a hull vertex
+        J = 1500
         curve = interpolate(EXACT, J, 0.0)
-        assert diameter(curve) == pytest.approx(_diameter_pairwise(curve.positions), rel=1e-13)
+        assert diameter(curve) == pytest.approx(diameter_pairwise(curve.positions), rel=1e-13)
 
     def test_small_hull_path_matches_pairwise(self, rng):
-        J = PAIRWISE_LIMIT + 200
+        J = 1224
         pos = np.column_stack([rng.uniform(1, 4, J), rng.uniform(-2, 2, J)])
         curve = PeriodicCurve(pos)
-        assert diameter(curve) == pytest.approx(_diameter_pairwise(pos), rel=1e-13)
+        assert diameter(curve) == pytest.approx(diameter_pairwise(pos), rel=1e-13)
 
     def test_collinear_nodes_fall_back_to_extremes(self):
-        J = PAIRWISE_LIMIT + 6
+        J = 1030
         frac = np.arange(J) / J
         s = 1.0 - np.abs(1.0 - 2.0 * frac)
         pos = np.column_stack([1.0 + s, 2.0 + 2.0 * s])
         curve = PeriodicCurve(pos)
-        assert diameter(curve) == pytest.approx(_diameter_pairwise(pos), rel=1e-13)
+        assert diameter(curve) == pytest.approx(diameter_pairwise(pos), rel=1e-13)
+
+    def test_star_polygon_is_not_its_own_hull(self):
+        # a pentagram turns left at every node but winds twice
+        ang = 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5
+        pos = np.column_stack([2.0 + np.cos(ang), 0.3 * np.sin(ang)])
+        for nodes in (pos, pos[::-1]):
+            assert diameter(PeriodicCurve(nodes)) == pytest.approx(diameter_pairwise(nodes), rel=1e-13)
+
+
+def _matches_pairwise(pos):
+    assert diameter(PeriodicCurve(pos)) == pytest.approx(diameter_pairwise(pos), rel=1e-13)
+
+
+class TestDiameterProperties:
+    """The hull routine against the pairwise scan on arbitrary node sets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pos=st.integers(3, 300).flatmap(
+            lambda n: arrays(float, (n, 2), elements=st.floats(-10.0, 10.0))
+        ),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_random_and_rounded_sets(self, pos, decimals):
+        # rounding to a few decimals makes duplicates and collinear runs
+        if decimals is not None:
+            pos = np.round(pos, decimals)
+        _matches_pairwise(pos)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t=arrays(float, st.integers(3, 300), elements=st.floats(-5.0, 5.0)),
+        origin=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        direction=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -2.0), (3.0, 0.5)]),
+    )
+    def test_collinear_sets(self, t, origin, direction):
+        _matches_pairwise(np.array(origin) + t[:, None] * np.array(direction))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        par=arrays(float, st.integers(3, 300), elements=st.floats(0.0, 2.0 * np.pi), unique=True),
+        axes=st.tuples(st.floats(1e-3, 5.0), st.floats(1e-3, 5.0)),
+        tilt=st.floats(0.0, np.pi),
+        clockwise=st.booleans(),
+        decimals=st.sampled_from([None, 1, 3]),
+    )
+    def test_convex_polygons_either_orientation(self, par, axes, tilt, clockwise, decimals):
+        # nodes in order along an ellipse form a convex polygon, which is
+        # its own hull unless rounding makes it degenerate
+        par = np.sort(par)[::-1] if clockwise else np.sort(par)
+        c, s = np.cos(tilt), np.sin(tilt)
+        pos = np.column_stack([axes[0] * np.cos(par), axes[1] * np.sin(par)]) @ np.array([[c, -s], [s, c]])
+        if decimals is not None:
+            pos = np.round(pos, decimals)
+        _matches_pairwise(pos)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        scale=st.floats(1e-4, 1.0),
+        center=st.tuples(st.floats(0.0, 3.0), st.floats(-1.0, 1.0)),
+        phase=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_shrinking_circles(self, n, scale, center, phase):
+        # a collapsing curve ends as a tiny near-circle
+        ang = phase + 2.0 * np.pi * np.arange(n) / n
+        _matches_pairwise(np.array(center) + scale * np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
 class TestErrorRecord:

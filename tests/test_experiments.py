@@ -171,6 +171,12 @@ class TestRunScenario:
             assert snap.time == pytest.approx(snap.step * 1e-3)
             assert snap.curve.node_count == 32
 
+    def test_rejects_nonfinite_step_inputs_by_name(self):
+        for dt, t_end, name in [(float("nan"), 0.01, "dt"), (float("inf"), 0.01, "dt"),
+                                (1e-3, float("nan"), "t_end"), (1e-3, float("inf"), "t_end")]:
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                run_scenario("torus:0.6", "cn", 16, dt, t_end, snapshot_times=(0.0,))
+
     def test_early_event_truncates_snapshots(self):
         result = run_scenario(
             "torus:0.7", "bdf1", 64, 5e-4, 0.3, snapshot_times=(0.05, 0.25)

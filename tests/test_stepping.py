@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,21 @@ class TestRunDriver:
         with pytest.raises(ValueError):
             run(EXACT, SchemeKind.CN, 16, 1e-2, -0.1)
 
+    @pytest.mark.parametrize(
+        "dt, t_end, name",
+        [
+            (float("nan"), 0.1, "dt"),
+            (float("inf"), 0.1, "dt"),
+            (0.0, 0.1, "dt"),
+            (1e-2, float("nan"), "t_end"),
+            (1e-2, float("inf"), "t_end"),
+            (5e-324, 0.1, "t_end / dt"),
+        ],
+    )
+    def test_rejects_bad_step_inputs_by_name(self, dt, t_end, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
+            run(EXACT, SchemeKind.CN, 16, dt, t_end)
+
     def test_rejects_initial_polygon_on_wrong_grid(self):
         start = interpolate(EXACT, 16, 0.0)
         with pytest.raises(ValueError):
@@ -305,6 +322,12 @@ class TestRunDriver:
         assert all(np.isfinite(rec.diameter) for rec in tracked.records)
         skipped = run(EXACT, SchemeKind.BDF1, 16, 1e-2, 0.02, track_diameter=False)
         assert all(np.isnan(rec.diameter) for rec in skipped.records)
+
+    def test_diameter_recorded_by_default_at_any_node_count(self):
+        report = run(torus_circle(0.6), SchemeKind.BDF1, 2048, 1e-5, 2e-5)
+        assert len(report.records) == 3
+        for rec in report.records:
+            assert rec.diameter == pytest.approx(1.2, rel=1e-2)
 
 
 class TestStoppingEvents:
