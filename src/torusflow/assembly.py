@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PeriodicCurve
-from .quadrature import gauss_01
+from .quadrature import element_rho
 
 __all__ = [
     "CyclicTridiagonal",
@@ -87,19 +87,6 @@ class CyclicTridiagonal:
 
     def inf_norm(self) -> float:
         return float((np.abs(self.diag) + np.abs(self.sub) + np.abs(self.sup)).max())
-
-    def __add__(self, other):
-        if not isinstance(other, CyclicTridiagonal):
-            return NotImplemented
-        return CyclicTridiagonal(
-            self.diag + other.diag, self.sub + other.sub, self.sup + other.sup
-        )
-
-    def __rmul__(self, factor):
-        factor = float(factor)
-        return CyclicTridiagonal(
-            factor * self.diag, factor * self.sub, factor * self.sup
-        )
 
 
 def _element_data(weight: PeriodicCurve):
@@ -172,10 +159,8 @@ def source_load(f, node_count: int, t: float, quadrature_points: int = 3) -> np.
     if J < 3:
         raise ValueError("need at least 3 nodes")
     h = 1.0 / J
-    s, wts = gauss_01(quadrature_points)
-    rho = (np.arange(J)[:, None] - 1.0 + s[None, :]) * h
-    vals = np.asarray(f(np.mod(rho.ravel(), 1.0), t), dtype=float)
-    vals = vals.reshape(J, len(s), 2)
+    rho, s, wts = element_rho(J, quadrature_points)
+    vals = np.asarray(f(rho.ravel(), t), dtype=float).reshape(J, len(s), 2)
     left = h * np.einsum("g,jgc->jc", wts * (1.0 - s), vals)
     right = h * np.einsum("g,jgc->jc", wts * s, vals)
     return right + np.roll(left, -1, axis=0)

@@ -79,18 +79,6 @@ class PeriodicCurve:
         e = self.edge_vectors()
         return np.hypot(e[:, 0], e[:, 1])
 
-    def edge_vector(self, j: int) -> np.ndarray:
-        J = self.node_count
-        return self.positions[j % J] - self.positions[(j - 1) % J]
-
-    def edge_length(self, j: int) -> float:
-        v = self.edge_vector(j)
-        return float(np.hypot(v[0], v[1]))
-
-    def is_admissible(self) -> bool:
-        """True when the polygon stays in r > 0 with no degenerate edge."""
-        return bool(self.r.min() > 0.0) and bool(self.edge_lengths().min() > 0.0)
-
     def require_admissible(self, context: str = "curve") -> None:
         if self.r.min() <= 0.0:
             raise InadmissibleCurveError(

@@ -15,14 +15,13 @@ in the nodal gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import nan, sqrt
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .curves import CurveFunction, PeriodicCurve
-from .quadrature import gauss_01
+from .quadrature import element_rho
 
 __all__ = [
     "ErrorRecord",
@@ -51,17 +50,6 @@ class ErrorRecord:
     diameter: float = nan
 
 
-@lru_cache(maxsize=32)
-def _element_rho(node_count: int, npts: int):
-    """Gauss coordinates per element; element j spans [(j-1)h, jh]."""
-    s, w = gauss_01(npts)
-    h = 1.0 / node_count
-    rho = (np.arange(node_count)[:, None] - 1.0 + s[None, :]) * h
-    rho = np.mod(rho, 1.0)
-    rho.setflags(write=False)
-    return rho, s, w
-
-
 def _check_rule(rule: str):
     if rule not in ERROR_RULES:
         raise ValueError(f"unknown error rule {rule!r}, expected one of {ERROR_RULES}")
@@ -78,7 +66,7 @@ def l2_error(
         rho = np.arange(J, dtype=float) / J
         gap = exact(rho, t) - curve.positions
         return sqrt(h * float((gap * gap).sum()))
-    rho, s, w = _element_rho(J, 5)
+    rho, s, w = element_rho(J, 5)
     vals = exact(rho.ravel(), t).reshape(J, len(s), 2)
     left = np.roll(curve.positions, 1, axis=0)
     poly = left[:, None, :] * (1.0 - s)[None, :, None] + curve.positions[:, None, :] * s[None, :, None]
@@ -100,7 +88,7 @@ def h1_seminorm_error(
         a = np.roll(dx, 1, axis=0) - slope  # left endpoint of element j
         b = dx - slope  # right endpoint
         return sqrt(0.5 * h * float((a * a).sum() + (b * b).sum()))
-    rho, s, w = _element_rho(J, 5)
+    rho, s, w = element_rho(J, 5)
     dvals = exact.d_rho(rho.ravel(), t).reshape(J, len(s), 2)
     diff = slope[:, None, :] - dvals
     return sqrt(h * float(np.einsum("g,jgc->", w, diff * diff)))

@@ -232,8 +232,8 @@ def bisect_critical_radius(
     """
     if not 0.0 < lower < upper < 1.0:
         raise ValueError("need 0 < lower < upper < 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     def classify(r: float) -> StopEvent:
         event = classify_radius(r, scheme, node_count, dt, t_max, thresholds)
@@ -268,7 +268,7 @@ def scenario_curve(name: str) -> CurveFunction:
     if base == "torus":
         if not arg:
             raise ValueError("torus scenario needs a radius, e.g. 'torus:0.7'")
-        return torus_circle(float(arg))
+        return torus_circle(_scenario_param(name, "radius", float, arg))
     if base == "ellipse":
         if arg:
             raise ValueError("ellipse scenario takes no parameter")
@@ -278,8 +278,20 @@ def scenario_curve(name: str) -> CurveFunction:
             raise ValueError("rose scenario takes no parameter")
         return rose_curve()
     if base == "spiral":
-        return spiral_curve(layers=int(arg)) if arg else spiral_curve()
+        if not arg:
+            return spiral_curve()
+        return spiral_curve(layers=_scenario_param(name, "layers", int, arg))
     raise ValueError(f"unknown scenario {name!r}")
+
+
+def _scenario_param(name: str, param: str, kind: type, text: str):
+    """``text`` read as ``kind``; a failure names the scenario and parameter."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(
+            f"scenario {name!r}: {param} is not a valid {kind.__name__}: {text!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -312,10 +324,13 @@ def run_scenario(
     itself is recorded in the report.
     """
     f = scenario_curve(name)
-    steps = _step_count(t_end, dt)
+    _step_count(t_end, dt)  # names a bad dt or t_end before any work
     wanted: dict[int, float] = {}
     for t_req in snapshot_times:
-        idx = min(max(int(round(t_req / dt)), 0), steps)
+        if not math.isfinite(t_req):
+            raise ValueError(f"snapshot_times must be finite, got {t_req!r}")
+        # clamped before dividing, so a huge time cannot overflow
+        idx = int(round(min(max(t_req, 0.0), t_end) / dt))
         wanted.setdefault(idx, float(t_req))
 
     snapshots: list[Snapshot] = []

@@ -3,7 +3,8 @@
 Each scheme advances the nodal curve by solving one cyclic tridiagonal
 system shared by both spatial components.  The geometric coefficients
 (weighted mass, weighted stiffness, radial load) are frozen at a curve
-that is already known, which keeps every step linear:
+that is already known, which keeps every step linear.  The three schemes
+are rows of one coefficient table, ``_SCHEMES``, read by one kernel:
 
 * ``bdf1_step`` freezes them at the current curve (first order, also
   the bootstrap step for the two-step schemes),
@@ -30,6 +31,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .assembly import (
+    CyclicTridiagonal,
     radial_direction_load,
     source_load,
     weighted_mass_matrix,
@@ -194,19 +196,60 @@ def _solve_step(matrix, rhs, t_new: float) -> PeriodicCurve:
     return new
 
 
-def bdf1_step(state: StepperState, source: Optional[SourceField] = None) -> PeriodicCurve:
-    """One backward Euler step with coefficients frozen at the current curve."""
-    cur = state.current
+# One row per scheme: extrapolation weights (e0, e1), mass factor c,
+# history weights (h0, h1), implicit stiffness share theta and source
+# weights (s0, s1).  With M, K and R frozen at e0 X^m + e1 X^{m-1}, the
+# step solves
+#   (c / dt) M X^{m+1} + theta K X^{m+1}
+#     = M (h0 X^m + h1 X^{m-1}) / dt - (1 - theta) K X^m - R
+#       + s0 F(t_m) + s1 F(t_{m+1}).
+_SCHEMES = {
+    SchemeKind.BDF1: ((1.0, 0.0), 1.0, (1.0, 0.0), 1.0, (0.0, 1.0)),
+    SchemeKind.CN: ((1.5, -0.5), 1.0, (1.0, 0.0), 0.5, (0.5, 0.5)),
+    SchemeKind.BDF2: ((2.0, -1.0), 1.5, (2.0, -0.5), 1.0, (0.0, 1.0)),
+}
+
+
+def _advance(
+    kind: SchemeKind, state: StepperState, source: Optional[SourceField]
+) -> PeriodicCurve:
+    """One step of the scheme ``kind``, read off its row of ``_SCHEMES``."""
+    (e0, e1), c, (h0, h1), theta, source_weights = _SCHEMES[kind]
+    x = state.current.positions
+    if e1 == 0.0:
+        # a one-step scheme gives X^{m-1} zero weight everywhere
+        x_prev, weight = x, state.current
+    elif state.previous is None:
+        raise ValueError(f"{kind.value}_step needs a previous curve; bootstrap with bdf1_step")
+    else:
+        x_prev = state.previous.positions
+        weight = PeriodicCurve(e0 * x + e1 * x_prev)
     dt = state.dt
     t_new = state.time + dt
-    _check_weight(cur, t_new)
-    mass = weighted_mass_matrix(cur)
-    stiff = weighted_stiffness_matrix(cur)
-    matrix = (1.0 / dt) * mass + stiff
-    rhs = mass.matvec(cur.positions) / dt - radial_direction_load(cur)
+    _check_weight(weight, t_new)
+    mass = weighted_mass_matrix(weight)
+    stiff = weighted_stiffness_matrix(weight)
+    matrix = CyclicTridiagonal(
+        c / dt * mass.diag + theta * stiff.diag,
+        c / dt * mass.sub + theta * stiff.sub,
+        c / dt * mass.sup + theta * stiff.sup,
+    )
+    rhs = mass.matvec(h0 * x + h1 * x_prev) / dt
+    if theta != 1.0:
+        rhs = rhs - (1.0 - theta) * stiff.matvec(x)
+    rhs = rhs - radial_direction_load(weight)
     if source is not None:
-        rhs = rhs + source_load(source, cur.node_count, t_new)
+        rhs = rhs + sum(
+            w * source_load(source, len(x), t)
+            for w, t in zip(source_weights, (state.time, t_new))
+            if w
+        )
     return _solve_step(matrix, rhs, t_new)
+
+
+def bdf1_step(state: StepperState, source: Optional[SourceField] = None) -> PeriodicCurve:
+    """One backward Euler step with coefficients frozen at the current curve."""
+    return _advance(SchemeKind.BDF1, state, source)
 
 
 def cn_step(state: StepperState, source: Optional[SourceField] = None) -> PeriodicCurve:
@@ -217,47 +260,13 @@ def cn_step(state: StepperState, source: Optional[SourceField] = None) -> Period
     stiffness acts on (X^{m+1} + X^m) / 2 and the source is tested as
     (f(t_m) + f(t_{m+1})) / 2.
     """
-    if state.previous is None:
-        raise ValueError("cn_step needs a previous curve; bootstrap with bdf1_step")
-    cur, prev = state.current, state.previous
-    dt = state.dt
-    t_new = state.time + dt
-    mid = PeriodicCurve(1.5 * cur.positions - 0.5 * prev.positions)
-    _check_weight(mid, t_new)
-    mass = weighted_mass_matrix(mid)
-    stiff = weighted_stiffness_matrix(mid)
-    matrix = (1.0 / dt) * mass + 0.5 * stiff
-    rhs = (
-        mass.matvec(cur.positions) / dt
-        - 0.5 * stiff.matvec(cur.positions)
-        - radial_direction_load(mid)
-    )
-    if source is not None:
-        rhs = rhs + 0.5 * (
-            source_load(source, cur.node_count, state.time)
-            + source_load(source, cur.node_count, t_new)
-        )
-    return _solve_step(matrix, rhs, t_new)
+    return _advance(SchemeKind.CN, state, source)
 
 
 def bdf2_step(state: StepperState, source: Optional[SourceField] = None) -> PeriodicCurve:
     """One two-step backward difference step with coefficients frozen at
     the extrapolation 2 X^m - X^{m-1}."""
-    if state.previous is None:
-        raise ValueError("bdf2_step needs a previous curve; bootstrap with bdf1_step")
-    cur, prev = state.current, state.previous
-    dt = state.dt
-    t_new = state.time + dt
-    extr = PeriodicCurve(2.0 * cur.positions - prev.positions)
-    _check_weight(extr, t_new)
-    mass = weighted_mass_matrix(extr)
-    stiff = weighted_stiffness_matrix(extr)
-    matrix = (1.5 / dt) * mass + stiff
-    rhs = mass.matvec(4.0 * cur.positions - prev.positions) / (2.0 * dt)
-    rhs = rhs - radial_direction_load(extr)
-    if source is not None:
-        rhs = rhs + source_load(source, cur.node_count, t_new)
-    return _solve_step(matrix, rhs, t_new)
+    return _advance(SchemeKind.BDF2, state, source)
 
 
 _STEPPERS = {
@@ -328,6 +337,8 @@ def run(
     diameter out of the records; the collapse event stays active either
     way.
     """
+    if node_count < 3:
+        raise ValueError(f"node_count must be at least 3, got {node_count!r}")
     scheme = SchemeKind(scheme)
     steps = _step_count(t_end, dt)
     if isinstance(initial, PeriodicCurve):
@@ -367,10 +378,9 @@ def run(
     event = _state_event(start, 0.0, thresholds)
     if event is None:
         for m in range(steps):
-            bootstrap = state.previous is None and scheme is not SchemeKind.BDF1
-            stepper = bdf1_step if bootstrap else _STEPPERS[scheme]
+            bootstrap = state.previous is None
             try:
-                new = stepper(state, source)
+                new = _STEPPERS[SchemeKind.BDF1 if bootstrap else scheme](state, source)
             except StepFailure as fail:
                 event = StopEvent(fail.kind, (m + 1) * dt, fail.metric)
                 break

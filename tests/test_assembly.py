@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusflow import (
     CyclicTridiagonal,
@@ -69,14 +71,6 @@ class TestCyclicTridiagonal:
         x = np.array([1.0, 2.0, 3.0])
         assert np.allclose(m.matvec(x), dense @ x, rtol=0, atol=1e-14)
 
-    def test_add_and_scale(self, rng):
-        a = CyclicTridiagonal(rng.normal(size=6), rng.normal(size=6), rng.normal(size=6))
-        b = CyclicTridiagonal(rng.normal(size=6), rng.normal(size=6), rng.normal(size=6))
-        combo = 2.0 * a + b
-        assert np.allclose(combo.to_dense(), 2.0 * a.to_dense() + b.to_dense())
-        with pytest.raises(TypeError):
-            a + np.eye(6)
-
     def test_inf_norm_matches_dense(self, rng):
         for J in (3, 4, 9):
             m = CyclicTridiagonal(rng.normal(size=J), rng.normal(size=J), rng.normal(size=J))
@@ -138,12 +132,12 @@ class TestAgainstDenseOracle:
 
 
 class TestStructuralProperties:
-    def test_stiffness_annihilates_constants(self, rng):
-        for J in (3, 4, 16):
-            curve = PeriodicCurve(random_admissible_positions(rng, J))
-            k = weighted_stiffness_matrix(curve)
-            ones = np.ones(J)
-            assert np.abs(k.matvec(ones)).max() <= 1e-12 * k.inf_norm()
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 200))
+    def test_stiffness_annihilates_constants(self, seed, J):
+        curve = PeriodicCurve(random_admissible_positions(np.random.default_rng(seed), J))
+        k = weighted_stiffness_matrix(curve)
+        assert np.abs(k.matvec(np.ones(J))).max() <= 4 * np.finfo(float).eps * k.inf_norm()
 
     def test_symmetric_band_storage(self, rng):
         curve = PeriodicCurve(random_admissible_positions(rng, 9))
@@ -152,13 +146,16 @@ class TestStructuralProperties:
             dense = m.to_dense()
             assert np.allclose(dense, dense.T)
 
-    def test_mass_total_is_weighted_curve_measure(self, rng):
-        # summing all entries integrates r * |W_rho|^2 over the period
-        curve = PeriodicCurve(random_admissible_positions(rng, 12))
-        rl = np.roll(curve.r, 1)
-        speed_sq = (curve.edge_lengths() / curve.spacing) ** 2
-        expect = float((curve.spacing * speed_sq * 0.5 * (rl + curve.r)).sum())
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 200))
+    def test_mass_total_is_weighted_curve_measure(self, seed, J):
+        # summing all entries integrates r * |W_rho|^2 over the period:
+        # sum_j (r_{j-1} + r_j) / 2 * |e_j|^2 / h
+        curve = PeriodicCurve(random_admissible_positions(np.random.default_rng(seed), J))
+        r_mean = 0.5 * (np.roll(curve.r, 1) + curve.r)
+        expect = float((r_mean * curve.edge_lengths() ** 2).sum()) / curve.spacing
         m = weighted_mass_matrix(curve)
+        assert float(m.matvec(np.ones(J)).sum()) == pytest.approx(expect, rel=1e-13)
         assert float(m.to_dense().sum()) == pytest.approx(expect, rel=1e-13)
 
     def test_cyclic_equivariance(self, rng):

@@ -297,6 +297,34 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith(f"error: {name} must be ")
         assert not (tmp_path / "z").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--snapshots", "nan", "snapshot_times must be finite"),
+            ("--snapshots", "0,inf", "snapshot_times must be finite"),
+            ("--nodes", "2", "node_count must be at least 3"),
+            ("--nodes", "0", "node_count must be at least 3"),
+            ("--scenario", "spiral:x", "scenario 'spiral:x': layers "),
+            ("--scenario", "torus:abc", "scenario 'torus:abc': radius "),
+        ],
+    )
+    def test_bad_evolve_inputs_are_named(self, capsys, tmp_path, flag, value, message):
+        argv = ["evolve", "--scenario", "torus:0.6", "--scheme", "cn", "--nodes", "16",
+                "--dt", "1e-3", "--t-end", "0.01", "--snapshots", "0",
+                "--out", str(tmp_path / "z")]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not (tmp_path / "z").exists()
+
+    def test_bad_bisect_tol_is_named(self, capsys):
+        argv = ["bisect", "--lower", "0.5", "--upper", "0.7", "--tol", "nan", "--scheme", "cn"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: tol must be positive and finite, got nan"]
+        assert captured.out == ""
+
     def test_usage_errors_exit_via_argparse(self):
         with pytest.raises(SystemExit):
             main([])
@@ -315,6 +343,12 @@ def readme_commands():
 
 
 class TestReadme:
+    def test_library_snippet_prints_its_comment(self, capsys):
+        (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        expected = snippet.rsplit("# ", 1)[1].strip()
+        exec(snippet, {})
+        assert capsys.readouterr().out == expected + "\n"
+
     def test_commands_parse(self):
         commands = readme_commands()
         assert [argv[0] for argv in commands] == ["converge", "evolve", "bisect"]

@@ -95,7 +95,9 @@ class TestAgainstDenseOracle:
         curve = PeriodicCurve(random_admissible_positions(rng, 200))
         m = weighted_mass_matrix(curve)
         k = weighted_stiffness_matrix(curve)
-        a = (1.0 / 1e-3) * m + k
+        a = CyclicTridiagonal(
+            m.diag / 1e-3 + k.diag, m.sub / 1e-3 + k.sub, m.sup / 1e-3 + k.sup
+        )
         rhs = rng.normal(size=(200, 2))
         report = solve_cyclic(a, rhs)
         assert report.status is SolveStatus.OK

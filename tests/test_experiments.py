@@ -118,6 +118,11 @@ class TestBisection:
         with pytest.raises(ValueError):
             bisect_critical_radius(0.5, 0.7, 0.0, "cn")
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.01])
+    def test_rejects_bad_tol_by_name(self, tol):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            bisect_critical_radius(0.5, 0.7, tol, "cn")
+
     def test_rejects_misclassified_endpoints(self):
         with pytest.raises(ValueError, match="does not collapse"):
             bisect_critical_radius(0.68, 0.9, 0.05, "bdf1", **COARSE)
@@ -157,6 +162,11 @@ class TestScenarioCurves:
         pts = scenario_curve("spiral:3")(np.linspace(0, 1, 4096, endpoint=False))
         assert polygon_winding(pts, about=np.array([3.0, 0.0])) == 7
 
+    @pytest.mark.parametrize("name, param", [("spiral:x", "layers"), ("torus:abc", "radius")])
+    def test_bad_parameters_are_named(self, name, param):
+        with pytest.raises(ValueError, match=f"^scenario '{name}': {param} is not a valid "):
+            scenario_curve(name)
+
 
 class TestRunScenario:
     def test_snapshots_land_on_nearest_grid_times(self):
@@ -176,6 +186,15 @@ class TestRunScenario:
                                 (1e-3, float("nan"), "t_end"), (1e-3, float("inf"), "t_end")]:
             with pytest.raises(ValueError, match=f"^{name} must be "):
                 run_scenario("torus:0.6", "cn", 16, dt, t_end, snapshot_times=(0.0,))
+
+    @pytest.mark.parametrize("t_snap", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_snapshot_times_by_name(self, t_snap):
+        with pytest.raises(ValueError, match="^snapshot_times must be finite"):
+            run_scenario("torus:0.6", "cn", 16, 1e-3, 0.01, snapshot_times=(0.0, t_snap))
+
+    def test_huge_snapshot_time_clamps_to_the_end(self):
+        result = run_scenario("torus:0.6", "cn", 16, 1e-3, 0.01, snapshot_times=(1e308,))
+        assert [s.step for s in result.snapshots] == [10]
 
     def test_early_event_truncates_snapshots(self):
         result = run_scenario(

@@ -1,7 +1,10 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusflow import (
     EventThresholds,
@@ -18,7 +21,9 @@ from torusflow import (
     manufactured_solution,
     radial_direction_load,
     run,
+    solve_cyclic,
     source_load,
+    stepping,
     torus_circle,
     weighted_mass_matrix,
     weighted_stiffness_matrix,
@@ -28,6 +33,7 @@ from oracles import dense_step, random_admissible_positions
 
 EXACT = manufactured_solution()
 FORCING = manufactured_forcing()
+STEPPERS = {"bdf1": bdf1_step, "cn": cn_step, "bdf2": bdf2_step}
 
 
 def history_state(J, dt, t=0.2):
@@ -166,7 +172,7 @@ class TestAgainstDenseOracle:
     def test_single_step_small_grid(self, scheme, with_source):
         J, dt, t = 4, 1e-2, 0.2
         state = history_state(J, dt, t)
-        stepper = {"bdf1": bdf1_step, "cn": cn_step, "bdf2": bdf2_step}[scheme]
+        stepper = STEPPERS[scheme]
         source = polynomial_source() if with_source else None
         ours = stepper(state, source)
         prev = None if scheme == "bdf1" else state.previous.positions
@@ -174,45 +180,76 @@ class TestAgainstDenseOracle:
         assert np.abs(ours.positions - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
+def random_state(seed, J, dt=2e-3):
+    """Random admissible current curve with a nearby previous curve."""
+    rng = np.random.default_rng(seed)
+    cur = random_admissible_positions(rng, J, r_min=1.0, r_max=3.0)
+    prev = cur + 0.01 * rng.normal(size=(J, 2))
+    return StepperState(PeriodicCurve(cur), PeriodicCurve(prev), 0.4, dt, 1)
+
+
+def step_matrix(stepper, state):
+    """The matrix a step hands to the cyclic solver."""
+    seen = []
+
+    def spy(matrix, rhs):
+        seen.append(matrix)
+        return solve_cyclic(matrix, rhs)
+
+    with mock.patch.object(stepping, "solve_cyclic", spy):
+        stepper(state)
+    return seen[0]
+
+
 class TestSymmetries:
     @pytest.mark.parametrize("scheme", ["bdf1", "cn", "bdf2"])
-    def test_cyclic_relabeling(self, scheme, rng):
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 64))
+    def test_step_matrix_is_exactly_symmetric(self, scheme, seed, J):
+        m = step_matrix(STEPPERS[scheme], random_state(seed, J))
+        # row j's entry for node j-1 equals row j-1's entry for node j
+        assert np.array_equal(m.sub, np.roll(m.sup, 1))
+
+    @pytest.mark.parametrize("scheme", ["bdf1", "cn", "bdf2"])
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 64), data=st.data())
+    def test_cyclic_relabeling(self, scheme, seed, J, data):
         # renaming the nodes by a rotation of the periodic grid commutes
         # with stepping once the source is rotated the same way
-        J, dt, shift = 16, 1e-3, 5
-        state = history_state(J, dt)
+        shift = data.draw(st.integers(1, J - 1))
+        state = random_state(seed, J)
         shifted = StepperState(
             PeriodicCurve(np.roll(state.current.positions, shift, axis=0)),
             PeriodicCurve(np.roll(state.previous.positions, shift, axis=0)),
             state.time,
-            dt,
+            state.dt,
             state.step_index,
         )
         moved = SourceField(lambda rho, t: FORCING(rho - shift / J, t))
-        stepper = {"bdf1": bdf1_step, "cn": cn_step, "bdf2": bdf2_step}[scheme]
-        base = stepper(state, FORCING)
-        rotated = stepper(shifted, moved)
+        base = STEPPERS[scheme](state, FORCING)
+        rotated = STEPPERS[scheme](shifted, moved)
         expect = np.roll(base.positions, shift, axis=0)
         assert np.abs(rotated.positions - expect).max() <= 1e-12
 
     @pytest.mark.parametrize("scheme", ["bdf1", "cn", "bdf2"])
-    def test_axial_mirror(self, scheme):
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 64))
+    def test_axial_mirror(self, scheme, seed, J):
         # flipping z with the axial source component commutes with stepping
-        J, dt = 16, 1e-3
         flip = np.array([1.0, -1.0])
-        state = history_state(J, dt)
+        state = random_state(seed, J)
         mirrored = StepperState(
             PeriodicCurve(state.current.positions * flip),
             PeriodicCurve(state.previous.positions * flip),
             state.time,
-            dt,
+            state.dt,
             state.step_index,
         )
         flipped_src = SourceField(lambda rho, t: FORCING(rho, t) * flip)
-        stepper = {"bdf1": bdf1_step, "cn": cn_step, "bdf2": bdf2_step}[scheme]
-        base = stepper(state, FORCING)
-        image = stepper(mirrored, flipped_src)
-        assert np.abs(image.positions - base.positions * flip).max() <= 1e-12
+        base = STEPPERS[scheme](state, FORCING)
+        image = STEPPERS[scheme](mirrored, flipped_src)
+        expect = base.positions * flip
+        assert np.abs(image.positions - expect).max() <= 1e-12
 
     def test_source_superposition(self):
         # the step is affine in the source: increments superpose exactly
@@ -272,6 +309,11 @@ class TestRunDriver:
     def test_rejects_bad_step_inputs_by_name(self, dt, t_end, name):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
             run(EXACT, SchemeKind.CN, 16, dt, t_end)
+
+    @pytest.mark.parametrize("node_count", [2, 0, -5])
+    def test_rejects_too_few_nodes_by_name(self, node_count):
+        with pytest.raises(ValueError, match="^node_count must be at least 3"):
+            run(EXACT, SchemeKind.CN, node_count, 1e-2, 0.1)
 
     def test_rejects_initial_polygon_on_wrong_grid(self):
         start = interpolate(EXACT, 16, 0.0)
