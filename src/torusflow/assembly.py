@@ -6,12 +6,14 @@ curve is linear and the squared reference speed |W_rho|^2 equals
 therefore a closed-form moment of the piecewise linear hat functions;
 no quadrature error enters the assembled system.  The source load is
 the one exception: it integrates an arbitrary smooth field with a
-fixed Gauss rule per element.
+fixed Gauss rule per element, once per grid for each basis field of a
+separable source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,19 +150,41 @@ def radial_direction_load(weight: PeriodicCurve) -> np.ndarray:
     return out
 
 
+def _hat_moments(vals, s, wts) -> np.ndarray:
+    """Hat-function moments of field values at the Gauss points of each
+    element, vals of shape (..., J, npts, 2) -> (..., J, 2)."""
+    h = 1.0 / vals.shape[-3]
+    left = h * np.einsum("g,...jgc->...jc", wts * (1.0 - s), vals)
+    right = h * np.einsum("g,...jgc->...jc", wts * s, vals)
+    return right + np.roll(left, -1, axis=-2)
+
+
+@lru_cache(maxsize=8)
+def _basis_loads(basis, node_count: int, quadrature_points: int) -> np.ndarray:
+    """Loads of the K basis fields of a separable source, read-only (K, J, 2)."""
+    rho, s, wts = element_rho(node_count, quadrature_points)
+    vals = np.asarray(basis(rho.ravel()), dtype=float)
+    loads = _hat_moments(vals.reshape(-1, node_count, len(s), 2), s, wts)
+    loads.setflags(write=False)
+    return loads
+
+
 def source_load(f, node_count: int, t: float, quadrature_points: int = 3) -> np.ndarray:
     """Hat-function moments of a source field at time t, shape (J, 2).
 
     ``f`` maps (rho array, t) to an (n, 2) array and is treated as
     1-periodic.  Three Gauss points per element integrate the smooth
-    sources used here essentially to roundoff.
+    sources used here essentially to roundoff.  A field with a separable
+    form (``basis`` and ``coeffs``, see ``SourceField``) is loaded as
+    coeffs(t) times its basis loads, computed once per grid and rule.
     """
     J = int(node_count)
     if J < 3:
-        raise ValueError("need at least 3 nodes")
-    h = 1.0 / J
+        raise ValueError(f"node_count must be at least 3, got {node_count!r}")
+    basis = getattr(f, "basis", None)
+    if basis is not None:
+        loads = _basis_loads(basis, J, quadrature_points)
+        return (f.coeffs(t) @ loads.reshape(len(loads), -1)).reshape(J, 2)
     rho, s, wts = element_rho(J, quadrature_points)
     vals = np.asarray(f(rho.ravel(), t), dtype=float).reshape(J, len(s), 2)
-    left = h * np.einsum("g,jgc->jc", wts * (1.0 - s), vals)
-    right = h * np.einsum("g,jgc->jc", wts * s, vals)
-    return right + np.roll(left, -1, axis=0)
+    return _hat_moments(vals, s, wts)

@@ -183,15 +183,27 @@ def write_evolution_bundle(
     )
 
 
+def _parse_list(text: str, convert, option: str, kind: str) -> list:
+    """Comma list of values, naming the option and item that fail to parse."""
+    items = [p.strip() for p in text.split(",") if p.strip()]
+    out = []
+    for item in items:
+        try:
+            out.append(convert(item))
+        except ValueError:
+            raise ValueError(f"{option}: {item!r} is not {kind}") from None
+    return out
+
+
 def _parse_levels(text: str) -> list[int]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty level list")
-    return [int(p) for p in parts]
+    levels = _parse_list(text, int, "--levels", "an integer")
+    if not levels:
+        raise ValueError("--levels: empty level list")
+    return levels
 
 
 def _parse_times(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+    return _parse_list(text, float, "--snapshots", "a number")
 
 
 def cmd_converge(args) -> int:
@@ -221,6 +233,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    if args.obj_segments < 3:
+        raise ValueError(f"--obj-segments must be at least 3, got {args.obj_segments}")
     result = run_scenario(
         args.scenario,
         SchemeKind(args.scheme),

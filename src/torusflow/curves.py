@@ -116,7 +116,7 @@ class CurveFunction:
 def interpolate(f: CurveFunction, node_count: int, t: float = 0.0) -> PeriodicCurve:
     """Nodal interpolant of f on the uniform grid with the given node count."""
     if node_count < 3:
-        raise ValueError("need at least 3 nodes")
+        raise ValueError(f"node_count must be at least 3, got {node_count!r}")
     rho = np.arange(node_count, dtype=float) / node_count
     return PeriodicCurve(f(rho, t))
 

@@ -78,9 +78,23 @@ class SchemeKind(str, Enum):
 
 @dataclass(frozen=True)
 class SourceField:
-    """Forcing field sampled as f(rho, t) -> (n, 2), 1-periodic in rho."""
+    """Forcing field sampled as f(rho, t) -> (n, 2), 1-periodic in rho.
+
+    A separable field may also give its form
+    f(rho, t) = sum_k coeffs(t)[k] * basis(rho)[k], with ``basis(rho)``
+    returning the K basis fields, shape (K, n, 2), and ``coeffs(t)``
+    their K coefficients.  ``source_load`` then loads each basis field
+    once per grid and only combines the loads per call.  ``func`` stays
+    the definition of the field; the form must agree with it.
+    """
 
     func: Callable
+    basis: Optional[Callable] = None
+    coeffs: Optional[Callable] = None
+
+    def __post_init__(self):
+        if (self.basis is None) != (self.coeffs is None):
+            raise ValueError("SourceField needs both basis and coeffs, or neither")
 
     def __call__(self, rho, t: float) -> np.ndarray:
         return np.asarray(self.func(np.asarray(rho, dtype=float), t), dtype=float)
@@ -427,13 +441,40 @@ def manufactured_solution() -> CurveFunction:
     return CurveFunction(value, derivative)
 
 
+def _forcing_basis(rho) -> np.ndarray:
+    """The four rho-parts of the manufactured forcing, shape (4, n, 2):
+    (1, 0), (cos 2 pi rho, 0), (cos 4 pi rho, sin 4 pi rho), (0, sin 2 pi rho)."""
+    ang = TWO_PI * np.asarray(rho, dtype=float)
+    out = np.zeros((4,) + ang.shape + (2,))
+    out[0, ..., 0] = 1.0
+    out[1, ..., 0] = np.cos(ang)
+    out[2, ..., 0] = np.cos(2.0 * ang)
+    out[2, ..., 1] = np.sin(2.0 * ang)
+    out[3, ..., 1] = np.sin(ang)
+    return out
+
+
+def _forcing_coeffs(t: float) -> np.ndarray:
+    """Time parts of the manufactured forcing, matching ``_forcing_basis``."""
+    d = _drift(t)
+    dp = _drift_rate(t)
+    return FOUR_PI_SQ * np.array([d * dp + 1.0, d + dp, 1.0, d])
+
+
 def manufactured_forcing() -> SourceField:
     """Forcing that makes the drifting unit circle solve the flow exactly.
 
     Substituting the drifting circle into the strong form
     r |x_rho|^2 x_t - (r x_rho)_rho + |x_rho|^2 e_r = f
     gives this closed form; the finite difference check lives in the
-    test suite.
+    test suite.  With d = 2 + sin(pi t), d' = pi cos(pi t) and
+    c, s = cos(2 pi rho), sin(2 pi rho) it separates exactly as
+
+    f = 4 pi^2 [(d d' + 1) (1, 0) + (d + d') (c, 0)
+                + (cos 4 pi rho, sin 4 pi rho) + d (0, s)],
+
+    because 1 - s^2 = c^2 and 2 c^2 - 1 = cos(4 pi rho); the field
+    carries that form so its load is a combination of four cached ones.
     """
 
     def func(rho, t):
@@ -446,4 +487,4 @@ def manufactured_forcing() -> SourceField:
         f2 = FOUR_PI_SQ * (s * c + rad * s)
         return np.stack([f1, f2], axis=-1)
 
-    return SourceField(func)
+    return SourceField(func, _forcing_basis, _forcing_coeffs)

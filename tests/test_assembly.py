@@ -7,12 +7,15 @@ from torusflow import (
     CyclicTridiagonal,
     InadmissibleCurveError,
     PeriodicCurve,
+    SourceField,
     manufactured_forcing,
     radial_direction_load,
     source_load,
     weighted_mass_matrix,
     weighted_stiffness_matrix,
 )
+
+from torusflow.assembly import _basis_loads
 
 from oracles import (
     dense_mass,
@@ -130,6 +133,83 @@ class TestAgainstDenseOracle:
         ref = dense_source_load(f, 48, 0.37)
         assert np.abs(ours - ref).max() <= 1e-8 * np.abs(ref).max()
 
+    def test_source_load_names_node_count(self):
+        with pytest.raises(ValueError, match="^node_count must be at least 3, got 2$"):
+            source_load(manufactured_forcing(), 2, 0.0)
+
+
+class TestSeparableSource:
+    """The manufactured forcing carries a separable form; its load is a
+    combination of cached basis loads and must match the direct load."""
+
+    @pytest.mark.parametrize("J", [3, 4, 32, 512, 50000])
+    def test_combined_load_matches_direct_load(self, J):
+        f = manufactured_forcing()
+        direct = SourceField(f.func)
+        for t in (0.0, 0.013, 0.37, 0.5, 0.77, 1.0, 1.5, 2.0):
+            ref = source_load(direct, J, t)
+            ours = source_load(f, J, t)
+            assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_other_rules_match_direct_load(self):
+        f = manufactured_forcing()
+        for npts in (1, 2, 5):
+            ref = source_load(SourceField(f.func), 40, 0.3, npts)
+            ours = source_load(f, 40, 0.3, npts)
+            assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=st.lists(
+            st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False),
+            min_size=1,
+            max_size=20,
+        ),
+        t=st.floats(0.0, 2.0),
+    )
+    def test_form_equals_func_pointwise(self, rho, t):
+        # the field crosses zero, so the bound is relative to the size of
+        # the terms that are summed
+        f = manufactured_forcing()
+        rho = np.array(rho)
+        basis = f.basis(rho)
+        coeffs = f.coeffs(t)
+        assert basis.shape == (4, len(rho), 2) and coeffs.shape == (4,)
+        combined = np.einsum("k,knc->nc", coeffs, basis)
+        scale = np.einsum("k,knc->nc", np.abs(coeffs), np.abs(basis))
+        assert np.all(np.abs(combined - f(rho, t)) <= 1e-13 * scale)
+
+    def test_every_call_shares_one_cache_entry(self):
+        assert manufactured_forcing().basis is manufactured_forcing().basis
+        _basis_loads.cache_clear()
+        for _ in range(3):
+            source_load(manufactured_forcing(), 32, 0.25)
+        info = _basis_loads.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_cached_loads_are_read_only(self):
+        f = manufactured_forcing()
+        loads = _basis_loads(f.basis, 16, 3)
+        assert loads.shape == (4, 16, 2)
+        assert not loads.flags.writeable
+        with pytest.raises(ValueError):
+            loads[0, 0, 0] = 1.0
+        out = source_load(f, 16, 0.5)
+        out[:] = 0.0  # the returned load is the caller's own array
+        assert np.abs(source_load(f, 16, 0.5)).max() > 0.0
+
+    @pytest.mark.parametrize("given", [{"basis": np.cos}, {"coeffs": np.cos}])
+    def test_half_a_form_is_rejected(self, given):
+        with pytest.raises(ValueError, match="both basis and coeffs"):
+            SourceField(lambda rho, t: rho, **given)
+
+    def test_field_without_form_keeps_direct_path(self):
+        f = manufactured_forcing()
+        plain = SourceField(f.func)
+        assert plain.basis is None and plain.coeffs is None
+        ref = dense_source_load(plain, 64, 0.6)
+        assert np.abs(source_load(plain, 64, 0.6) - ref).max() <= 1e-8 * np.abs(ref).max()
+
 
 class TestStructuralProperties:
     @settings(max_examples=100, deadline=None)
@@ -173,8 +253,6 @@ class TestStructuralProperties:
         )
 
     def test_source_load_is_linear_in_field(self, rng):
-        from torusflow import SourceField
-
         def f1(rho, t):
             return np.stack([np.cos(2 * np.pi * rho), np.sin(4 * np.pi * rho)], axis=-1)
 

@@ -325,6 +325,42 @@ class TestErrorHandling:
         assert captured.err.splitlines() == ["error: tol must be positive and finite, got nan"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evolve", "--scenario", "torus:0.6", "--scheme", "cn", "--nodes", "16",
+              "--dt", "1e-3", "--t-end", "0.01", "--snapshots", "0,abc", "--out", "z"],
+             "error: --snapshots: 'abc' is not a number"),
+            (["converge", "--scheme", "cn", "--axis", "spatial", "--levels", "8,x", "--out", "-"],
+             "error: --levels: 'x' is not an integer"),
+            (["converge", "--scheme", "cn", "--axis", "spatial", "--levels", " , ", "--out", "-"],
+             "error: --levels: empty level list"),
+        ],
+    )
+    def test_bad_list_items_are_named(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+        assert not (tmp_path / "z").exists()
+
+    @pytest.mark.parametrize("snapshots", ["0", ""])
+    def test_bad_obj_segments_fail_before_the_run(self, capsys, tmp_path, monkeypatch, snapshots):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("torusflow.cli.run_scenario", no_run)
+        out = tmp_path / "bundle"
+        argv = ["evolve", "--scenario", "torus:0.6", "--scheme", "cn", "--nodes", "16",
+                "--dt", "1e-3", "--t-end", "0.01", "--snapshots", snapshots,
+                "--export-obj", "--obj-segments", "2", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --obj-segments must be at least 3, got 2"
+        ]
+        assert not out.exists()
+
     def test_usage_errors_exit_via_argparse(self):
         with pytest.raises(SystemExit):
             main([])
@@ -342,6 +378,15 @@ def readme_commands():
     return commands
 
 
+# appended to each README command so that it runs in a few seconds; at
+# J = 128, dt = 5e-4 the CN bracket still straddles 0.6415
+README_SIZES = {
+    "converge": ["--fixed-steps", "20", "--t-end", "0.01"],
+    "evolve": ["--nodes", "64", "--dt", "1e-3"],
+    "bisect": ["--nodes", "128", "--dt", "5e-4"],
+}
+
+
 class TestReadme:
     def test_library_snippet_prints_its_comment(self, capsys):
         (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
@@ -356,3 +401,32 @@ class TestReadme:
         for argv in commands:
             args = parser.parse_args(argv)
             assert args.subcommand == argv[0]
+
+    def test_commands_run_at_small_sizes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        converge, evolve, bisect = readme_commands()
+
+        assert main(converge + README_SIZES["converge"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "resolution,err_l2,order_l2,err_h1,order_h1"
+        assert [int(row.split(",")[0]) for row in rows] == [32, 64, 128, 256, 512]
+        assert all(float(row.split(",")[4]) > 0.99 for row in rows[1:])
+
+        assert main(evolve + README_SIZES["evolve"]) == 0
+        out = tmp_path / evolve[evolve.index("--out") + 1]
+        assert capsys.readouterr().out == f"axis_touch at t=0.083; wrote {out.relative_to(tmp_path)}\n"
+        labels = ("0", "0.04", "0.08")
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["diagnostics.csv", "metadata.json"]
+            + [f"snapshot_t{label}.{ext}" for label in labels for ext in ("csv", "obj")]
+        )
+        assert json.loads((out / "metadata.json").read_text())["event"]["kind"] == "axis_touch"
+
+        assert main(bisect + README_SIZES["bisect"]) == 0
+        header, *probes, last = capsys.readouterr().out.splitlines()
+        assert header == "r,event,t_event"
+        assert probes[0].startswith("0.5,curve_collapse,")
+        assert probes[1].startswith("0.7,axis_touch,")
+        tag, low, high = last.split(",")
+        assert tag == "bracket"
+        assert float(low) < 0.6415 < float(high) <= float(low) + 0.01

@@ -106,7 +106,7 @@ class TestInterpolate:
         assert c.r.max() == pytest.approx(4.0, abs=1e-14)
 
     def test_node_count_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^node_count must be at least 3, got 2$"):
             interpolate(torus_circle(0.5), 2)
 
     def test_relabeling_equivariance(self):
