@@ -68,8 +68,8 @@ class CyclicTridiagonal:
     def matvec(self, x) -> np.ndarray:
         """Product with a nodal vector of shape (J,) or a stack (J, k)."""
         x = np.asarray(x, dtype=float)
-        lower = np.roll(x, 1, axis=0)
-        upper = np.roll(x, -1, axis=0)
+        pad = np.concatenate((x[-1:], x, x[:1]))
+        lower, upper = pad[:-2], pad[2:]
         if x.ndim == 1:
             return self.diag * x + self.sub * lower + self.sup * upper
         return (
@@ -91,10 +91,15 @@ class CyclicTridiagonal:
         return float((np.abs(self.diag) + np.abs(self.sub) + np.abs(self.sup)).max())
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """Row j holds row (j + 1) % J of ``a``, built by slicing."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _element_data(weight: PeriodicCurve):
     """Per-element left/right radii and squared reference speed."""
     r_right = weight.r
-    r_left = np.roll(r_right, 1)
+    r_left = np.concatenate((r_right[-1:], r_right[:-1]))
     speed_sq = (weight.edge_lengths() / weight.spacing) ** 2
     return r_left, r_right, speed_sq
 
@@ -113,9 +118,9 @@ def weighted_mass_matrix(weight: PeriodicCurve) -> CyclicTridiagonal:
     left = w * h * (rl / 4.0 + rr / 12.0)
     right = w * h * (rl / 12.0 + rr / 4.0)
     cross = w * h * (rl + rr) / 12.0
-    diag = right + np.roll(left, -1)
+    diag = right + _next(left)
     sub = cross
-    sup = np.roll(cross, -1)
+    sup = _next(cross)
     return CyclicTridiagonal(diag, sub, sup)
 
 
@@ -129,9 +134,9 @@ def weighted_stiffness_matrix(weight: PeriodicCurve) -> CyclicTridiagonal:
     h = weight.spacing
     rl, rr, _ = _element_data(weight)
     rbar = 0.5 * (rl + rr) / h
-    diag = rbar + np.roll(rbar, -1)
+    diag = rbar + _next(rbar)
     sub = -rbar
-    sup = np.roll(sub, -1)
+    sup = _next(sub)
     return CyclicTridiagonal(diag, sub, sup)
 
 
@@ -146,7 +151,7 @@ def radial_direction_load(weight: PeriodicCurve) -> np.ndarray:
     _, _, w = _element_data(weight)
     per_element = w * h
     out = np.zeros((weight.node_count, 2))
-    out[:, 0] = 0.5 * (per_element + np.roll(per_element, -1))
+    out[:, 0] = 0.5 * (per_element + _next(per_element))
     return out
 
 
@@ -156,7 +161,7 @@ def _hat_moments(vals, s, wts) -> np.ndarray:
     h = 1.0 / vals.shape[-3]
     left = h * np.einsum("g,...jgc->...jc", wts * (1.0 - s), vals)
     right = h * np.einsum("g,...jgc->...jc", wts * s, vals)
-    return right + np.roll(left, -1, axis=-2)
+    return right + np.concatenate((left[..., 1:, :], left[..., :1, :]), axis=-2)
 
 
 @lru_cache(maxsize=8)

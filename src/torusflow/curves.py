@@ -10,6 +10,7 @@ analytic start geometries of the scenario library.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,18 +72,29 @@ class PeriodicCurve:
     def z(self) -> np.ndarray:
         return self.positions[:, 1]
 
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge vectors and lengths, computed once per curve, read-only."""
+        pos = self.positions
+        vectors = pos - np.concatenate((pos[-1:], pos[:-1]))
+        lengths = np.hypot(vectors[:, 0], vectors[:, 1])
+        vectors.setflags(write=False)
+        lengths.setflags(write=False)
+        return vectors, lengths
+
     def edge_vectors(self) -> np.ndarray:
-        """All J edges at once; row j is node j minus node j-1."""
-        return self.positions - np.roll(self.positions, 1, axis=0)
+        """All J edges at once; row j is node j minus node j-1 (read-only)."""
+        return self._edges[0]
 
     def edge_lengths(self) -> np.ndarray:
-        e = self.edge_vectors()
-        return np.hypot(e[:, 0], e[:, 1])
+        """Lengths of ``edge_vectors()`` (read-only)."""
+        return self._edges[1]
 
     def require_admissible(self, context: str = "curve") -> None:
-        if self.r.min() <= 0.0:
+        rmin = self.r.min()
+        if rmin <= 0.0:
             raise InadmissibleCurveError(
-                f"{context}: radial coordinate <= 0 (min {self.r.min():.3e})"
+                f"{context}: radial coordinate <= 0 (min {rmin:.3e})"
             )
         if self.edge_lengths().min() <= 0.0:
             raise InadmissibleCurveError(f"{context}: zero-length edge")

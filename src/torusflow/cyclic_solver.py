@@ -1,18 +1,23 @@
 """Direct solver for cyclic tridiagonal systems with a residual audit.
 
 The periodic coupling is folded out with a rank-one Sherman-Morrison
-update: the plain tridiagonal core is factorized once by pivoted LU
-(LAPACK gttrf) and reused for every right-hand side plus the correction
-column.  A dense pivoted solve covers order 3, where the wrap entries
-overlap the neighbours, and any breakdown of the fast path.  Every
-result carries a measured residual and an explicit status; callers can
-rely on ``status == OK`` instead of re-checking.
+update whose shift gamma = -diag[0] keeps a symmetric positive definite
+matrix's tridiagonal core symmetric positive definite.  That core, the
+one of every step matrix, is factorized as LDL^T (LAPACK pttrf); any
+other core by pivoted LU (LAPACK gttrf).  The factors serve the right
+sides, the correction column and up to two refinement steps when the
+first solution fails its residual audit.  Order 3, where the wrap
+entries overlap the neighbours, is solved densely.  Every result
+carries a measured residual, an explicit status and the path taken;
+callers can rely on ``status == OK`` instead of re-checking.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -25,6 +30,10 @@ __all__ = ["SolveStatus", "SolveReport", "solve_cyclic", "RESIDUAL_RTOL"]
 #   |A x - b|_inf <= RESIDUAL_RTOL * (|b|_inf + |A|_inf * |x|_inf)
 RESIDUAL_RTOL = 1e-10
 
+# refinement steps on the existing factors after a failed audit
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12)
+MAX_REFINEMENTS = 2
+
 
 class SolveStatus(Enum):
     OK = "ok"
@@ -34,88 +43,99 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Solution, its measured residual and audit status, the path taken
+    (``"ldlt"``, ``"lu"`` or ``"dense"``) and the refinement steps used."""
+
     solution: np.ndarray
     residual_norm: float
     status: SolveStatus
+    path: str = "lu"
+    refinements: int = 0
 
 
 def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     """Solve matrix @ x = rhs for shape (J,) or stacked (J, k) right sides."""
     b = np.asarray(rhs, dtype=float)
-    squeeze = b.ndim == 1
-    cols = b[:, None] if squeeze else b
-    if cols.ndim != 2 or cols.shape[0] != matrix.order:
-        raise ValueError(
-            f"rhs must have shape ({matrix.order},) or ({matrix.order}, k)"
-        )
-
-    best = None
-    if matrix.order >= 4:
-        x = _sherman_morrison(matrix, cols)
-        if x is not None:
-            best = _assess(matrix, cols, x)
-    if best is None or best.status is not SolveStatus.OK:
-        x = _dense_solve(matrix, cols)
-        if x is None:
-            if best is None:
-                nan = np.full_like(cols, np.nan)
-                best = SolveReport(nan, float("inf"), SolveStatus.SINGULAR)
-        else:
-            candidate = _assess(matrix, cols, x)
-            if best is None or candidate.residual_norm < best.residual_norm:
-                best = candidate
-    solution = best.solution[:, 0] if squeeze else best.solution
-    return SolveReport(solution, best.residual_norm, best.status)
-
-
-def _sherman_morrison(matrix: CyclicTridiagonal, cols: np.ndarray):
-    """Fast path for order >= 4; returns None on factorization breakdown."""
     J = matrix.order
-    alpha = matrix.sup[J - 1]  # corner entry in row J-1, column 0
-    beta = matrix.sub[0]  # corner entry in row 0, column J-1
-    gamma = -matrix.diag[0] if matrix.diag[0] != 0.0 else 1.0
+    if b.ndim not in (1, 2) or b.shape[0] != J:
+        raise ValueError(f"rhs must have shape ({J},) or ({J}, k)")
+    cols = b.reshape(J, -1)
+    if J == 3:
+        path, solve = "dense", partial(np.linalg.solve, matrix.to_dense())
+    else:
+        path, solve = _sherman_morrison(matrix)
+    try:
+        x = None if solve is None else solve(cols)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None:
+        return SolveReport(np.full_like(b, np.nan), math.inf, SolveStatus.SINGULAR, path)
 
-    d = matrix.diag.copy()
+    residual, res_norm, status = _audit(matrix, cols, x)
+    refinements = 0
+    while status is SolveStatus.ILL_CONDITIONED and refinements < MAX_REFINEMENTS:
+        refinements += 1
+        candidate = x - solve(residual)
+        c_residual, c_norm, c_status = _audit(matrix, cols, candidate)
+        if not c_norm < res_norm:
+            break
+        x, residual, res_norm, status = candidate, c_residual, c_norm, c_status
+    solution = x[:, 0] if b.ndim == 1 else x
+    return SolveReport(solution, res_norm, status, path, refinements)
+
+
+def _sherman_morrison(matrix: CyclicTridiagonal):
+    """(path, solve) for order >= 4, solve mapping right-hand-side
+    columns to solution columns; solve is None on a breakdown."""
+    diag, sub, sup = matrix.diag, matrix.sub, matrix.sup
+    alpha = sup[-1]  # corner entry in row J-1, column 0
+    beta = sub[0]  # corner entry in row 0, column J-1
+    gamma = -diag[0] if diag[0] != 0.0 else 1.0
+    d = diag.copy()
     d[0] -= gamma
     d[-1] -= alpha * beta / gamma
-    dl = matrix.sub[1:].copy()
-    du = matrix.sup[:-1].copy()
-    dlf, df, duf, du2, ipiv, info = lapack.dgttrf(dl, d, du)
-    if info != 0:
-        return None
+    e = sup[:-1]
 
-    stacked = np.empty((J, cols.shape[1] + 1), order="F")
-    stacked[:, :-1] = cols
-    stacked[:, -1] = 0.0
-    stacked[0, -1] = gamma
-    stacked[-1, -1] = alpha
-    sol, info = lapack.dgttrs(dlf, df, duf, du2, ipiv, stacked)
-    if info != 0:
-        return None
+    core = None
+    if alpha == beta and (sub[1:] == e).all():
+        df, ef, info = lapack.dpttrf(d, e)
+        if info == 0:
+            path = "ldlt"
 
-    y = sol[:, :-1]
-    z = sol[:, -1]
-    denom = 1.0 + z[0] + (beta / gamma) * z[-1]
-    if denom == 0.0 or not np.isfinite(denom):
-        return None
-    vy = y[0, :] + (beta / gamma) * y[-1, :]
-    return y - np.outer(z, vy / denom)
+            def core(cols):
+                return lapack.dpttrs(df, ef, cols, overwrite_b=1)[0]
+
+    if core is None:
+        path = "lu"
+        dlf, df, duf, du2, ipiv, info = lapack.dgttrf(sub[1:], d, e)
+        if info != 0:
+            return path, None
+
+        def core(cols):
+            return lapack.dgttrs(dlf, df, duf, du2, ipiv, cols, overwrite_b=1)[0]
+
+    u = np.zeros((len(d), 1))
+    u[0], u[-1] = gamma, alpha
+    z = core(u)[:, 0]
+    ratio = beta / gamma
+    denom = 1.0 + z[0] + ratio * z[-1]
+    if denom == 0.0 or not math.isfinite(denom):
+        return path, None
+
+    def solve(cols):
+        y = core(np.array(cols, order="F"))
+        return y - z[:, None] * ((y[0] + ratio * y[-1]) / denom)
+
+    return path, solve
 
 
-def _dense_solve(matrix: CyclicTridiagonal, cols: np.ndarray):
-    try:
-        return np.linalg.solve(matrix.to_dense(), cols)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _assess(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray) -> SolveReport:
+def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):
+    """Residual A x - b, its inf-norm and the status it earns."""
     residual = matrix.matvec(x) - cols
-    if not np.all(np.isfinite(x)):
-        return SolveReport(x, float("inf"), SolveStatus.SINGULAR)
+    x_max = float(np.abs(x).max())
+    if not math.isfinite(x_max):
+        return residual, math.inf, SolveStatus.SINGULAR
     res_norm = float(np.abs(residual).max())
-    bound = RESIDUAL_RTOL * (
-        float(np.abs(cols).max()) + matrix.inf_norm() * float(np.abs(x).max())
-    )
+    bound = RESIDUAL_RTOL * (float(np.abs(cols).max()) + matrix.inf_norm() * x_max)
     status = SolveStatus.OK if res_norm <= bound else SolveStatus.ILL_CONDITIONED
-    return SolveReport(x, res_norm, status)
+    return residual, res_norm, status

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 from .curves import CurveFunction, ellipse_curve, rose_curve, spiral_curve, torus_circle
@@ -116,6 +117,10 @@ def run_convergence(
         raise ValueError("need at least one level")
     if any(v < 3 for v in levels) or sorted(levels) != levels:
         raise ValueError("levels must be increasing and >= 3")
+    _require_positive("t_end", t_end)
+    for name, value, least in (("fixed_steps", fixed_steps, 1), ("fixed_nodes", fixed_nodes, 3)):
+        if not (isinstance(value, Integral) and value >= least):
+            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
     exact = manufactured_solution()
     forcing = manufactured_forcing()
@@ -165,6 +170,11 @@ def run_convergence(
     return ConvergenceStudy(scheme=scheme, axis=axis, rows=rows, superconv_h1=superconv)
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _round_t_end(t_max: float, dt: float) -> float:
     steps = max(1, int(round(t_max / dt)))
     return steps * dt
@@ -183,6 +193,8 @@ def classify_radius(
     Returns the axis_touch or curve_collapse event; raises if the run
     reaches t_max without one, or dies of a non-geometric failure.
     """
+    _require_positive("dt", dt)
+    _require_positive("t_max", t_max)
     report = run(
         torus_circle(radius),
         scheme,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusflow import EventThresholds, PeriodicCurve, interpolate, run_scenario, torus_circle
+from torusflow import EventThresholds, PeriodicCurve, experiments, interpolate, run_scenario, torus_circle
 from torusflow.cli import (
     _build_parser,
     main,
@@ -317,6 +317,39 @@ class TestErrorHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert not (tmp_path / "z").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["converge", "--scheme", "cn", "--axis", "spatial", "--levels", "8,16",
+              "--fixed-steps", "0", "--out", "-"],
+             "error: fixed_steps must be an integer of at least 1, got 0"),
+            (["converge", "--scheme", "cn", "--axis", "spatial", "--levels", "8,16",
+              "--fixed-steps", "-3", "--out", "-"],
+             "error: fixed_steps must be an integer of at least 1, got -3"),
+            (["converge", "--scheme", "cn", "--axis", "temporal", "--levels", "8,16",
+              "--fixed-nodes", "2", "--out", "-"],
+             "error: fixed_nodes must be an integer of at least 3, got 2"),
+            (["converge", "--scheme", "cn", "--axis", "spatial", "--levels", "8,16",
+              "--t-end", "0", "--out", "-"],
+             "error: t_end must be positive and finite, got 0.0"),
+            (["bisect", "--lower", "0.5", "--upper", "0.7", "--tol", "0.01", "--scheme", "cn",
+              "--dt", "nan"],
+             "error: dt must be positive and finite, got nan"),
+            (["bisect", "--lower", "0.5", "--upper", "0.7", "--tol", "0.01", "--scheme", "cn",
+              "--t-max", "nan"],
+             "error: t_max must be positive and finite, got nan"),
+        ],
+    )
+    def test_bad_study_inputs_are_named(self, capsys, monkeypatch, argv, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
 
     def test_bad_bisect_tol_is_named(self, capsys):
         argv = ["bisect", "--lower", "0.5", "--upper", "0.7", "--tol", "nan", "--scheme", "cn"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusflow import (
     CurveFunction,
@@ -12,7 +14,7 @@ from torusflow import (
     torus_circle,
 )
 
-from oracles import polygon_winding
+from oracles import polygon_winding, random_admissible_positions
 
 
 def square_curve():
@@ -60,6 +62,21 @@ class TestPeriodicCurve:
             single = c.positions[j] - c.positions[j - 1]
             assert np.array_equal(vecs[j], single)
             assert c.edge_lengths()[j] == pytest.approx(np.hypot(*single))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 200))
+    def test_edge_data_is_read_only_and_matches_roll(self, seed, J):
+        pos = random_admissible_positions(np.random.default_rng(seed), J)
+        c = PeriodicCurve(pos)
+        vecs = pos - np.roll(pos, 1, axis=0)
+        assert np.array_equal(c.edge_vectors(), vecs)
+        assert np.array_equal(c.edge_lengths(), np.hypot(vecs[:, 0], vecs[:, 1]))
+        for arr in (c.edge_vectors(), c.edge_lengths()):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # computed once: later calls hand out the same arrays
+        assert c.edge_vectors() is c.edge_vectors()
+        assert c.edge_lengths() is c.edge_lengths()
 
     def test_admissibility(self):
         square_curve().require_admissible()

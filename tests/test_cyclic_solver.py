@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusflow import (
     CyclicTridiagonal,
     PeriodicCurve,
     SolveStatus,
+    interpolate,
     solve_cyclic,
+    torus_circle,
     weighted_mass_matrix,
     weighted_stiffness_matrix,
 )
@@ -22,6 +28,15 @@ def random_dominant_matrix(rng, J):
     sign = rng.choice([-1.0, 1.0], size=J)
     diag = sign * (np.abs(sub) + np.abs(sup) + margin)
     return CyclicTridiagonal(diag, sub, sup)
+
+
+def symmetric_dominant_matrix(rng, J):
+    """Random symmetric strictly diagonally dominant cyclic system; row j
+    couples to row j-1 through off[j]."""
+    off = rng.uniform(-1.0, 1.0, size=J)
+    up = np.roll(off, -1)
+    diag = np.abs(off) + np.abs(up) + rng.uniform(0.5, 2.0, size=J)
+    return CyclicTridiagonal(diag, off, up)
 
 
 class TestBasics:
@@ -139,3 +154,71 @@ class TestFailureModes:
                 np.abs(rhs).max() + m.inf_norm() * np.abs(report.solution).max()
             )
             assert np.abs(m.matvec(report.solution) - rhs).max() <= bound
+
+
+class TestPaths:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(4, 200))
+    def test_symmetric_positive_definite_takes_ldlt(self, seed, J):
+        rng = np.random.default_rng(seed)
+        m = symmetric_dominant_matrix(rng, J)
+        rhs = rng.normal(size=(J, 2))
+        report = solve_cyclic(m, rhs)
+        assert report.path == "ldlt" and report.refinements == 0
+        assert report.status is SolveStatus.OK
+        expect = thomas_like_dense_solve(m.to_dense(), rhs)
+        assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_symmetric_indefinite_falls_back_to_lu(self, rng):
+        m = symmetric_dominant_matrix(rng, 40)
+        diag = m.diag.copy()
+        diag[5:20] *= -1.0  # still dominant, no longer definite
+        m = CyclicTridiagonal(diag, m.sub, m.sup)
+        rhs = rng.normal(size=40)
+        report = solve_cyclic(m, rhs)
+        assert report.path == "lu" and report.status is SolveStatus.OK
+        expect = thomas_like_dense_solve(m.to_dense(), rhs)
+        assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_nonsymmetric_takes_lu(self, rng):
+        for J in (4, 33):
+            report = solve_cyclic(random_dominant_matrix(rng, J), rng.normal(size=J))
+            assert report.path == "lu" and report.status is SolveStatus.OK
+
+    def test_order_three_is_dense(self, rng):
+        report = solve_cyclic(symmetric_dominant_matrix(rng, 3), rng.normal(size=3))
+        assert report.path == "dense" and report.status is SolveStatus.OK
+
+    @pytest.mark.parametrize("J", [8, 64])
+    def test_refinement_recovers_a_failed_audit(self, J, rng):
+        # a tiny corner pivot makes the Sherman-Morrison shift
+        # gamma = -diag[0] nearly cancel; the first solution misses the
+        # audit and refinement on the same factors repairs it
+        diag = np.full(J, 4.0)
+        diag[0] = 1e-9
+        m = CyclicTridiagonal(diag, np.ones(J), np.ones(J))
+        rhs = rng.normal(size=J)
+        report = solve_cyclic(m, rhs)
+        assert report.status is SolveStatus.OK
+        assert 1 <= report.refinements <= 2
+        residual = np.abs(m.matvec(report.solution) - rhs).max()
+        assert report.residual_norm == residual
+        expect = thomas_like_dense_solve(m.to_dense(), rhs)
+        assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_large_singular_system_stays_linear_in_memory(self):
+        # the stiffness matrix annihilates constants, so this system is
+        # singular and inconsistent; a dense fallback would need about
+        # 20 GB here
+        J = 50_000
+        k = weighted_stiffness_matrix(interpolate(torus_circle(0.6), J))
+        tracemalloc.start()
+        try:
+            report = solve_cyclic(k, np.ones(J))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        true_residual = np.abs(k.matvec(report.solution) - 1.0).max()
+        assert report.residual_norm == pytest.approx(true_residual, rel=1e-12)
+        assert report.residual_norm > 1.0

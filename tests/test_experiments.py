@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from torusflow import (
     run_scenario,
     scenario_curve,
 )
+from torusflow import experiments
 from torusflow.experiments import CHECKPOINT_COUNT, _checkpoint_steps
 from torusflow.stepping import StopEvent
 
@@ -48,6 +51,25 @@ class TestRunConvergence:
             run_convergence("cn", "spatial", [16, 8])
         with pytest.raises(ValueError):
             run_convergence("cn", "spatial", [2, 4])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(fixed_steps=0), "fixed_steps must be an integer of at least 1, got 0"),
+            (dict(fixed_steps=-3), "fixed_steps must be an integer of at least 1, got -3"),
+            (dict(fixed_steps=2.5), "fixed_steps must be an integer of at least 1, got 2.5"),
+            (dict(fixed_nodes=2), "fixed_nodes must be an integer of at least 3, got 2"),
+            (dict(t_end=0.0), "t_end must be positive and finite, got 0.0"),
+            (dict(t_end=float("nan")), "t_end must be positive and finite, got nan"),
+        ],
+    )
+    def test_rejects_bad_sizes_by_name(self, monkeypatch, kwargs, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_convergence("cn", "spatial", [8, 16], **kwargs)
 
     def test_spatial_smoke_ladder(self):
         study = run_convergence("bdf2", "spatial", [8, 16, 32], t_end=0.2, fixed_steps=400)
@@ -101,6 +123,26 @@ class TestClassifyRadius:
         event = classify_radius(0.5, "bdf1", **COARSE)
         assert event.kind is StopKind.CURVE_COLLAPSE
         assert 0.12 <= event.time <= 0.16
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(dt=float("nan")), "dt"),
+            (dict(dt=0.0), "dt"),
+            (dict(t_max=float("nan")), "t_max"),
+            (dict(t_max=-1.0), "t_max"),
+            (dict(t_max=float("inf")), "t_max"),
+        ],
+    )
+    def test_rejects_bad_step_inputs_by_name(self, monkeypatch, kwargs, name):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+            classify_radius(0.6, "cn", **kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+            bisect_critical_radius(0.5, 0.7, 0.01, "cn", **kwargs)
 
     def test_undecided_run_raises(self):
         with pytest.raises(RuntimeError, match="without a singularity"):

@@ -251,6 +251,22 @@ class TestSymmetries:
         expect = base.positions * flip
         assert np.abs(image.positions - expect).max() <= 1e-12
 
+    @pytest.mark.parametrize("scheme", ["cn", "bdf2"])
+    def test_every_step_solve_takes_the_symmetric_path(self, scheme):
+        # the step matrices are symmetric positive definite, so every
+        # solve of a run, bootstrap included, is an LDL^T one
+        reports = []
+
+        def spy(matrix, rhs):
+            reports.append(solve_cyclic(matrix, rhs))
+            return reports[-1]
+
+        with mock.patch.object(stepping, "solve_cyclic", spy):
+            report = run(torus_circle(0.6), scheme, 64, 1e-3, 0.05)
+        assert report.event.kind is StopKind.REACHED_T
+        assert len(reports) == 50
+        assert {(r.path, r.refinements) for r in reports} == {("ldlt", 0)}
+
     def test_source_superposition(self):
         # the step is affine in the source: increments superpose exactly
         state = history_state(12, 2e-3)
