@@ -7,7 +7,9 @@ one of every step matrix, is factorized as LDL^T (LAPACK pttrf); any
 other core by pivoted LU (LAPACK gttrf).  The factors serve the right
 sides, the correction column and up to two refinement steps when the
 first solution fails its residual audit.  Order 3, where the wrap
-entries overlap the neighbours, is solved densely.  Every result
+entries overlap the neighbours, is solved densely.  A split that
+breaks down or stays inaccurate is redone once with a second shift,
+-|A|_inf, before a failure is reported.  Every result
 carries a measured residual, an explicit status and the path taken;
 callers can rely on ``status == OK`` instead of re-checking.
 """
@@ -54,16 +56,40 @@ class SolveReport:
 
 
 def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
-    """Solve matrix @ x = rhs for shape (J,) or stacked (J, k) right sides."""
+    """Solve matrix @ x = rhs for shape (J,) or stacked (J, k) right sides.
+
+    Order >= 4 is split with the shift gamma = -diag[0].  When that split
+    breaks down (an exactly singular core or a zero rank-one denominator)
+    or its refined solution still fails the audit, it is redone once with
+    gamma = -|A|_inf and the better result is returned.  SINGULAR then
+    means both splits broke down; a nonsingular matrix can only get there
+    when every shift leaves its core singular, as for a pure cyclic shift.
+    """
     b = np.asarray(rhs, dtype=float)
     J = matrix.order
     if b.ndim not in (1, 2) or b.shape[0] != J:
         raise ValueError(f"rhs must have shape ({J},) or ({J}, k)")
     cols = b.reshape(J, -1)
     if J == 3:
-        path, solve = "dense", partial(np.linalg.solve, matrix.to_dense())
-    else:
-        path, solve = _sherman_morrison(matrix)
+        dense = partial(np.linalg.solve, matrix.to_dense())
+        return _refined(matrix, b, cols, "dense", dense)
+    first = -matrix.diag[0] if matrix.diag[0] != 0.0 else 1.0
+    report = _refined(matrix, b, cols, *_sherman_morrison(matrix, first))
+    if report.status is SolveStatus.OK:
+        return report
+    # any negative shift keeps the core of an SPD matrix positive definite
+    second = -matrix.inf_norm()
+    if second in (0.0, first):
+        return report
+    retry = _refined(matrix, b, cols, *_sherman_morrison(matrix, second))
+    if retry.status is SolveStatus.OK or retry.residual_norm < report.residual_norm:
+        return retry
+    return report
+
+
+def _refined(matrix: CyclicTridiagonal, b, cols, path: str, solve) -> SolveReport:
+    """Audited solution of one split, refined on its factors if needed;
+    solve is None when the split broke down."""
     try:
         x = None if solve is None else solve(cols)
     except np.linalg.LinAlgError:
@@ -84,13 +110,13 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     return SolveReport(solution, res_norm, status, path, refinements)
 
 
-def _sherman_morrison(matrix: CyclicTridiagonal):
-    """(path, solve) for order >= 4, solve mapping right-hand-side
-    columns to solution columns; solve is None on a breakdown."""
+def _sherman_morrison(matrix: CyclicTridiagonal, gamma: float):
+    """(path, solve) for order >= 4 and shift gamma, solve mapping
+    right-hand-side columns to solution columns; solve is None on a
+    breakdown."""
     diag, sub, sup = matrix.diag, matrix.sub, matrix.sup
     alpha = sup[-1]  # corner entry in row J-1, column 0
     beta = sub[0]  # corner entry in row 0, column J-1
-    gamma = -diag[0] if diag[0] != 0.0 else 1.0
     d = diag.copy()
     d[0] -= gamma
     d[-1] -= alpha * beta / gamma

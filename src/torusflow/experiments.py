@@ -26,6 +26,7 @@ from .stepping import (
     SchemeKind,
     StopEvent,
     StopKind,
+    _require_positive,
     _step_count,
     manufactured_forcing,
     manufactured_solution,
@@ -170,11 +171,6 @@ def run_convergence(
     return ConvergenceStudy(scheme=scheme, axis=axis, rows=rows, superconv_h1=superconv)
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _round_t_end(t_max: float, dt: float) -> float:
     steps = max(1, int(round(t_max / dt)))
     return steps * dt
@@ -244,8 +240,7 @@ def bisect_critical_radius(
     """
     if not 0.0 < lower < upper < 1.0:
         raise ValueError("need 0 < lower < upper < 1")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _require_positive("tol", tol)
 
     def classify(r: float) -> StopEvent:
         event = classify_radius(r, scheme, node_count, dt, t_max, thresholds)

@@ -290,10 +290,14 @@ _STEPPERS = {
 }
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _step_count(t_end: float, dt: float) -> int:
     """Number of steps of size dt that reach t_end exactly."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _require_positive("dt", dt)
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     ratio = t_end / dt

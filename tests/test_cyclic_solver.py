@@ -15,7 +15,7 @@ from torusflow import (
     weighted_mass_matrix,
     weighted_stiffness_matrix,
 )
-from torusflow.cyclic_solver import RESIDUAL_RTOL
+from torusflow.cyclic_solver import RESIDUAL_RTOL, _refined, _sherman_morrison
 
 from oracles import random_admissible_positions, thomas_like_dense_solve
 
@@ -205,6 +205,50 @@ class TestPaths:
         assert report.residual_norm == residual
         expect = thomas_like_dense_solve(m.to_dense(), rhs)
         assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_singular_core_is_redone_with_the_second_shift(self):
+        # with gamma = -diag[0] = -1 the tridiagonal core is
+        # [[2,2,0,0],[1,1,0,0],[0,1,3,1],[0,0,1,3]], exactly singular,
+        # while the cyclic matrix itself has determinant -15
+        m = CyclicTridiagonal(
+            np.array([1.0, 1.0, 3.0, 4.0]),
+            np.array([1.0, 1.0, 1.0, 1.0]),
+            np.array([2.0, 0.0, 1.0, 1.0]),
+        )
+        assert _sherman_morrison(m, -m.diag[0])[1] is None
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        report = solve_cyclic(m, rhs)
+        assert report.path == "lu" and report.status is SolveStatus.OK
+        expect = thomas_like_dense_solve(m.to_dense(), rhs)
+        assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("J", [8, 64])
+    def test_ill_conditioned_core_is_redone_with_the_second_shift(self, J, rng):
+        # diag[0] = 1e-15 leaves the first core so ill conditioned that
+        # two refinement steps do not pass the audit; the shift -|A|_inf
+        # gives a well-conditioned positive definite core
+        diag = np.full(J, 4.0)
+        diag[0] = 1e-15
+        m = CyclicTridiagonal(diag, np.ones(J), np.ones(J))
+        rhs = rng.normal(size=J)
+        first = _refined(m, rhs, rhs.reshape(J, 1), *_sherman_morrison(m, -diag[0]))
+        assert first.status is SolveStatus.ILL_CONDITIONED
+        report = solve_cyclic(m, rhs)
+        assert report.status is SolveStatus.OK
+        assert (report.path, report.refinements) == ("ldlt", 0)
+        expect = thomas_like_dense_solve(m.to_dense(), rhs)
+        assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_cyclic_shift_matrix_is_reported_singular(self):
+        # a pure cyclic shift is nonsingular, but every Sherman-Morrison
+        # core of it is singular; with no dense fallback at order >= 4
+        # the solver reports SINGULAR rather than a wrong answer
+        zeros = np.zeros(6)
+        m = CyclicTridiagonal(zeros, zeros, np.ones(6))
+        assert abs(np.linalg.det(m.to_dense())) == 1.0
+        report = solve_cyclic(m, np.arange(6.0))
+        assert report.status is SolveStatus.SINGULAR
+        assert np.isnan(report.solution).all()
 
     def test_large_singular_system_stays_linear_in_memory(self):
         # the stiffness matrix annihilates constants, so this system is
