@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import PeriodicCurve
+from .curves import _node_count
 from .quadrature import element_rho
 
 __all__ = [
@@ -43,6 +43,11 @@ class CyclicTridiagonal:
     and ``sup[j]`` in column (j+1) % J.  At J = 3 the wrap columns
     coincide with the neighbours of the diagonal; ``to_dense``
     accumulates entries so the representation stays exact there.
+
+    The assemblers, given a ``CurveStack`` of B weight curves, return a
+    stack of B matrices of one order: diagonals of shape (B, J), a
+    ``matvec`` acting member by member and ``inf_norm`` the largest
+    over the members.
     """
 
     diag: np.ndarray
@@ -61,21 +66,35 @@ class CyclicTridiagonal:
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "sup", sup)
 
+    @classmethod
+    def _owned(cls, diag, sub, sup) -> "CyclicTridiagonal":
+        """Matrix on freshly computed bands that nothing else holds:
+        made read-only in place, without the constructor's copies and
+        checks.  Bands of shape (B, J) make a stack of matrices."""
+        matrix = object.__new__(cls)
+        for name, band in (("diag", diag), ("sub", sub), ("sup", sup)):
+            band.setflags(write=False)
+            object.__setattr__(matrix, name, band)
+        return matrix
+
     @property
     def order(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.shape[-1]
 
     def matvec(self, x) -> np.ndarray:
-        """Product with a nodal vector of shape (J,) or a stack (J, k)."""
+        """Product with nodal vectors, shape (J,) or columns (J, k); for a
+        stack of matrices (B, J) or (B, J, k)."""
         x = np.asarray(x, dtype=float)
-        pad = np.concatenate((x[-1:], x, x[:1]))
-        lower, upper = pad[:-2], pad[2:]
-        if x.ndim == 1:
+        if x.ndim == self.diag.ndim:
+            lower = np.concatenate((x[..., -1:], x[..., :-1]), axis=-1)
+            upper = np.concatenate((x[..., 1:], x[..., :1]), axis=-1)
             return self.diag * x + self.sub * lower + self.sup * upper
+        lower = np.concatenate((x[..., -1:, :], x[..., :-1, :]), axis=-2)
+        upper = np.concatenate((x[..., 1:, :], x[..., :1, :]), axis=-2)
         return (
-            self.diag[:, None] * x
-            + self.sub[:, None] * lower
-            + self.sup[:, None] * upper
+            self.diag[..., None] * x
+            + self.sub[..., None] * lower
+            + self.sup[..., None] * upper
         )
 
     def to_dense(self) -> np.ndarray:
@@ -92,19 +111,15 @@ class CyclicTridiagonal:
 
 
 def _next(a: np.ndarray) -> np.ndarray:
-    """Row j holds row (j + 1) % J of ``a``, built by slicing."""
-    return np.concatenate((a[1:], a[:1]))
+    """Entry j holds entry (j + 1) % J of ``a`` along the last axis."""
+    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
 
 
-def _element_data(weight: PeriodicCurve):
-    """Per-element left/right radii and squared reference speed."""
-    r_right = weight.r
-    r_left = np.concatenate((r_right[-1:], r_right[:-1]))
-    speed_sq = (weight.edge_lengths() / weight.spacing) ** 2
-    return r_left, r_right, speed_sq
+# Each assembler takes a PeriodicCurve, or a CurveStack for a stack of
+# matrices or loads, one per member.
 
 
-def weighted_mass_matrix(weight: PeriodicCurve) -> CyclicTridiagonal:
+def weighted_mass_matrix(weight) -> CyclicTridiagonal:
     """Mass matrix with density r * |W_rho|^2 taken from the weight curve.
 
     Element j contributes h * w_j * (rl/4 + rr/12) to its left node,
@@ -114,17 +129,17 @@ def weighted_mass_matrix(weight: PeriodicCurve) -> CyclicTridiagonal:
     """
     weight.require_admissible("mass matrix weight")
     h = weight.spacing
-    rl, rr, w = _element_data(weight)
+    (rl, w), rr = weight._elements, weight.r
     left = w * h * (rl / 4.0 + rr / 12.0)
     right = w * h * (rl / 12.0 + rr / 4.0)
     cross = w * h * (rl + rr) / 12.0
     diag = right + _next(left)
     sub = cross
     sup = _next(cross)
-    return CyclicTridiagonal(diag, sub, sup)
+    return CyclicTridiagonal._owned(diag, sub, sup)
 
 
-def weighted_stiffness_matrix(weight: PeriodicCurve) -> CyclicTridiagonal:
+def weighted_stiffness_matrix(weight) -> CyclicTridiagonal:
     """Stiffness matrix with conductivity r taken from the weight curve.
 
     Hat gradients are constant per element, so element j contributes
@@ -132,27 +147,29 @@ def weighted_stiffness_matrix(weight: PeriodicCurve) -> CyclicTridiagonal:
     """
     weight.require_admissible("stiffness matrix weight")
     h = weight.spacing
-    rl, rr, _ = _element_data(weight)
+    rl, rr = weight._elements[0], weight.r
     rbar = 0.5 * (rl + rr) / h
     diag = rbar + _next(rbar)
     sub = -rbar
     sup = _next(sub)
-    return CyclicTridiagonal(diag, sub, sup)
+    return CyclicTridiagonal._owned(diag, sub, sup)
 
 
-def radial_direction_load(weight: PeriodicCurve) -> np.ndarray:
+def radial_direction_load(weight) -> np.ndarray:
     """Load (L, 0) with L_i the integral of |W_rho|^2 against hat i.
 
-    Returns shape (J, 2); only the radial component is nonzero because
-    the underlying term pushes along the radial unit direction.
+    Returns shape (J, 2), (B, J, 2) for a stack; only the radial
+    component is nonzero because the underlying term pushes along the
+    radial unit direction.
     """
     weight.require_admissible("load weight")
     h = weight.spacing
-    _, _, w = _element_data(weight)
+    w = weight._elements[1]
     per_element = w * h
-    out = np.zeros((weight.node_count, 2))
-    out[:, 0] = 0.5 * (per_element + _next(per_element))
-    return out
+    # built component by component, the layout of the step kernel's arrays
+    out = np.zeros((2,) + per_element.shape)
+    out[0] = 0.5 * (per_element + _next(per_element))
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))
 
 
 def _hat_moments(vals, s, wts) -> np.ndarray:
@@ -183,9 +200,7 @@ def source_load(f, node_count: int, t: float, quadrature_points: int = 3) -> np.
     form (``basis`` and ``coeffs``, see ``SourceField``) is loaded as
     coeffs(t) times its basis loads, computed once per grid and rule.
     """
-    J = int(node_count)
-    if J < 3:
-        raise ValueError(f"node_count must be at least 3, got {node_count!r}")
+    J = _node_count(node_count)
     basis = getattr(f, "basis", None)
     if basis is not None:
         loads = _basis_loads(basis, J, quadrature_points)

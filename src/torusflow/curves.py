@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,8 +34,86 @@ class InadmissibleCurveError(ValueError):
     """Raised when a curve leaves r > 0 or carries a zero-length edge."""
 
 
+def _node_count(value) -> int:
+    """``value`` as a node count; an integral float such as 64.0 passes."""
+    if not (isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())):
+        raise ValueError(f"node_count must be an integer of at least 3, got {value!r}")
+    if value < 3:
+        raise ValueError(f"node_count must be at least 3, got {value!r}")
+    return int(value)
+
+
+class _NodePolygons:
+    """Edge data of closed polygons on the uniform periodic grid, for
+    ``positions`` of shape (..., J, 2): one curve or a stack of them."""
+
+    positions: np.ndarray
+
+    @property
+    def node_count(self) -> int:
+        return self.positions.shape[-2]
+
+    @property
+    def spacing(self) -> float:
+        """Reference grid spacing h = 1/J."""
+        return 1.0 / self.positions.shape[-2]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.positions[..., 0]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.positions[..., 1]
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge vectors and lengths, computed once, read-only."""
+        pos = self.positions
+        vectors = pos - np.concatenate((pos[..., -1:, :], pos[..., :-1, :]), axis=-2)
+        lengths = np.hypot(vectors[..., 0], vectors[..., 1])
+        vectors.setflags(write=False)
+        lengths.setflags(write=False)
+        return vectors, lengths
+
+    def edge_vectors(self) -> np.ndarray:
+        """All J edges at once; edge j is node j minus node j-1 (read-only)."""
+        return self._edges[0]
+
+    def edge_lengths(self) -> np.ndarray:
+        """Lengths of ``edge_vectors()`` (read-only)."""
+        return self._edges[1]
+
+    @cached_property
+    def _bounds(self) -> tuple[list[float], list[float]]:
+        """Smallest radius and smallest edge length of each member (one
+        entry for a single curve), computed once."""
+        J = self.node_count
+        return (
+            self.r.reshape(-1, J).min(axis=1).tolist(),
+            self.edge_lengths().reshape(-1, J).min(axis=1).tolist(),
+        )
+
+    @cached_property
+    def _elements(self) -> tuple[np.ndarray, np.ndarray]:
+        """Radius at the left node of each element and the element's
+        squared reference speed (|edge| / h)^2, computed once."""
+        r = self.r
+        r_left = np.concatenate((r[..., -1:], r[..., :-1]), axis=-1)
+        return r_left, (self.edge_lengths() / self.spacing) ** 2
+
+    def require_admissible(self, context: str = "curve") -> None:
+        rmin, emin = map(min, self._bounds)
+        if rmin <= 0.0:
+            raise InadmissibleCurveError(
+                f"{context}: radial coordinate <= 0 (min {rmin:.3e})"
+            )
+        if emin <= 0.0:
+            raise InadmissibleCurveError(f"{context}: zero-length edge")
+
+
 @dataclass(frozen=True)
-class PeriodicCurve:
+class PeriodicCurve(_NodePolygons):
     """Closed polygon sampled on the uniform periodic grid rho_j = j/J.
 
     Column 0 of ``positions`` is the radial coordinate r, column 1 the
@@ -55,49 +134,30 @@ class PeriodicCurve:
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
-    @property
-    def node_count(self) -> int:
-        return self.positions.shape[0]
 
-    @property
-    def spacing(self) -> float:
-        """Reference grid spacing h = 1/J."""
-        return 1.0 / self.positions.shape[0]
+class CurveStack(_NodePolygons):
+    """B closed polygons on one grid, ``positions`` of shape (B, J, 2).
 
-    @property
-    def r(self) -> np.ndarray:
-        return self.positions[:, 0]
+    The step kernel's working form of the curves it advances together.
+    The positions are the kernel's own array, taken without the copy and
+    the finiteness check of ``PeriodicCurve``: the kernel checks each
+    member itself.  Reductions over axis -1 of ``r`` or
+    ``edge_lengths()`` give one value per member.
+    """
 
-    @property
-    def z(self) -> np.ndarray:
-        return self.positions[:, 1]
+    def __init__(self, positions: np.ndarray):
+        self.positions = positions
 
-    @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge vectors and lengths, computed once per curve, read-only."""
-        pos = self.positions
-        vectors = pos - np.concatenate((pos[-1:], pos[:-1]))
-        lengths = np.hypot(vectors[:, 0], vectors[:, 1])
-        vectors.setflags(write=False)
-        lengths.setflags(write=False)
-        return vectors, lengths
+    def take(self, rows) -> "CurveStack":
+        """The stack of the members in ``rows``, in that order."""
+        return CurveStack(self.positions[rows])
 
-    def edge_vectors(self) -> np.ndarray:
-        """All J edges at once; row j is node j minus node j-1 (read-only)."""
-        return self._edges[0]
-
-    def edge_lengths(self) -> np.ndarray:
-        """Lengths of ``edge_vectors()`` (read-only)."""
-        return self._edges[1]
-
-    def require_admissible(self, context: str = "curve") -> None:
-        rmin = self.r.min()
-        if rmin <= 0.0:
-            raise InadmissibleCurveError(
-                f"{context}: radial coordinate <= 0 (min {rmin:.3e})"
-            )
-        if self.edge_lengths().min() <= 0.0:
-            raise InadmissibleCurveError(f"{context}: zero-length edge")
+    def member(self, row: int) -> PeriodicCurve:
+        curve = PeriodicCurve(self.positions[row])
+        if "_edges" in self.__dict__:
+            # the member's edges are rows of the stack's, already computed
+            curve.__dict__["_edges"] = tuple(a[row] for a in self._edges)
+        return curve
 
 
 @dataclass(frozen=True)
@@ -127,8 +187,7 @@ class CurveFunction:
 
 def interpolate(f: CurveFunction, node_count: int, t: float = 0.0) -> PeriodicCurve:
     """Nodal interpolant of f on the uniform grid with the given node count."""
-    if node_count < 3:
-        raise ValueError(f"node_count must be at least 3, got {node_count!r}")
+    node_count = _node_count(node_count)
     rho = np.arange(node_count, dtype=float) / node_count
     return PeriodicCurve(f(rho, t))
 

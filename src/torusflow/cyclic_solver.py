@@ -12,6 +12,14 @@ breaks down or stays inaccurate is redone once with a second shift,
 -|A|_inf, before a failure is reported.  Every result
 carries a measured residual, an explicit status and the path taken;
 callers can rely on ``status == OK`` instead of re-checking.
+
+A stack of B symmetric systems of one order is solved as one block
+tridiagonal system of order B*J whose couplings across block
+boundaries are zero.  Its LDL^T factorization then splits exactly into
+the B factorizations of the members, so every member's numbers are the
+ones its own solve gives; one extra column carries all B rank-one
+corrections.  Each member is audited on its own, and a member that
+misses the audit is redone alone.
 """
 
 from __future__ import annotations
@@ -46,17 +54,27 @@ class SolveStatus(Enum):
 @dataclass(frozen=True)
 class SolveReport:
     """Solution, its measured residual and audit status, the path taken
-    (``"ldlt"``, ``"lu"`` or ``"dense"``) and the refinement steps used."""
+    (``"ldlt"``, ``"lu"`` or ``"dense"``) and the refinement steps used.
+
+    For a stack of systems ``members`` holds each member's (status,
+    residual_norm); ``status`` is OK only when every member's is,
+    ``residual_norm`` is the largest, ``path`` is ``"ldlt"`` when the
+    block split served the stack (else the path the members took alone,
+    ``"mixed"`` if they differ) and ``refinements`` the most any member
+    redone alone used.
+    """
 
     solution: np.ndarray
     residual_norm: float
     status: SolveStatus
     path: str = "lu"
     refinements: int = 0
+    members: tuple = ()
 
 
 def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
-    """Solve matrix @ x = rhs for shape (J,) or stacked (J, k) right sides.
+    """Solve matrix @ x = rhs for shape (J,) or stacked (J, k) right sides;
+    for a stack of B matrices, rhs of shape (B, J) or (B, J, k).
 
     Order >= 4 is split with the shift gamma = -diag[0].  When that split
     breaks down (an exactly singular core or a zero rank-one denominator)
@@ -66,6 +84,8 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     when every shift leaves its core singular, as for a pure cyclic shift.
     """
     b = np.asarray(rhs, dtype=float)
+    if matrix.diag.ndim == 2:
+        return _solve_stack(matrix, b)
     J = matrix.order
     if b.ndim not in (1, 2) or b.shape[0] != J:
         raise ValueError(f"rhs must have shape ({J},) or ({J}, k)")
@@ -165,3 +185,96 @@ def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):
     bound = RESIDUAL_RTOL * (float(np.abs(cols).max()) + matrix.inf_norm() * x_max)
     status = SolveStatus.OK if res_norm <= bound else SolveStatus.ILL_CONDITIONED
     return residual, res_norm, status
+
+
+def _solve_stack(matrix: CyclicTridiagonal, b: np.ndarray) -> SolveReport:
+    """Solve a stack of B systems, by one block split when they are all
+    exactly symmetric of order >= 4; members that miss the audit, or
+    every member when the block cannot be factored, are solved alone."""
+    B, J = matrix.diag.shape
+    if b.ndim not in (2, 3) or b.shape[:2] != (B, J):
+        raise ValueError(f"rhs must have shape ({B}, {J}) or ({B}, {J}, k)")
+    cols = b.reshape(B, J, -1)
+    x = _block_split(matrix, cols) if J > 3 else None
+    if x is None:
+        x, outcomes, redo = np.empty_like(cols), [None] * B, range(B)
+    else:
+        # each member's audit, as _audit makes it
+        band_sum = np.abs(matrix.diag) + np.abs(matrix.sub) + np.abs(matrix.sup)
+        residual = np.abs(matrix.matvec(x) - cols)
+        audit = zip(
+            residual.max(axis=(1, 2)).tolist(),
+            np.abs(x).max(axis=(1, 2)).tolist(),
+            np.abs(cols).max(axis=(1, 2)).tolist(),
+            band_sum.max(axis=1).tolist(),
+        )
+        outcomes, redo = [], []
+        for i, (res, x_max, b_max, norm) in enumerate(audit):
+            outcomes.append((SolveStatus.OK, res))
+            if not (math.isfinite(x_max) and res <= RESIDUAL_RTOL * (b_max + norm * x_max)):
+                redo.append(i)
+    alone = []
+    for i in redo:
+        member = CyclicTridiagonal(matrix.diag[i], matrix.sub[i], matrix.sup[i])
+        report = solve_cyclic(member, cols[i])
+        x[i] = report.solution
+        outcomes[i] = (report.status, report.residual_norm)
+        alone.append(report)
+    if len(alone) == B:
+        paths = {report.path for report in alone}
+        path = paths.pop() if len(paths) == 1 else "mixed"
+    else:
+        path = "ldlt"
+    statuses = {status for status, _ in outcomes}
+    worst = next(
+        (s for s in (SolveStatus.SINGULAR, SolveStatus.ILL_CONDITIONED) if s in statuses),
+        SolveStatus.OK,
+    )
+    return SolveReport(
+        x.reshape(b.shape),
+        max(res for _, res in outcomes),
+        worst,
+        path,
+        max((report.refinements for report in alone), default=0),
+        tuple(outcomes),
+    )
+
+
+def _block_split(matrix: CyclicTridiagonal, cols: np.ndarray):
+    """Solutions (B, J, k) of a stack of exactly symmetric systems, split
+    member by member with gamma = -diag[0] as ``_sherman_morrison`` does,
+    the B cores factored as one block LDL^T; None when some member is not
+    symmetric or the block is not positive definite.  A member whose
+    rank-one denominator breaks down gets NaN, which fails its audit.
+
+    The solutions are stored column by column, (k, B, J) in memory."""
+    diag, sub, sup = matrix.diag, matrix.sub, matrix.sup
+    alpha = sup[:, -1].tolist()  # corner entries in row J-1, column 0
+    beta = sub[:, 0].tolist()  # corner entries in row 0, column J-1
+    if alpha != beta or not (sub[:, 1:] == sup[:, :-1]).all():
+        return None
+    B, J, k = cols.shape
+    gamma = [-v if v != 0.0 else 1.0 for v in diag[:, 0].tolist()]
+    d = diag.copy()
+    d[:, 0] -= gamma
+    d[:, -1] -= [a * b / g for a, b, g in zip(alpha, beta, gamma)]
+    e = sup.copy()
+    e[:, -1] = 0.0  # no coupling from one block to the next
+    df, ef, info = lapack.dpttrf(d.ravel(), e.ravel()[:-1])
+    if info != 0:
+        return None
+    # column by column: the right sides, then the rank-one vectors u
+    rhs = np.zeros((k + 1, B, J))
+    rhs[:k] = cols.transpose(2, 0, 1)
+    rhs[k, :, 0] = gamma
+    rhs[k, :, -1] = alpha
+    y = lapack.dpttrs(df, ef, rhs.reshape(k + 1, B * J).T, overwrite_b=1)[0]
+    y = y.T.reshape(k + 1, B, J)
+    z, y = y[k], y[:k]
+    ratio = [b / g for b, g in zip(beta, gamma)]
+    denom = [
+        1.0 + z0 + r * zl for z0, zl, r in zip(z[:, 0].tolist(), z[:, -1].tolist(), ratio)
+    ]
+    denom = [q if q != 0.0 and math.isfinite(q) else math.nan for q in denom]
+    scale = (y[:, :, 0] + np.array(ratio) * y[:, :, -1]) / np.array(denom)
+    return (y - z * scale[:, :, None]).transpose(1, 2, 0)

@@ -50,6 +50,11 @@ class ErrorRecord:
     diameter: float = nan
 
 
+def _previous(a: np.ndarray) -> np.ndarray:
+    """Row j holds row (j - 1) % J of ``a``, built by slicing."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
 def _check_rule(rule: str):
     if rule not in ERROR_RULES:
         raise ValueError(f"unknown error rule {rule!r}, expected one of {ERROR_RULES}")
@@ -68,7 +73,7 @@ def l2_error(
         return sqrt(h * float((gap * gap).sum()))
     rho, s, w = element_rho(J, 5)
     vals = exact(rho.ravel(), t).reshape(J, len(s), 2)
-    left = np.roll(curve.positions, 1, axis=0)
+    left = _previous(curve.positions)
     poly = left[:, None, :] * (1.0 - s)[None, :, None] + curve.positions[:, None, :] * s[None, :, None]
     diff = poly - vals
     return sqrt(h * float(np.einsum("g,jgc->", w, diff * diff)))
@@ -85,7 +90,7 @@ def h1_seminorm_error(
     if rule == "nodal":
         rho = np.arange(J, dtype=float) / J
         dx = exact.d_rho(rho, t)
-        a = np.roll(dx, 1, axis=0) - slope  # left endpoint of element j
+        a = _previous(dx) - slope  # left endpoint of element j
         b = dx - slope  # right endpoint
         return sqrt(0.5 * h * float((a * a).sum() + (b * b).sum()))
     rho, s, w = element_rho(J, 5)
@@ -106,25 +111,32 @@ def superconvergence_error(
     h = curve.spacing
     rho = np.arange(J, dtype=float) / J
     gap = exact(rho, t) - curve.positions
-    left = np.roll(gap, 1, axis=0)
+    left = _previous(gap)
     l2_sq = h / 3.0 * float((left * left + left * gap + gap * gap).sum())
     jump = gap - left
     semi_sq = float((jump * jump).sum()) / h
     return sqrt(l2_sq + semi_sq)
 
 
-def mesh_ratio(curve: PeriodicCurve) -> float:
-    """Longest edge over shortest edge; inf when an edge has length zero."""
-    lens = curve.edge_lengths()
-    shortest = float(lens.min())
-    if shortest == 0.0:
-        return float("inf")
-    return float(lens.max()) / shortest
+def mesh_ratio(curve):
+    """Longest edge over shortest edge; inf when an edge has length zero.
+
+    For a ``CurveStack``, a list of one ratio per member.
+    """
+    longest = curve.edge_lengths().max(axis=-1).tolist()
+    stack = curve.positions.ndim == 3
+    ratios = [
+        hi / lo if lo != 0.0 else float("inf")
+        for hi, lo in zip(longest if stack else [longest], curve._bounds[1])
+    ]
+    return ratios if stack else ratios[0]
 
 
-def min_radial(curve: PeriodicCurve) -> float:
-    """Smallest nodal distance to the rotation axis."""
-    return float(curve.r.min())
+def min_radial(curve):
+    """Smallest nodal distance to the rotation axis; for a ``CurveStack``,
+    a list of one per member."""
+    rmin = curve._bounds[0]
+    return rmin if curve.positions.ndim == 3 else rmin[0]
 
 
 def diameter(curve: PeriodicCurve) -> float:

@@ -27,6 +27,7 @@ from .stepping import (
     StopEvent,
     StopKind,
     _require_positive,
+    _run_stack,
     _step_count,
     manufactured_forcing,
     manufactured_solution,
@@ -176,6 +177,45 @@ def _round_t_end(t_max: float, dt: float) -> float:
     return steps * dt
 
 
+def _classify(
+    radii: Sequence[float],
+    scheme: SchemeKind,
+    node_count: int,
+    dt: float,
+    t_max: float,
+    thresholds: Optional[EventThresholds],
+) -> list:
+    """The terminal singularity of each radius's unforced torus circle,
+    all advanced as one stack: its axis_touch or curve_collapse event,
+    or the RuntimeError ``classify_radius`` raises for it."""
+    _require_positive("dt", dt)
+    _require_positive("t_max", t_max)
+    reports = _run_stack(
+        [torus_circle(radius) for radius in radii],
+        scheme,
+        node_count,
+        dt,
+        _round_t_end(t_max, dt),
+        thresholds=thresholds,
+        track_diameter=False,
+    )
+    out = []
+    for radius, report in zip(radii, reports):
+        kind = report.event.kind
+        if kind in (StopKind.AXIS_TOUCH, StopKind.CURVE_COLLAPSE):
+            out.append(report.event)
+        elif kind is StopKind.REACHED_T:
+            out.append(RuntimeError(
+                f"radius {radius:g} reached t = {t_max:g} without a singularity; "
+                "raise t_max or tighten the bracket"
+            ))
+        else:
+            out.append(RuntimeError(
+                f"radius {radius:g} failed with {kind.value} at t = {report.event.time:g}"
+            ))
+    return out
+
+
 def classify_radius(
     radius: float,
     scheme: SchemeKind,
@@ -189,28 +229,10 @@ def classify_radius(
     Returns the axis_touch or curve_collapse event; raises if the run
     reaches t_max without one, or dies of a non-geometric failure.
     """
-    _require_positive("dt", dt)
-    _require_positive("t_max", t_max)
-    report = run(
-        torus_circle(radius),
-        scheme,
-        node_count,
-        dt,
-        _round_t_end(t_max, dt),
-        thresholds=thresholds,
-        track_diameter=False,
-    )
-    kind = report.event.kind
-    if kind in (StopKind.AXIS_TOUCH, StopKind.CURVE_COLLAPSE):
-        return report.event
-    if kind is StopKind.REACHED_T:
-        raise RuntimeError(
-            f"radius {radius:g} reached t = {t_max:g} without a singularity; "
-            "raise t_max or tighten the bracket"
-        )
-    raise RuntimeError(
-        f"radius {radius:g} failed with {kind.value} at t = {report.event.time:g}"
-    )
+    (result,) = _classify([radius], scheme, node_count, dt, t_max, thresholds)
+    if isinstance(result, RuntimeError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -220,6 +242,24 @@ class BisectionResult:
     lower: float
     upper: float
     probes: list[tuple[float, StopEvent]]
+
+
+# Bisection levels classified per round: the bracket's midpoint and the
+# midpoints of both halves, one of which plain bisection visits next.
+ROUND_DEPTH = 2
+
+
+def _round_radii(lower: float, upper: float, tol: float, depth: int) -> list[float]:
+    """Every radius plain bisection of [lower, upper] to tol may visit in
+    its next ``depth`` steps: the midpoint, then those of both halves."""
+    if depth == 0 or not upper - lower > tol:
+        return []
+    mid = 0.5 * (lower + upper)
+    return (
+        [mid]
+        + _round_radii(lower, mid, tol, depth - 1)
+        + _round_radii(mid, upper, tol, depth - 1)
+    )
 
 
 def bisect_critical_radius(
@@ -234,27 +274,40 @@ def bisect_critical_radius(
 ) -> BisectionResult:
     """Bracket the radius separating collapse from axis contact.
 
-    The lower endpoint must collapse and the upper must touch the axis;
-    both are classified up front and kept in the log.  Bisection then
-    halves the bracket until it is no wider than tol.
+    The lower endpoint must collapse and the upper must touch the axis.
+    Bisection then halves the bracket until it is no wider than tol.
+    Each round classifies, as one stack, the radii the next
+    ``ROUND_DEPTH`` bisection steps may visit (the first round adds the
+    endpoints), so the bracket and every radius plain bisection probes
+    are the same, and the log lists the endpoints first, then every
+    classified radius, including those plain bisection would skip.
     """
     if not 0.0 < lower < upper < 1.0:
         raise ValueError("need 0 < lower < upper < 1")
     _require_positive("tol", tol)
-
-    def classify(r: float) -> StopEvent:
-        event = classify_radius(r, scheme, node_count, dt, t_max, thresholds)
-        probes.append((r, event))
-        return event
-
+    results: dict[float, object] = {}
     probes: list[tuple[float, StopEvent]] = []
-    ev = classify(lower)
+
+    def classify_round(radii: list[float]) -> None:
+        for radius, result in zip(radii, _classify(radii, scheme, node_count, dt, t_max, thresholds)):
+            results[radius] = result
+            if isinstance(result, StopEvent):
+                probes.append((radius, result))
+
+    def event(radius: float) -> StopEvent:
+        result = results[radius]
+        if isinstance(result, RuntimeError):
+            raise result
+        return result
+
+    classify_round([lower, upper] + _round_radii(lower, upper, tol, ROUND_DEPTH))
+    ev = event(lower)
     if ev.kind is not StopKind.CURVE_COLLAPSE:
         raise ValueError(
             f"lower radius {lower:g} does not collapse ({ev.kind.value}); "
             "bracket must straddle the critical radius"
         )
-    ev = classify(upper)
+    ev = event(upper)
     if ev.kind is not StopKind.AXIS_TOUCH:
         raise ValueError(
             f"upper radius {upper:g} does not touch the axis ({ev.kind.value}); "
@@ -262,7 +315,9 @@ def bisect_critical_radius(
         )
     while upper - lower > tol:
         mid = 0.5 * (lower + upper)
-        if classify(mid).kind is StopKind.AXIS_TOUCH:
+        if mid not in results:
+            classify_round(_round_radii(lower, upper, tol, ROUND_DEPTH))
+        if event(mid).kind is StopKind.AXIS_TOUCH:
             upper = mid
         else:
             lower = mid

@@ -17,7 +17,9 @@ are rows of one coefficient table, ``_SCHEMES``, read by one kernel:
 ``run`` drives a scheme from t = 0 to a final time, recording
 diagnostics each step and stopping early with a typed event when the
 curve touches the axis, collapses to a point, degenerates an element,
-or the linear solver fails its residual audit.
+or the linear solver fails its residual audit.  The kernel advances a
+stack of curves on one grid at once, each member exactly as it would
+go alone; ``run`` is its one-curve case.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from math import nan
 from typing import Callable, Optional, Sequence, Union
 
@@ -37,7 +40,7 @@ from .assembly import (
     weighted_mass_matrix,
     weighted_stiffness_matrix,
 )
-from .curves import CurveFunction, PeriodicCurve, interpolate
+from .curves import CurveFunction, CurveStack, PeriodicCurve, _node_count, interpolate
 from .cyclic_solver import SolveStatus, solve_cyclic
 from .diagnostics import (
     ErrorRecord,
@@ -123,12 +126,19 @@ class EventThresholds:
 
     ``axis``: smallest admissible nodal radius.  ``collapse``: smallest
     admissible diameter.  ``edge_fraction``: smallest admissible edge
-    length as a fraction of the reference spacing h.
+    length as a fraction of the reference spacing h.  Each must be
+    finite and nonnegative.
     """
 
     axis: float = 1e-3
     collapse: float = 1e-3
     edge_fraction: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("axis", "collapse", "edge_fraction"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 class StepFailure(RuntimeError):
@@ -152,8 +162,7 @@ class StepperState:
     step_index: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        _require_positive("dt", self.dt)
         if self.previous is not None and (
             self.previous.node_count != self.current.node_count
         ):
@@ -175,39 +184,26 @@ class RunReport:
     thresholds: EventThresholds = field(default_factory=EventThresholds)
 
 
-def _check_weight(weight: PeriodicCurve, t_new: float) -> None:
-    """Pre-flag a coefficient curve that left the admissible set."""
-    rmin = float(weight.r.min())
-    if rmin <= 0.0:
-        raise StepFailure(
-            StopKind.AXIS_TOUCH,
-            rmin,
-            f"coefficient curve left r > 0 approaching t = {t_new:g}",
+def _check_weights(weight: CurveStack, t_new: float) -> dict[int, StepFailure]:
+    """Pre-flag the members whose coefficient curve left the admissible
+    set: not finite, r <= 0 or a zero-length edge."""
+    rmin, emin = weight._bounds
+    # a node that is not finite makes its edges' lengths inf or nan
+    perimeter = weight.edge_lengths().sum(axis=-1).tolist()
+    failures = {}
+    for row, (r, e, p) in enumerate(zip(rmin, emin, perimeter)):
+        if not math.isfinite(p):
+            kind, metric, what = StopKind.SOLVER_FAILURE, math.inf, "is not finite"
+        elif r <= 0.0:
+            kind, metric, what = StopKind.AXIS_TOUCH, r, "left r > 0"
+        elif e <= 0.0:
+            kind, metric, what = StopKind.ELEMENT_DEGENERATE, e, "degenerated an element"
+        else:
+            continue
+        failures[row] = StepFailure(
+            kind, metric, f"coefficient curve {what} approaching t = {t_new:g}"
         )
-    emin = float(weight.edge_lengths().min())
-    if emin <= 0.0:
-        raise StepFailure(
-            StopKind.ELEMENT_DEGENERATE,
-            emin,
-            f"coefficient curve degenerated an element approaching t = {t_new:g}",
-        )
-
-
-def _solve_step(matrix, rhs, t_new: float) -> PeriodicCurve:
-    report = solve_cyclic(matrix, rhs)
-    if report.status is not SolveStatus.OK:
-        raise StepFailure(
-            StopKind.SOLVER_FAILURE,
-            report.residual_norm,
-            f"linear solve {report.status.value} at t = {t_new:g} "
-            f"(residual {report.residual_norm:.3e})",
-        )
-    new = PeriodicCurve(report.solution)
-    if float(new.edge_lengths().min()) == 0.0:
-        raise StepFailure(
-            StopKind.ELEMENT_DEGENERATE, 0.0, f"zero-length edge at t = {t_new:g}"
-        )
-    return new
+    return failures
 
 
 # One row per scheme: extrapolation weights (e0, e1), mass factor c,
@@ -225,25 +221,42 @@ _SCHEMES = {
 
 
 def _advance(
-    kind: SchemeKind, state: StepperState, source: Optional[SourceField]
-) -> PeriodicCurve:
-    """One step of the scheme ``kind``, read off its row of ``_SCHEMES``."""
+    kind: SchemeKind,
+    current: CurveStack,
+    previous: Optional[CurveStack],
+    time: float,
+    dt: float,
+    source: Optional[SourceField],
+) -> tuple[CurveStack, dict[int, StepFailure]]:
+    """One step of the scheme ``kind``, read off its row of ``_SCHEMES``,
+    for a stack of B curves on one grid.
+
+    Every check, assembly, solve and event test runs once for the whole
+    stack and each member's numbers are the ones it gets alone.  Returns
+    the new curves of the members that passed, in stack order, and the
+    failure of each member (by row) that did not.
+    """
     (e0, e1), c, (h0, h1), theta, source_weights = _SCHEMES[kind]
-    x = state.current.positions
+    x = current.positions
     if e1 == 0.0:
         # a one-step scheme gives X^{m-1} zero weight everywhere
-        x_prev, weight = x, state.current
-    elif state.previous is None:
+        x_prev, weight = x, current
+    elif previous is None:
         raise ValueError(f"{kind.value}_step needs a previous curve; bootstrap with bdf1_step")
     else:
-        x_prev = state.previous.positions
-        weight = PeriodicCurve(e0 * x + e1 * x_prev)
-    dt = state.dt
-    t_new = state.time + dt
-    _check_weight(weight, t_new)
+        x_prev = previous.positions
+        weight = CurveStack(e0 * x + e1 * x_prev)
+    t_new = time + dt
+    failures = _check_weights(weight, t_new)
+    rows = list(range(len(x)))
+    if failures:
+        rows = [row for row in rows if row not in failures]
+        if not rows:
+            return CurveStack(x[:0]), failures
+        x, x_prev, weight = x[rows], x_prev[rows], weight.take(rows)
     mass = weighted_mass_matrix(weight)
     stiff = weighted_stiffness_matrix(weight)
-    matrix = CyclicTridiagonal(
+    matrix = CyclicTridiagonal._owned(
         c / dt * mass.diag + theta * stiff.diag,
         c / dt * mass.sub + theta * stiff.sub,
         c / dt * mass.sup + theta * stiff.sup,
@@ -254,16 +267,46 @@ def _advance(
     rhs = rhs - radial_direction_load(weight)
     if source is not None:
         rhs = rhs + sum(
-            w * source_load(source, len(x), t)
-            for w, t in zip(source_weights, (state.time, t_new))
+            w * source_load(source, x.shape[1], t)
+            for w, t in zip(source_weights, (time, t_new))
             if w
         )
-    return _solve_step(matrix, rhs, t_new)
+    report = solve_cyclic(matrix, rhs)
+    new = CurveStack(report.solution)
+    emin = new._bounds[1]
+    if report.status is SolveStatus.OK and all(emin):
+        return new, failures
+    passed = []
+    for k, ((status, residual), row) in enumerate(zip(report.members, rows)):
+        if status is not SolveStatus.OK:
+            failures[row] = StepFailure(
+                StopKind.SOLVER_FAILURE,
+                residual,
+                f"linear solve {status.value} at t = {t_new:g} (residual {residual:.3e})",
+            )
+        elif emin[k] == 0.0:
+            failures[row] = StepFailure(
+                StopKind.ELEMENT_DEGENERATE, 0.0, f"zero-length edge at t = {t_new:g}"
+            )
+        else:
+            passed.append(k)
+    return new.take(passed), failures
+
+
+def _step_one(kind: SchemeKind, state: StepperState, source: Optional[SourceField]) -> PeriodicCurve:
+    """``_advance`` for the one curve of ``state``; raises its failure."""
+    previous = None if state.previous is None else CurveStack(state.previous.positions[None])
+    new, failures = _advance(
+        kind, CurveStack(state.current.positions[None]), previous, state.time, state.dt, source
+    )
+    if failures:
+        raise failures[0]
+    return new.member(0)
 
 
 def bdf1_step(state: StepperState, source: Optional[SourceField] = None) -> PeriodicCurve:
     """One backward Euler step with coefficients frozen at the current curve."""
-    return _advance(SchemeKind.BDF1, state, source)
+    return _step_one(SchemeKind.BDF1, state, source)
 
 
 def cn_step(state: StepperState, source: Optional[SourceField] = None) -> PeriodicCurve:
@@ -274,20 +317,18 @@ def cn_step(state: StepperState, source: Optional[SourceField] = None) -> Period
     stiffness acts on (X^{m+1} + X^m) / 2 and the source is tested as
     (f(t_m) + f(t_{m+1})) / 2.
     """
-    return _advance(SchemeKind.CN, state, source)
+    return _step_one(SchemeKind.CN, state, source)
 
 
 def bdf2_step(state: StepperState, source: Optional[SourceField] = None) -> PeriodicCurve:
     """One two-step backward difference step with coefficients frozen at
     the extrapolation 2 X^m - X^{m-1}."""
-    return _advance(SchemeKind.BDF2, state, source)
+    return _step_one(SchemeKind.BDF2, state, source)
 
 
-_STEPPERS = {
-    SchemeKind.BDF1: bdf1_step,
-    SchemeKind.CN: cn_step,
-    SchemeKind.BDF2: bdf2_step,
-}
+# The stacked step of each scheme; ``_run_stack`` dispatches every step
+# through this table.
+_STEPPERS = {kind: partial(_advance, kind) for kind in SchemeKind}
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -309,27 +350,34 @@ def _step_count(t_end: float, dt: float) -> int:
     return steps
 
 
-def _state_event(
-    curve: PeriodicCurve, t: float, thresholds: EventThresholds
-) -> Optional[StopEvent]:
-    """First triggered event of a computed state, axis before collapse
-    before degeneracy."""
-    rmin = float(curve.r.min())
-    if rmin < thresholds.axis:
-        return StopEvent(StopKind.AXIS_TOUCH, t, rmin)
-    pos = curve.positions
-    spans = pos.max(axis=0) - pos.min(axis=0)
-    bbox_diag = math.hypot(float(spans[0]), float(spans[1]))
-    # the diameter is at least bbox_diag / sqrt(2), so most states skip
-    # the exact computation
-    if bbox_diag < math.sqrt(2.0) * thresholds.collapse:
-        diam = diameter(curve)
-        if diam < thresholds.collapse:
-            return StopEvent(StopKind.CURVE_COLLAPSE, t, diam)
-    emin = float(curve.edge_lengths().min())
-    if emin < thresholds.edge_fraction * curve.spacing:
-        return StopEvent(StopKind.ELEMENT_DEGENERATE, t, emin)
-    return None
+def _state_events(
+    curves: CurveStack, t: float, thresholds: EventThresholds
+) -> dict[int, StopEvent]:
+    """First triggered event of each member (by row) of computed states,
+    axis before collapse before degeneracy."""
+    rmin, emin = curves._bounds
+    rmax = curves.r.max(axis=-1).tolist()
+    reach = math.sqrt(2.0) * thresholds.collapse
+    edge_floor = thresholds.edge_fraction * curves.spacing
+    events = {}
+    for row, (low, high, shortest) in enumerate(zip(rmin, rmax, emin)):
+        if low < thresholds.axis:
+            events[row] = StopEvent(StopKind.AXIS_TOUCH, t, low)
+            continue
+        # the diameter is at least the bounding box diagonal / sqrt(2),
+        # and that diagonal at least the radial span, so most states
+        # skip both
+        if high - low < reach:
+            pos = curves.positions[row]
+            spans = pos.max(axis=0) - pos.min(axis=0)
+            if math.hypot(float(spans[0]), float(spans[1])) < reach:
+                diam = diameter(curves.member(row))
+                if diam < thresholds.collapse:
+                    events[row] = StopEvent(StopKind.CURVE_COLLAPSE, t, diam)
+                    continue
+        if shortest < edge_floor:
+            events[row] = StopEvent(StopKind.ELEMENT_DEGENERATE, t, shortest)
+    return events
 
 
 def run(
@@ -355,71 +403,127 @@ def run(
     diameter out of the records; the collapse event stays active either
     way.
     """
-    if node_count < 3:
-        raise ValueError(f"node_count must be at least 3, got {node_count!r}")
+    (report,) = _run_stack(
+        [initial], scheme, node_count, dt, t_end, source, exact, thresholds, observers,
+        track_diameter, error_rule,
+    )
+    return report
+
+
+def _run_stack(
+    initials: Sequence[Union[CurveFunction, PeriodicCurve]],
+    scheme: SchemeKind,
+    node_count: int,
+    dt: float,
+    t_end: float,
+    source: Optional[SourceField] = None,
+    exact: Optional[CurveFunction] = None,
+    thresholds: Optional[EventThresholds] = None,
+    observers: Sequence[Callable] = (),
+    track_diameter: bool = True,
+    error_rule: str = "gauss5",
+) -> list[RunReport]:
+    """``run`` for several curves on one grid, advanced as one stack.
+
+    Returns one report per initial curve, each with the event, records
+    and final curve its own run gives.  A member that stops leaves the
+    stack; observers see every member's curves.
+    """
+    node_count = _node_count(node_count)
     scheme = SchemeKind(scheme)
     steps = _step_count(t_end, dt)
-    if isinstance(initial, PeriodicCurve):
-        start = initial
-        if start.node_count != node_count:
-            raise ValueError("initial curve node count disagrees with node_count")
-    else:
-        start = interpolate(initial, node_count, 0.0)
+    starts = []
+    for initial in initials:
+        if isinstance(initial, PeriodicCurve):
+            if initial.node_count != node_count:
+                raise ValueError("initial curve node count disagrees with node_count")
+            starts.append(initial.positions)
+        else:
+            starts.append(interpolate(initial, node_count, 0.0).positions)
     thresholds = thresholds if thresholds is not None else EventThresholds()
+    with_curve = exact is not None or track_diameter or bool(observers)
 
-    records: list[ErrorRecord] = []
+    records: list[list[ErrorRecord]] = [[] for _ in starts]
+    events: list[Optional[StopEvent]] = [None] * len(starts)
+    finals: list[Optional[PeriodicCurve]] = [None] * len(starts)
 
-    def record(idx: int, t: float, curve: PeriodicCurve) -> None:
-        if exact is not None:
-            e_l2 = l2_error(curve, exact, t, rule=error_rule)
-            e_h1 = h1_seminorm_error(curve, exact, t, rule=error_rule)
-            e_sup = superconvergence_error(curve, exact, t)
-        else:
-            e_l2 = e_h1 = e_sup = nan
-        records.append(
-            ErrorRecord(
-                step=idx,
-                time=t,
-                err_l2=e_l2,
-                err_h1=e_h1,
-                superconv_h1=e_sup,
-                mesh_ratio=mesh_ratio(curve),
-                min_radius=min_radial(curve),
-                diameter=diameter(curve) if track_diameter else nan,
+    def accept(idx: int, t: float, curves: CurveStack) -> dict[int, StopEvent]:
+        """Record every member's new state; return the events it triggers."""
+        ratios, rmin = mesh_ratio(curves), min_radial(curves)
+        for row, member in enumerate(members):
+            curve = curves.member(row) if with_curve else None
+            if exact is not None:
+                e_l2 = l2_error(curve, exact, t, rule=error_rule)
+                e_h1 = h1_seminorm_error(curve, exact, t, rule=error_rule)
+                e_sup = superconvergence_error(curve, exact, t)
+            else:
+                e_l2 = e_h1 = e_sup = nan
+            records[member].append(
+                ErrorRecord(
+                    step=idx,
+                    time=t,
+                    err_l2=e_l2,
+                    err_h1=e_h1,
+                    superconv_h1=e_sup,
+                    mesh_ratio=ratios[row],
+                    min_radius=rmin[row],
+                    diameter=diameter(curve) if track_diameter else nan,
+                )
             )
-        )
-        for obs in observers:
-            obs(idx, t, curve)
+            for obs in observers:
+                obs(idx, t, curve)
+        return _state_events(curves, t, thresholds)
 
-    record(0, 0.0, start)
-    state = StepperState(start, None, 0.0, dt, 0)
-    event = _state_event(start, 0.0, thresholds)
-    if event is None:
-        for m in range(steps):
-            bootstrap = state.previous is None
-            try:
-                new = _STEPPERS[SchemeKind.BDF1 if bootstrap else scheme](state, source)
-            except StepFailure as fail:
-                event = StopEvent(fail.kind, (m + 1) * dt, fail.metric)
-                break
-            t_new = (m + 1) * dt
-            state = StepperState(new, state.current, t_new, dt, m + 1)
-            record(m + 1, t_new, new)
-            event = _state_event(new, t_new, thresholds)
-            if event is not None:
-                break
-        else:
-            event = StopEvent(StopKind.REACHED_T, steps * dt, 0.0)
-    return RunReport(
-        scheme=scheme,
-        node_count=node_count,
-        dt=dt,
-        t_end=t_end,
-        event=event,
-        final=state.current,
-        records=records,
-        thresholds=thresholds,
-    )
+    def retire(stopped: dict[int, StopEvent], curves: CurveStack) -> list[int]:
+        """Close the stopped rows' runs, each ending on its curve in
+        ``curves``; return the rows that go on."""
+        for row, event in stopped.items():
+            events[members[row]] = event
+            finals[members[row]] = curves.member(row)
+        return [row for row in range(len(members)) if row not in stopped]
+
+    members = list(range(len(starts)))  # the member in each stack row
+    # stored component by component, (2, B, J), as the solver returns
+    # its solutions: every elementwise step then runs along whole rows
+    current = CurveStack(np.stack([pos.T for pos in starts], axis=1).transpose(1, 2, 0))
+    previous = None
+    stopped = accept(0, 0.0, current)
+    m = 0
+    while True:
+        if stopped:
+            rows = retire(stopped, current)
+            members = [members[row] for row in rows]
+            current = current.take(rows)
+            previous = None if previous is None else previous.take(rows)
+        if not members or m == steps:
+            break
+        kind = SchemeKind.BDF1 if previous is None else scheme
+        new, failures = _STEPPERS[kind](current, previous, m * dt, dt, source)
+        m += 1
+        if failures:
+            # a failed member ends on its last accepted curve
+            failed = {row: StopEvent(f.kind, m * dt, f.metric) for row, f in failures.items()}
+            rows = retire(failed, current)
+            members = [members[row] for row in rows]
+            current = current.take(rows)
+        previous, current = current, new
+        stopped = accept(m, m * dt, current) if members else {}
+    for row, member in enumerate(members):
+        events[member] = StopEvent(StopKind.REACHED_T, steps * dt, 0.0)
+        finals[member] = current.member(row)
+    return [
+        RunReport(
+            scheme=scheme,
+            node_count=node_count,
+            dt=dt,
+            t_end=t_end,
+            event=event,
+            final=final,
+            records=rec,
+            thresholds=thresholds,
+        )
+        for event, final, rec in zip(events, finals, records)
+    ]
 
 
 def _drift(t: float) -> float:

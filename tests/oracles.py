@@ -183,3 +183,54 @@ def polygon_winding(points, about=None):
     dist = np.diff(np.concatenate([ang, ang[:1]]))
     dist = (dist + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(dist.sum() / (2.0 * np.pi)))
+
+
+def plain_bisection(lower, upper, tol, classify):
+    """Serial bisection: classify both endpoints, then one midpoint at a
+    time until the bracket is no wider than tol.  ``classify`` maps a
+    radius to its StopEvent; returns (lower, upper, probes)."""
+    probes = [(lower, classify(lower)), (upper, classify(upper))]
+    while upper - lower > tol:
+        mid = 0.5 * (lower + upper)
+        event = classify(mid)
+        probes.append((mid, event))
+        if event.kind.value == "axis_touch":
+            upper = mid
+        else:
+            lower = mid
+    return lower, upper, probes
+
+
+def l2_error_gauss5_roll(positions, exact, t):
+    """The gauss5 L2 error with element left endpoints taken by np.roll."""
+    J = len(positions)
+    h = 1.0 / J
+    s, w = GAUSS5_NODES, GAUSS5_WEIGHTS
+    rho = (np.arange(J)[:, None] - 1.0 + s[None, :]) * h
+    vals = exact(rho.ravel() % 1.0, t).reshape(J, len(s), 2)
+    left = np.roll(positions, 1, axis=0)
+    poly = left[:, None, :] * (1.0 - s)[None, :, None] + positions[:, None, :] * s[None, :, None]
+    diff = poly - vals
+    return math.sqrt(h * float(np.einsum("g,jgc->", w, diff * diff)))
+
+
+def h1_error_nodal_roll(positions, exact, t):
+    """The nodal H1 seminorm error with left endpoints taken by np.roll."""
+    J = len(positions)
+    h = 1.0 / J
+    slope = (positions - np.roll(positions, 1, axis=0)) / h
+    dx = exact.d_rho(np.arange(J, dtype=float) / J, t)
+    a = np.roll(dx, 1, axis=0) - slope
+    b = dx - slope
+    return math.sqrt(0.5 * h * float((a * a).sum() + (b * b).sum()))
+
+
+def superconvergence_error_roll(positions, exact, t):
+    """The closed-form superconvergence distance with np.roll."""
+    J = len(positions)
+    h = 1.0 / J
+    gap = exact(np.arange(J, dtype=float) / J, t) - positions
+    left = np.roll(gap, 1, axis=0)
+    l2_sq = h / 3.0 * float((left * left + left * gap + gap * gap).sum())
+    jump = gap - left
+    return math.sqrt(l2_sq + float((jump * jump).sum()) / h)

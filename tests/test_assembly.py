@@ -136,6 +136,8 @@ class TestAgainstDenseOracle:
     def test_source_load_names_node_count(self):
         with pytest.raises(ValueError, match="^node_count must be at least 3, got 2$"):
             source_load(manufactured_forcing(), 2, 0.0)
+        with pytest.raises(ValueError, match="^node_count must be an integer of at least 3, got 64.5$"):
+            source_load(manufactured_forcing(), 64.5, 0.0)
 
 
 class TestSeparableSource:

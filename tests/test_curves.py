@@ -126,6 +126,13 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="^node_count must be at least 3, got 2$"):
             interpolate(torus_circle(0.5), 2)
 
+    def test_node_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="^node_count must be an integer of at least 3, got 10.5$"):
+            interpolate(torus_circle(0.5), 10.5)
+        curve = interpolate(torus_circle(0.5), 10.0)
+        assert curve.node_count == 10
+        assert np.array_equal(curve.positions, interpolate(torus_circle(0.5), 10).positions)
+
     def test_relabeling_equivariance(self):
         f = rose_curve()
         J, k = 24, 5

@@ -1,4 +1,6 @@
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from torusflow import (
     weighted_mass_matrix,
     weighted_stiffness_matrix,
 )
+from torusflow import cyclic_solver
 from torusflow.cyclic_solver import RESIDUAL_RTOL, _refined, _sherman_morrison
 
 from oracles import random_admissible_positions, thomas_like_dense_solve
@@ -266,3 +269,82 @@ class TestPaths:
         true_residual = np.abs(k.matvec(report.solution) - 1.0).max()
         assert report.residual_norm == pytest.approx(true_residual, rel=1e-12)
         assert report.residual_norm > 1.0
+
+
+def stacked(matrices):
+    """One stack of the given matrices of one order."""
+    return CyclicTridiagonal._owned(
+        *(np.stack([getattr(m, band) for m in matrices]) for band in ("diag", "sub", "sup"))
+    )
+
+
+class TestStack:
+    """A stack of systems solves member by member exactly as alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 6), J=st.integers(4, 80))
+    def test_block_split_is_bit_identical_to_serial_solves(self, seed, B, J):
+        rng = np.random.default_rng(seed)
+        matrices = [symmetric_dominant_matrix(rng, J) for _ in range(B)]
+        rhs = rng.normal(size=(B, J, 2))
+        # one block split serves every member: none is solved alone
+        with mock.patch.object(cyclic_solver, "_sherman_morrison", side_effect=AssertionError):
+            report = solve_cyclic(stacked(matrices), rhs)
+        assert (report.status, report.path, report.refinements) == (SolveStatus.OK, "ldlt", 0)
+        alone = [solve_cyclic(m, b) for m, b in zip(matrices, rhs)]
+        for i, single in enumerate(alone):
+            assert np.array_equal(report.solution[i], single.solution)
+            assert report.members[i] == (single.status, single.residual_norm)
+        assert report.residual_norm == max(single.residual_norm for single in alone)
+
+    def test_member_failing_its_audit_is_redone_alone(self, rng, monkeypatch):
+        matrices = [symmetric_dominant_matrix(rng, 32) for _ in range(3)]
+        rhs = rng.normal(size=(3, 32, 2))
+        alone = [solve_cyclic(m, b) for m, b in zip(matrices, rhs)]
+        real = cyclic_solver.lapack
+
+        def spoiled_dpttrs(d, e, b, **kwargs):
+            # spoil member 1's rows in the block solve only
+            x, info = real.dpttrs(d, e, b, **kwargs)
+            if len(d) == 3 * 32:
+                x[32:64] *= 1.0 + 1e-6
+            return x, info
+
+        monkeypatch.setattr(
+            cyclic_solver, "lapack", SimpleNamespace(**{**vars(real), "dpttrs": spoiled_dpttrs})
+        )
+        report = solve_cyclic(stacked(matrices), rhs)
+        assert report.status is SolveStatus.OK and report.path == "ldlt"
+        for i, single in enumerate(alone):
+            assert np.array_equal(report.solution[i], single.solution)
+            assert report.members[i] == (single.status, single.residual_norm)
+
+    def test_member_that_cannot_be_solved_leaves_the_others_unchanged(self, rng):
+        matrices = [symmetric_dominant_matrix(rng, 16) for _ in range(3)]
+        rhs = rng.normal(size=(3, 16, 2))
+        rhs[2, 5, 1] = np.nan
+        report = solve_cyclic(stacked(matrices), rhs)
+        assert report.status is SolveStatus.SINGULAR
+        assert report.residual_norm == np.inf
+        assert [status for status, _ in report.members] == [SolveStatus.OK] * 2 + [SolveStatus.SINGULAR]
+        for i in (0, 1):
+            assert np.array_equal(report.solution[i], solve_cyclic(matrices[i], rhs[i]).solution)
+
+    def test_members_the_block_cannot_serve_are_solved_alone(self, rng):
+        for matrices, path in (
+            ([random_dominant_matrix(rng, 12) for _ in range(2)], "lu"),
+            ([symmetric_dominant_matrix(rng, 3) for _ in range(2)], "dense"),
+        ):
+            J = matrices[0].order
+            rhs = rng.normal(size=(2, J))
+            report = solve_cyclic(stacked(matrices), rhs)
+            assert report.status is SolveStatus.OK and report.path == path
+            for i, m in enumerate(matrices):
+                assert np.array_equal(report.solution[i], solve_cyclic(m, rhs[i]).solution)
+
+    def test_rejects_mismatched_stack_rhs(self, rng):
+        matrix = stacked([symmetric_dominant_matrix(rng, 8) for _ in range(2)])
+        with pytest.raises(ValueError):
+            solve_cyclic(matrix, np.ones((3, 8, 2)))
+        with pytest.raises(ValueError):
+            solve_cyclic(matrix, np.ones(8))

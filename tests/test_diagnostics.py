@@ -15,9 +15,16 @@ from torusflow import (
     min_radial,
     superconvergence_error,
 )
+from torusflow.curves import CurveStack
 from torusflow.diagnostics import ErrorRecord
 
-from oracles import diameter_pairwise
+from oracles import (
+    diameter_pairwise,
+    h1_error_nodal_roll,
+    l2_error_gauss5_roll,
+    random_admissible_positions,
+    superconvergence_error_roll,
+)
 
 EXACT = manufactured_solution()
 
@@ -78,6 +85,20 @@ class TestErrorNorms:
             assert err == pytest.approx(2.0 * np.pi**2 / J, rel=5e-3)
 
 
+class TestNormsBySlicing:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 200), t=st.floats(0.0, 1.0))
+    def test_equal_to_the_roll_formulas(self, seed, J, t):
+        # the norms take each element's left endpoint by slicing; the
+        # numbers are those of the np.roll formulas, bit for bit
+        rng = np.random.default_rng(seed)
+        pos = interpolate(EXACT, J, t).positions + 0.1 * rng.normal(size=(J, 2))
+        curve = PeriodicCurve(pos)
+        assert l2_error(curve, EXACT, t, rule="gauss5") == l2_error_gauss5_roll(pos, EXACT, t)
+        assert h1_seminorm_error(curve, EXACT, t, rule="nodal") == h1_error_nodal_roll(pos, EXACT, t)
+        assert superconvergence_error(curve, EXACT, t) == superconvergence_error_roll(pos, EXACT, t)
+
+
 class TestMeshMetrics:
     def test_mesh_ratio_and_min_radius_of_triangle(self):
         tri = PeriodicCurve(np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 3.0]]))
@@ -87,6 +108,12 @@ class TestMeshMetrics:
     def test_uniform_polygon_has_unit_ratio(self):
         diamond = PeriodicCurve(np.array([[3.0, 0.0], [2.0, 1.0], [1.0, 0.0], [2.0, -1.0]]))
         assert mesh_ratio(diamond) == 1.0
+
+    def test_stack_gives_one_value_per_member(self, rng):
+        curves = [PeriodicCurve(random_admissible_positions(rng, 12)) for _ in range(3)]
+        stack = CurveStack(np.stack([c.positions for c in curves]))
+        assert mesh_ratio(stack) == [mesh_ratio(c) for c in curves]
+        assert min_radial(stack) == [min_radial(c) for c in curves]
 
     def test_zero_edge_gives_infinite_ratio(self):
         pinched = PeriodicCurve(np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 1.0]]))

@@ -19,7 +19,7 @@ from torusflow import experiments
 from torusflow.experiments import CHECKPOINT_COUNT, _checkpoint_steps
 from torusflow.stepping import StopEvent
 
-from oracles import polygon_winding
+from oracles import plain_bisection, polygon_winding
 
 COARSE = dict(node_count=64, dt=5e-4)
 
@@ -184,6 +184,35 @@ class TestBisection:
         collapses = [r for r, e in result.probes if e.kind is StopKind.CURVE_COLLAPSE]
         assert result.upper == min(touches)
         assert result.lower == max(collapses)
+
+
+class TestSpeculativeBisection:
+    def test_rounds_hold_the_radii_plain_bisection_may_visit_next(self):
+        assert experiments.ROUND_DEPTH == 2
+        assert experiments._round_radii(0.5, 0.7, 0.01, 2) == [0.6, 0.55, 0.6499999999999999]
+        # halves no wider than tol are not bisected again
+        assert experiments._round_radii(0.6, 0.61, 0.006, 2) == [0.605]
+        assert experiments._round_radii(0.6, 0.61, 0.02, 2) == []
+
+    @pytest.mark.parametrize("scheme", ["cn", "bdf2"])
+    def test_same_bracket_and_probes_as_plain_bisection(self, scheme):
+        result = bisect_critical_radius(0.5, 0.7, 0.01, scheme, **COARSE)
+        lower, upper, probes = plain_bisection(
+            0.5, 0.7, 0.01, lambda r: classify_radius(r, scheme, **COARSE)
+        )
+        assert (result.lower, result.upper) == (lower, upper)
+        logged = dict(result.probes)
+        assert len(logged) == len(result.probes)
+        for radius, event in probes:
+            assert logged[radius] == event
+        assert [r for r, _ in result.probes[:2]] == [0.5, 0.7]
+        # three rounds: the endpoints and 3 radii, 3 radii, the last midpoint
+        assert len(result.probes) == 9 and len(probes) == 7
+
+    def test_bracket_already_within_tol_classifies_only_the_endpoints(self):
+        result = bisect_critical_radius(0.6, 0.7, 0.2, "cn", **COARSE)
+        assert [r for r, _ in result.probes] == [0.6, 0.7]
+        assert (result.lower, result.upper) == (0.6, 0.7)
 
 
 class TestScenarioCurves:

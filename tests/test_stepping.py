@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from unittest import mock
 
@@ -29,6 +30,8 @@ from torusflow import (
     weighted_stiffness_matrix,
 )
 
+from torusflow.curves import CurveStack
+
 from oracles import dense_step, random_admissible_positions
 
 EXACT = manufactured_solution()
@@ -50,6 +53,12 @@ class TestStateValidation:
             StepperState(cur, None, 0.0, 0.0)
         with pytest.raises(ValueError):
             StepperState(cur, None, 0.0, -1e-3)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_dt_by_name(self, dt):
+        cur = interpolate(EXACT, 8, 0.0)
+        with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt!r}$"):
+            StepperState(cur, None, 0.0, dt)
 
     def test_rejects_mismatched_grids(self):
         cur = interpolate(EXACT, 8, 0.0)
@@ -331,6 +340,17 @@ class TestRunDriver:
         with pytest.raises(ValueError, match="^node_count must be at least 3"):
             run(EXACT, SchemeKind.CN, node_count, 1e-2, 0.1)
 
+    @pytest.mark.parametrize("node_count", [64.5, float("nan"), float("inf"), "64"])
+    def test_rejects_non_integer_node_count(self, node_count):
+        message = f"node_count must be an integer of at least 3, got {node_count!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(torus_circle(0.7), "cn", node_count, 5e-4, 0.01)
+
+    def test_integral_float_node_count_is_an_integer(self):
+        report = run(torus_circle(0.7), "cn", 64.0, 5e-4, 0.01)
+        assert report.node_count == 64 and isinstance(report.node_count, int)
+        assert report.final.node_count == 64
+
     def test_rejects_initial_polygon_on_wrong_grid(self):
         start = interpolate(EXACT, 16, 0.0)
         with pytest.raises(ValueError):
@@ -414,6 +434,13 @@ class TestStoppingEvents:
         assert report.event.time < 0.05
         assert report.event.metric < 0.25
 
+    @pytest.mark.parametrize("name", ["axis", "collapse", "edge_fraction"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_thresholds_are_finite_and_nonnegative(self, name, value):
+        message = f"{name} must be nonnegative and finite, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EventThresholds(**{name: value})
+
     def test_initial_state_can_already_trigger(self):
         report = run(
             torus_circle(0.5),
@@ -426,3 +453,74 @@ class TestStoppingEvents:
         assert report.event.kind is StopKind.ELEMENT_DEGENERATE
         assert report.event.time == 0.0
         assert len(report.records) == 1
+
+
+def astuple_records(report):
+    return np.array([dataclasses.astuple(rec) for rec in report.records])
+
+
+def assert_same_run(ours, serial):
+    assert ours.event == serial.event
+    assert np.array_equal(ours.final.positions, serial.final.positions)
+    assert np.array_equal(astuple_records(ours), astuple_records(serial), equal_nan=True)
+
+
+class TestStack:
+    """Curves advanced as one stack match their serial runs bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["cn", "bdf2"])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        radii=st.lists(st.floats(0.45, 0.75, exclude_min=True, exclude_max=True), max_size=5),
+        J=st.integers(16, 64),
+    )
+    def test_members_match_serial_runs(self, scheme, radii, J):
+        # the thin torus at r = 0.74 touches the axis early and leaves
+        # the stack while any fatter one goes on
+        radii = [0.74] + radii
+        dt, t_end = 2e-3, 0.4
+        stacked = stepping._run_stack([torus_circle(r) for r in radii], scheme, J, dt, t_end)
+        assert len(stacked) == len(radii)
+        for radius, ours in zip(radii, stacked):
+            assert_same_run(ours, run(torus_circle(radius), scheme, J, dt, t_end))
+        if min(radii) < 0.7:
+            assert stacked[0].event.time < max(r.event.time for r in stacked)
+
+    def test_member_failing_the_coefficient_check_leaves_the_others_alone(self):
+        # with the axis event off, the extrapolated coefficient curve of
+        # the thin torus crosses r = 0 first: that member fails the check
+        # before its step is solved, and so gets no record for that step
+        thresholds = EventThresholds(axis=0.0)
+        dt = 5e-4
+        radii = [0.5, 0.7, 0.6]
+        stacked = stepping._run_stack(
+            [torus_circle(r) for r in radii], "cn", 64, dt, 0.3, thresholds=thresholds
+        )
+        failed = stacked[1]
+        assert failed.event.kind is StopKind.AXIS_TOUCH and failed.event.metric <= 0.0
+        assert len(failed.records) == round(failed.event.time / dt)
+        for radius, ours in zip(radii, stacked):
+            assert_same_run(ours, run(torus_circle(radius), "cn", 64, dt, 0.3, thresholds=thresholds))
+        assert stacked[0].event.kind is StopKind.CURVE_COLLAPSE
+
+    def test_one_step_of_a_stack_reports_each_failure_by_row(self):
+        # the middle member's coefficient curve has a node on the axis
+        curves = [interpolate(torus_circle(r), 16) for r in (0.5, 0.6, 0.55)]
+        positions = np.stack([c.positions for c in curves])
+        positions[1, 8, 0] = 0.0
+        new, failures = stepping._advance(
+            SchemeKind.BDF1, CurveStack(positions), None, 0.0, 1e-3, None
+        )
+        assert list(failures) == [1]
+        assert failures[1].kind is StopKind.AXIS_TOUCH and failures[1].metric == 0.0
+        assert new.positions.shape == (2, 16, 2)
+        for row, curve in zip((0, 1), (curves[0], curves[2])):
+            alone = bdf1_step(StepperState(curve, None, 0.0, 1e-3))
+            assert np.array_equal(new.positions[row], alone.positions)
+
+    def test_nonfinite_coefficient_curve_is_a_solver_failure(self):
+        positions = interpolate(torus_circle(0.6), 16).positions[None].copy()
+        positions[0, 3, 1] = np.inf
+        _, failures = stepping._advance(SchemeKind.BDF1, CurveStack(positions), None, 0.0, 1e-3, None)
+        assert failures[0].kind is StopKind.SOLVER_FAILURE
+        assert "not finite" in str(failures[0])
