@@ -40,9 +40,9 @@ class CyclicTridiagonal:
     """Periodic tridiagonal matrix stored by diagonals.
 
     Row j holds ``sub[j]`` in column (j-1) % J, ``diag[j]`` in column j
-    and ``sup[j]`` in column (j+1) % J.  At J = 3 the wrap columns
-    coincide with the neighbours of the diagonal; ``to_dense``
-    accumulates entries so the representation stays exact there.
+    and ``sup[j]`` in column (j+1) % J.  These three columns are distinct
+    for every J >= 3, so at J = 3 the matrix is full and every entry is
+    stored exactly once.
 
     The assemblers, given a ``CurveStack`` of B weight curves, return a
     stack of B matrices of one order: diagonals of shape (B, J), a
@@ -101,9 +101,9 @@ class CyclicTridiagonal:
         J = self.order
         dense = np.zeros((J, J))
         idx = np.arange(J)
-        np.add.at(dense, (idx, idx), self.diag)
-        np.add.at(dense, (idx, (idx - 1) % J), self.sub)
-        np.add.at(dense, (idx, (idx + 1) % J), self.sup)
+        dense[idx, idx] = self.diag
+        dense[idx, (idx - 1) % J] = self.sub
+        dense[idx, (idx + 1) % J] = self.sup
         return dense
 
     def inf_norm(self) -> float:

@@ -168,7 +168,10 @@ def write_evolution_bundle(
         "numerics": {
             "assembly": "exact closed-form element integrals",
             "source_quadrature": "gauss3 per element",
-            "linear_solver": "cyclic tridiagonal via Sherman-Morrison + pivoted LU",
+            "linear_solver": (
+                "cyclic tridiagonal via Sherman-Morrison: LDL^T (dpttrf) for the "
+                "symmetric positive definite step matrices, pivoted LU (dgttrf) otherwise"
+            ),
         },
         "determinism": "no randomness; identical inputs reproduce identical bytes",
     }

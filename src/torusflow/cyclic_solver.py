@@ -1,25 +1,26 @@
 """Direct solver for cyclic tridiagonal systems with a residual audit.
 
-The periodic coupling is folded out with a rank-one Sherman-Morrison
-update whose shift gamma = -diag[0] keeps a symmetric positive definite
-matrix's tridiagonal core symmetric positive definite.  That core, the
-one of every step matrix, is factorized as LDL^T (LAPACK pttrf); any
-other core by pivoted LU (LAPACK gttrf).  The factors serve the right
-sides, the correction column and up to two refinement steps when the
-first solution fails its residual audit.  Order 3, where the wrap
-entries overlap the neighbours, is solved densely.  A split that
-breaks down or stays inaccurate is redone once with a second shift,
--|A|_inf, before a failure is reported.  Every result
-carries a measured residual, an explicit status and the path taken;
-callers can rely on ``status == OK`` instead of re-checking.
+Every solve works on a stack of B matrices of one order; a single
+matrix is a stack of one.  The periodic coupling is folded out of each
+member with a rank-one Sherman-Morrison update whose shift
+gamma = -diag[0] keeps a symmetric positive definite matrix's
+tridiagonal core symmetric positive definite.  The cores of an exactly
+symmetric stack, the step matrices among them, are factored as one
+block LDL^T (LAPACK pttrf) whose couplings across member boundaries are
+zero, so it splits exactly into the members' own factorizations; one
+extra column carries the rank-one vectors.  A single member that is
+not symmetric, or whose core pttrf rejects, is factored by pivoted LU
+(LAPACK gttrf).  Every order J >= 3 takes this path: the wrap columns
+(j -+ 1) mod J never coincide with each other or with the diagonal.
 
-A stack of B symmetric systems of one order is solved as one block
-tridiagonal system of order B*J whose couplings across block
-boundaries are zero.  Its LDL^T factorization then splits exactly into
-the B factorizations of the members, so every member's numbers are the
-ones its own solve gives; one extra column carries all B rank-one
-corrections.  Each member is audited on its own, and a member that
-misses the audit is redone alone.
+Each member is audited on its own.  A member of a larger stack that
+misses the audit, or every member when the block cannot be factored,
+is solved again as a stack of one.  A stack of one gets up to two
+refinement steps on its factors and, when the split breaks down or
+stays inaccurate, is redone once with a second shift, -|A|_inf, before
+a failure is reported.  Every result carries a measured residual, an
+explicit status and the path taken; callers can rely on
+``status == OK`` instead of re-checking.
 """
 
 from __future__ import annotations
@@ -46,15 +47,20 @@ MAX_REFINEMENTS = 2
 
 
 class SolveStatus(Enum):
+    """Audit outcome, declared from best to worst."""
+
     OK = "ok"
     ILL_CONDITIONED = "ill_conditioned"
     SINGULAR = "singular"
 
 
+_RANK = {status: rank for rank, status in enumerate(SolveStatus)}
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """Solution, its measured residual and audit status, the path taken
-    (``"ldlt"``, ``"lu"`` or ``"dense"``) and the refinement steps used.
+    (``"ldlt"`` or ``"lu"``) and the refinement steps used.
 
     For a stack of systems ``members`` holds each member's (status,
     residual_norm); ``status`` is OK only when every member's is,
@@ -76,7 +82,7 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     """Solve matrix @ x = rhs for shape (J,) or stacked (J, k) right sides;
     for a stack of B matrices, rhs of shape (B, J) or (B, J, k).
 
-    Order >= 4 is split with the shift gamma = -diag[0].  When that split
+    Each member is split with the shift gamma = -diag[0].  When that split
     breaks down (an exactly singular core or a zero rank-one denominator)
     or its refined solution still fails the audit, it is redone once with
     gamma = -|A|_inf and the better result is returned.  SINGULAR then
@@ -84,197 +90,160 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     when every shift leaves its core singular, as for a pure cyclic shift.
     """
     b = np.asarray(rhs, dtype=float)
-    if matrix.diag.ndim == 2:
-        return _solve_stack(matrix, b)
-    J = matrix.order
-    if b.ndim not in (1, 2) or b.shape[0] != J:
-        raise ValueError(f"rhs must have shape ({J},) or ({J}, k)")
-    cols = b.reshape(J, -1)
-    if J == 3:
-        dense = partial(np.linalg.solve, matrix.to_dense())
-        return _refined(matrix, b, cols, "dense", dense)
-    first = -matrix.diag[0] if matrix.diag[0] != 0.0 else 1.0
-    report = _refined(matrix, b, cols, *_sherman_morrison(matrix, first))
-    if report.status is SolveStatus.OK:
+    stacked = matrix.diag.ndim == 2
+    dims = matrix.diag.shape if stacked else (matrix.order,)
+    if b.shape[: len(dims)] != dims or b.ndim > len(dims) + 1:
+        raise ValueError(f"rhs must have shape {dims} or {dims} + (k,), got {b.shape}")
+    if not stacked:
+        matrix = _rows(matrix, None)
+    r = _solve(matrix, b.reshape(*matrix.diag.shape, -1))
+    solution, members = r.solution.reshape(b.shape), r.members if stacked else ()
+    return SolveReport(solution, r.residual_norm, r.status, r.path, r.refinements, members)
+
+
+def _rows(matrix: CyclicTridiagonal, index) -> CyclicTridiagonal:
+    """The stack of ``band[index]`` of each band, viewed, not copied."""
+    bands = (matrix.diag, matrix.sub, matrix.sup)
+    return CyclicTridiagonal._owned(*(band[index] for band in bands))
+
+
+def _solve(matrix: CyclicTridiagonal, cols: np.ndarray) -> SolveReport:
+    """Report on a stack of B matrices for right sides (B, J, k), with
+    ``members`` filled in whatever B is."""
+    B = len(cols)
+    first = [-v if v != 0.0 else 1.0 for v in matrix.diag[:, 0].tolist()]
+    if B == 1:
+        report = _refined(matrix, cols, first[0])
+        if report.status is SolveStatus.OK:
+            return report
+        # any negative shift keeps the core of an SPD matrix positive definite
+        second = -matrix.inf_norm()
+        if second in (0.0, first[0]):
+            return report
+        retry = _refined(matrix, cols, second)
+        if retry.status is SolveStatus.OK or retry.residual_norm < report.residual_norm:
+            return retry
         return report
-    # any negative shift keeps the core of an SPD matrix positive definite
-    second = -matrix.inf_norm()
-    if second in (0.0, first):
-        return report
-    retry = _refined(matrix, b, cols, *_sherman_morrison(matrix, second))
-    if retry.status is SolveStatus.OK or retry.residual_norm < report.residual_norm:
-        return retry
-    return report
 
-
-def _refined(matrix: CyclicTridiagonal, b, cols, path: str, solve) -> SolveReport:
-    """Audited solution of one split, refined on its factors if needed;
-    solve is None when the split broke down."""
-    try:
-        x = None if solve is None else solve(cols)
-    except np.linalg.LinAlgError:
-        x = None
-    if x is None:
-        return SolveReport(np.full_like(b, np.nan), math.inf, SolveStatus.SINGULAR, path)
-
-    residual, res_norm, status = _audit(matrix, cols, x)
-    refinements = 0
-    while status is SolveStatus.ILL_CONDITIONED and refinements < MAX_REFINEMENTS:
-        refinements += 1
-        candidate = x - solve(residual)
-        c_residual, c_norm, c_status = _audit(matrix, cols, candidate)
-        if not c_norm < res_norm:
-            break
-        x, residual, res_norm, status = candidate, c_residual, c_norm, c_status
-    solution = x[:, 0] if b.ndim == 1 else x
-    return SolveReport(solution, res_norm, status, path, refinements)
-
-
-def _sherman_morrison(matrix: CyclicTridiagonal, gamma: float):
-    """(path, solve) for order >= 4 and shift gamma, solve mapping
-    right-hand-side columns to solution columns; solve is None on a
-    breakdown."""
-    diag, sub, sup = matrix.diag, matrix.sub, matrix.sup
-    alpha = sup[-1]  # corner entry in row J-1, column 0
-    beta = sub[0]  # corner entry in row 0, column J-1
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= alpha * beta / gamma
-    e = sup[:-1]
-
-    core = None
-    if alpha == beta and (sub[1:] == e).all():
-        df, ef, info = lapack.dpttrf(d, e)
-        if info == 0:
-            path = "ldlt"
-
-            def core(cols):
-                return lapack.dpttrs(df, ef, cols, overwrite_b=1)[0]
-
-    if core is None:
-        path = "lu"
-        dlf, df, duf, du2, ipiv, info = lapack.dgttrf(sub[1:], d, e)
-        if info != 0:
-            return path, None
-
-        def core(cols):
-            return lapack.dgttrs(dlf, df, duf, du2, ipiv, cols, overwrite_b=1)[0]
-
-    u = np.zeros((len(d), 1))
-    u[0], u[-1] = gamma, alpha
-    z = core(u)[:, 0]
-    ratio = beta / gamma
-    denom = 1.0 + z[0] + ratio * z[-1]
-    if denom == 0.0 or not math.isfinite(denom):
-        return path, None
-
-    def solve(cols):
-        y = core(np.array(cols, order="F"))
-        return y - z[:, None] * ((y[0] + ratio * y[-1]) / denom)
-
-    return path, solve
-
-
-def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):
-    """Residual A x - b, its inf-norm and the status it earns."""
-    residual = matrix.matvec(x) - cols
-    x_max = float(np.abs(x).max())
-    if not math.isfinite(x_max):
-        return residual, math.inf, SolveStatus.SINGULAR
-    res_norm = float(np.abs(residual).max())
-    bound = RESIDUAL_RTOL * (float(np.abs(cols).max()) + matrix.inf_norm() * x_max)
-    status = SolveStatus.OK if res_norm <= bound else SolveStatus.ILL_CONDITIONED
-    return residual, res_norm, status
-
-
-def _solve_stack(matrix: CyclicTridiagonal, b: np.ndarray) -> SolveReport:
-    """Solve a stack of B systems, by one block split when they are all
-    exactly symmetric of order >= 4; members that miss the audit, or
-    every member when the block cannot be factored, are solved alone."""
-    B, J = matrix.diag.shape
-    if b.ndim not in (2, 3) or b.shape[:2] != (B, J):
-        raise ValueError(f"rhs must have shape ({B}, {J}) or ({B}, {J}, k)")
-    cols = b.reshape(B, J, -1)
-    x = _block_split(matrix, cols) if J > 3 else None
+    path, x, _ = _split(matrix, np.array(first), cols)
     if x is None:
         x, outcomes, redo = np.empty_like(cols), [None] * B, range(B)
     else:
-        # each member's audit, as _audit makes it
-        band_sum = np.abs(matrix.diag) + np.abs(matrix.sub) + np.abs(matrix.sup)
-        residual = np.abs(matrix.matvec(x) - cols)
-        audit = zip(
-            residual.max(axis=(1, 2)).tolist(),
-            np.abs(x).max(axis=(1, 2)).tolist(),
-            np.abs(cols).max(axis=(1, 2)).tolist(),
-            band_sum.max(axis=1).tolist(),
-        )
-        outcomes, redo = [], []
-        for i, (res, x_max, b_max, norm) in enumerate(audit):
-            outcomes.append((SolveStatus.OK, res))
-            if not (math.isfinite(x_max) and res <= RESIDUAL_RTOL * (b_max + norm * x_max)):
-                redo.append(i)
+        _, outcomes = _audit(matrix, cols, x)
+        redo = [i for i, (status, _) in enumerate(outcomes) if status is not SolveStatus.OK]
     alone = []
     for i in redo:
-        member = CyclicTridiagonal(matrix.diag[i], matrix.sub[i], matrix.sup[i])
-        report = solve_cyclic(member, cols[i])
-        x[i] = report.solution
-        outcomes[i] = (report.status, report.residual_norm)
+        report = _solve(_rows(matrix, slice(i, i + 1)), cols[i : i + 1])
+        x[i] = report.solution[0]
+        outcomes[i] = report.members[0]
         alone.append(report)
     if len(alone) == B:
         paths = {report.path for report in alone}
         path = paths.pop() if len(paths) == 1 else "mixed"
-    else:
-        path = "ldlt"
-    statuses = {status for status, _ in outcomes}
-    worst = next(
-        (s for s in (SolveStatus.SINGULAR, SolveStatus.ILL_CONDITIONED) if s in statuses),
-        SolveStatus.OK,
-    )
-    return SolveReport(
-        x.reshape(b.shape),
-        max(res for _, res in outcomes),
-        worst,
-        path,
-        max((report.refinements for report in alone), default=0),
-        tuple(outcomes),
-    )
+    # members the block served passed their audit
+    worst = max((report.status for report in alone), key=_RANK.get, default=SolveStatus.OK)
+    refinements = max((report.refinements for report in alone), default=0)
+    residual_norm = max(res for _, res in outcomes)
+    return SolveReport(x, residual_norm, worst, path, refinements, tuple(outcomes))
 
 
-def _block_split(matrix: CyclicTridiagonal, cols: np.ndarray):
-    """Solutions (B, J, k) of a stack of exactly symmetric systems, split
-    member by member with gamma = -diag[0] as ``_sherman_morrison`` does,
-    the B cores factored as one block LDL^T; None when some member is not
-    symmetric or the block is not positive definite.  A member whose
-    rank-one denominator breaks down gets NaN, which fails its audit.
+def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float) -> SolveReport:
+    """Audited solution of a stack of one split with shift gamma, refined
+    on its factors while it misses the audit."""
+    path, x, solve = _split(matrix, np.array([gamma]), cols)
+    if x is None:
+        nan, singular = np.full_like(cols, np.nan), SolveStatus.SINGULAR
+        return SolveReport(nan, math.inf, singular, path, 0, ((singular, math.inf),))
+    residual, ((status, res_norm),) = _audit(matrix, cols, x)
+    refinements = 0
+    while status is SolveStatus.ILL_CONDITIONED and refinements < MAX_REFINEMENTS:
+        refinements += 1
+        candidate = x - solve(residual)
+        c_residual, ((c_status, c_norm),) = _audit(matrix, cols, candidate)
+        if not c_norm < res_norm:
+            break
+        x, residual, res_norm, status = candidate, c_residual, c_norm, c_status
+    return SolveReport(x, res_norm, status, path, refinements, ((status, res_norm),))
 
-    The solutions are stored column by column, (k, B, J) in memory."""
+
+def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
+    """(path, x, solve) for a stack of B matrices split with the shifts
+    gamma (B,): x the solutions (B, J, k) of cols, stored column by
+    column, (k, B, J) in memory, and solve mapping further right sides
+    to solutions on the same factors.  Exactly symmetric stacks are
+    factored as one block LDL^T, a single member otherwise by pivoted
+    LU.  x is None when the split breaks down, or for B > 1 when the
+    block cannot be factored; a member whose rank-one denominator breaks
+    down gets NaN, which fails its audit."""
     diag, sub, sup = matrix.diag, matrix.sub, matrix.sup
-    alpha = sup[:, -1].tolist()  # corner entries in row J-1, column 0
-    beta = sub[:, 0].tolist()  # corner entries in row 0, column J-1
-    if alpha != beta or not (sub[:, 1:] == sup[:, :-1]).all():
-        return None
     B, J, k = cols.shape
-    gamma = [-v if v != 0.0 else 1.0 for v in diag[:, 0].tolist()]
+    alpha = sup[:, -1]  # corner entries in row J-1, column 0
+    beta = sub[:, 0]  # corner entries in row 0, column J-1
     d = diag.copy()
     d[:, 0] -= gamma
-    d[:, -1] -= [a * b / g for a, b, g in zip(alpha, beta, gamma)]
+    d[:, -1] -= alpha * beta / gamma
     e = sup.copy()
     e[:, -1] = 0.0  # no coupling from one block to the next
-    df, ef, info = lapack.dpttrf(d.ravel(), e.ravel()[:-1])
-    if info != 0:
-        return None
+    e = e.ravel()[:-1]
+
+    core = None
+    if alpha.tolist() == beta.tolist() and (sub[:, 1:] == sup[:, :-1]).all():
+        df, ef, info = lapack.dpttrf(d.ravel(), e)
+        if info == 0:
+            path, core = "ldlt", partial(lapack.dpttrs, df, ef)
+    if core is None:
+        path = "lu"
+        if B > 1:
+            return path, None, None
+        dlf, df, duf, du2, ipiv, info = lapack.dgttrf(sub[0, 1:], d[0], e)
+        if info != 0:
+            return path, None, None
+        core = partial(lapack.dgttrs, dlf, df, duf, du2, ipiv)
+
+    def substitute(columns):
+        # columns (n, B, J) is a fresh array that LAPACK overwrites
+        n = len(columns)
+        return core(columns.reshape(n, B * J).T, overwrite_b=1)[0].T.reshape(n, B, J)
+
     # column by column: the right sides, then the rank-one vectors u
     rhs = np.zeros((k + 1, B, J))
     rhs[:k] = cols.transpose(2, 0, 1)
     rhs[k, :, 0] = gamma
     rhs[k, :, -1] = alpha
-    y = lapack.dpttrs(df, ef, rhs.reshape(k + 1, B * J).T, overwrite_b=1)[0]
-    y = y.T.reshape(k + 1, B, J)
+    y = substitute(rhs)
     z, y = y[k], y[:k]
-    ratio = [b / g for b, g in zip(beta, gamma)]
-    denom = [
-        1.0 + z0 + r * zl for z0, zl, r in zip(z[:, 0].tolist(), z[:, -1].tolist(), ratio)
-    ]
-    denom = [q if q != 0.0 and math.isfinite(q) else math.nan for q in denom]
-    scale = (y[:, :, 0] + np.array(ratio) * y[:, :, -1]) / np.array(denom)
-    return (y - z * scale[:, :, None]).transpose(1, 2, 0)
+    ratio = beta / gamma
+    denom = np.array([
+        q if q != 0.0 and math.isfinite(q) else math.nan
+        for q in (1.0 + z[:, 0] + ratio * z[:, -1]).tolist()
+    ])
+
+    def corrected(y):
+        scale = (y[:, :, 0] + ratio * y[:, :, -1]) / denom
+        return (y - z * scale[:, :, None]).transpose(1, 2, 0)
+
+    def solve(more):
+        return corrected(substitute(np.array(more.transpose(2, 0, 1), order="C")))
+
+    return path, corrected(y), solve
+
+
+def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):
+    """Residuals A x - b of a stack, and each member's (status,
+    residual inf-norm)."""
+    residual = matrix.matvec(x) - cols
+    band_sum = np.abs(matrix.diag) + np.abs(matrix.sub) + np.abs(matrix.sup)
+    outcomes = []
+    for res, x_max, b_max, a_norm in zip(
+        np.abs(residual).max(axis=(1, 2)).tolist(),
+        np.abs(x).max(axis=(1, 2)).tolist(),
+        np.abs(cols).max(axis=(1, 2)).tolist(),
+        band_sum.max(axis=1).tolist(),
+    ):
+        if not math.isfinite(x_max):
+            outcomes.append((SolveStatus.SINGULAR, math.inf))
+        elif res <= RESIDUAL_RTOL * (b_max + a_norm * x_max):
+            outcomes.append((SolveStatus.OK, res))
+        else:
+            outcomes.append((SolveStatus.ILL_CONDITIONED, res))
+    return residual, outcomes

@@ -190,12 +190,13 @@ def _classify(
     or the RuntimeError ``classify_radius`` raises for it."""
     _require_positive("dt", dt)
     _require_positive("t_max", t_max)
+    t_end = _round_t_end(t_max, dt)
     reports = _run_stack(
         [torus_circle(radius) for radius in radii],
         scheme,
         node_count,
         dt,
-        _round_t_end(t_max, dt),
+        t_end,
         thresholds=thresholds,
         track_diameter=False,
     )
@@ -206,7 +207,7 @@ def _classify(
             out.append(report.event)
         elif kind is StopKind.REACHED_T:
             out.append(RuntimeError(
-                f"radius {radius:g} reached t = {t_max:g} without a singularity; "
+                f"radius {radius:g} reached t = {t_end:g} without a singularity; "
                 "raise t_max or tighten the bracket"
             ))
         else:

@@ -146,6 +146,7 @@ class TestEvolutionBundle:
         assert [s["file"] for s in meta["snapshots"]] == ["snapshot_t0.csv", "snapshot_t0.01.csv"]
         assert [s["step"] for s in meta["snapshots"]] == [0, 10]
         assert set(meta["thresholds"]) == {"axis", "collapse", "edge_fraction"}
+        assert "LDL^T (dpttrf)" in meta["numerics"]["linear_solver"]
 
     def test_metadata_records_thresholds_of_the_run(self, tmp_path):
         used = EventThresholds(axis=0.25, collapse=2e-3, edge_fraction=1e-7)

@@ -18,7 +18,7 @@ from torusflow import (
     weighted_stiffness_matrix,
 )
 from torusflow import cyclic_solver
-from torusflow.cyclic_solver import RESIDUAL_RTOL, _refined, _sherman_morrison
+from torusflow.cyclic_solver import RESIDUAL_RTOL, _refined, _split
 
 from oracles import random_admissible_positions, thomas_like_dense_solve
 
@@ -98,8 +98,9 @@ class TestAgainstDenseOracle:
             assert np.abs(report.solution - expect).max() <= 1e-12 * scale
 
     def test_smallest_order_uses_full_matrix(self, rng):
-        # J = 3 has no spare column for the rank-one update; the dense
-        # route must still produce the exact solution
+        # at J = 3 the wrap entries are distinct from the neighbours of
+        # the diagonal, so the rank-one split needs no special case and
+        # must still produce the exact solution
         for _ in range(50):
             m = random_dominant_matrix(rng, 3)
             rhs = rng.normal(size=3)
@@ -188,9 +189,23 @@ class TestPaths:
             report = solve_cyclic(random_dominant_matrix(rng, J), rng.normal(size=J))
             assert report.path == "lu" and report.status is SolveStatus.OK
 
-    def test_order_three_is_dense(self, rng):
-        report = solve_cyclic(symmetric_dominant_matrix(rng, 3), rng.normal(size=3))
-        assert report.path == "dense" and report.status is SolveStatus.OK
+    def test_order_three_takes_the_split(self, rng):
+        # order 3 needs no dense special case: a symmetric matrix, alone
+        # or in a stack, takes LDL^T and a nonsymmetric one pivoted LU
+        for _ in range(20):
+            cases = (
+                ([symmetric_dominant_matrix(rng, 3)], "ldlt"),
+                ([random_dominant_matrix(rng, 3)], "lu"),
+                ([symmetric_dominant_matrix(rng, 3) for _ in range(3)], "ldlt"),
+            )
+            for matrices, path in cases:
+                matrix = matrices[0] if len(matrices) == 1 else stacked(matrices)
+                rhs = rng.normal(size=matrix.diag.shape)
+                report = solve_cyclic(matrix, rhs)
+                assert report.path == path and report.status is SolveStatus.OK
+                for m, b, x in zip(matrices, rhs.reshape(-1, 3), report.solution.reshape(-1, 3)):
+                    expect = thomas_like_dense_solve(m.to_dense(), b)
+                    assert np.abs(x - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
 
     @pytest.mark.parametrize("J", [8, 64])
     def test_refinement_recovers_a_failed_audit(self, J, rng):
@@ -218,8 +233,8 @@ class TestPaths:
             np.array([1.0, 1.0, 1.0, 1.0]),
             np.array([2.0, 0.0, 1.0, 1.0]),
         )
-        assert _sherman_morrison(m, -m.diag[0])[1] is None
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        assert _split(stacked([m]), np.array([-m.diag[0]]), rhs.reshape(1, 4, 1))[1] is None
         report = solve_cyclic(m, rhs)
         assert report.path == "lu" and report.status is SolveStatus.OK
         expect = thomas_like_dense_solve(m.to_dense(), rhs)
@@ -234,7 +249,7 @@ class TestPaths:
         diag[0] = 1e-15
         m = CyclicTridiagonal(diag, np.ones(J), np.ones(J))
         rhs = rng.normal(size=J)
-        first = _refined(m, rhs, rhs.reshape(J, 1), *_sherman_morrison(m, -diag[0]))
+        first = _refined(stacked([m]), rhs.reshape(1, J, 1), -diag[0])
         assert first.status is SolveStatus.ILL_CONDITIONED
         report = solve_cyclic(m, rhs)
         assert report.status is SolveStatus.OK
@@ -282,14 +297,18 @@ class TestStack:
     """A stack of systems solves member by member exactly as alone."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 6), J=st.integers(4, 80))
+    @given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 6), J=st.integers(3, 80))
     def test_block_split_is_bit_identical_to_serial_solves(self, seed, B, J):
         rng = np.random.default_rng(seed)
         matrices = [symmetric_dominant_matrix(rng, J) for _ in range(B)]
         rhs = rng.normal(size=(B, J, 2))
-        # one block split serves every member: none is solved alone
-        with mock.patch.object(cyclic_solver, "_sherman_morrison", side_effect=AssertionError):
+        # one block factorization serves every member: none is solved alone
+        real = cyclic_solver.lapack
+        dpttrf = mock.Mock(wraps=real.dpttrf)
+        patched = SimpleNamespace(**{**vars(real), "dpttrf": dpttrf})
+        with mock.patch.object(cyclic_solver, "lapack", patched):
             report = solve_cyclic(stacked(matrices), rhs)
+        assert dpttrf.call_count == 1 and len(dpttrf.call_args.args[0]) == B * J
         assert (report.status, report.path, report.refinements) == (SolveStatus.OK, "ldlt", 0)
         alone = [solve_cyclic(m, b) for m, b in zip(matrices, rhs)]
         for i, single in enumerate(alone):
@@ -331,9 +350,15 @@ class TestStack:
             assert np.array_equal(report.solution[i], solve_cyclic(matrices[i], rhs[i]).solution)
 
     def test_members_the_block_cannot_serve_are_solved_alone(self, rng):
+        indefinite = []
+        for _ in range(2):
+            m = symmetric_dominant_matrix(rng, 12)
+            diag = m.diag.copy()
+            diag[5:] *= -1.0  # still symmetric, no longer definite
+            indefinite.append(CyclicTridiagonal(diag, m.sub, m.sup))
         for matrices, path in (
             ([random_dominant_matrix(rng, 12) for _ in range(2)], "lu"),
-            ([symmetric_dominant_matrix(rng, 3) for _ in range(2)], "dense"),
+            (indefinite, "lu"),
         ):
             J = matrices[0].order
             rhs = rng.normal(size=(2, J))
@@ -341,6 +366,29 @@ class TestStack:
             assert report.status is SolveStatus.OK and report.path == path
             for i, m in enumerate(matrices):
                 assert np.array_equal(report.solution[i], solve_cyclic(m, rhs[i]).solution)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 1), (8, 3), (2, 8), (2, 8, 1), (2, 8, 3)])
+    @pytest.mark.parametrize("make", [symmetric_dominant_matrix, random_dominant_matrix])
+    def test_rhs_is_left_unchanged(self, shape, make, rng):
+        # LAPACK solves in place; it must never be handed the caller's rhs
+        matrices = [make(rng, 8) for _ in range(2)]
+        matrix = stacked(matrices) if shape[0] == 2 else matrices[0]
+        rhs = rng.normal(size=shape)
+        kept = rhs.copy()
+        report = solve_cyclic(matrix, rhs)
+        assert report.status is SolveStatus.OK and report.solution.shape == shape
+        assert np.array_equal(rhs, kept)
+
+    def test_rhs_is_left_unchanged_by_refinement(self, rng):
+        diag = np.full(8, 4.0)
+        diag[0] = 1e-9
+        m = CyclicTridiagonal(diag, np.ones(8), np.ones(8))
+        for matrix in (m, stacked([m, m])):
+            rhs = rng.normal(size=(*matrix.diag.shape, 1))
+            kept = rhs.copy()
+            report = solve_cyclic(matrix, rhs)
+            assert report.status is SolveStatus.OK and report.refinements >= 1
+            assert np.array_equal(rhs, kept)
 
     def test_rejects_mismatched_stack_rhs(self, rng):
         matrix = stacked([symmetric_dominant_matrix(rng, 8) for _ in range(2)])

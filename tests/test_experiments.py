@@ -148,6 +148,14 @@ class TestClassifyRadius:
         with pytest.raises(RuntimeError, match="without a singularity"):
             classify_radius(0.5, "bdf1", t_max=0.01, **COARSE)
 
+    def test_undecided_run_names_the_horizon_it_ran_to(self):
+        # t_max below one step still runs one step, to t = dt
+        with pytest.raises(RuntimeError, match=r"reached t = 0\.0005 without a singularity"):
+            classify_radius(0.5, "bdf1", t_max=1e-9, **COARSE)
+        # t_max is rounded to a whole number of steps
+        with pytest.raises(RuntimeError, match=r"reached t = 0\.0015 without a singularity"):
+            classify_radius(0.5, "bdf1", t_max=0.0013, **COARSE)
+
 
 class TestBisection:
     def test_rejects_bad_brackets(self):
