@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -66,14 +68,62 @@ def write_snapshot_csv(path, curve: PeriodicCurve) -> None:
 
 
 def read_snapshot_csv(path) -> PeriodicCurve:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0] != "j,r,z":
+    """Read back a snapshot CSV; rows must be j,r,z with j = 0, 1, 2, ..."""
+    lines = Path(path).read_text().rstrip().splitlines()
+    if not lines or lines[0] != "j,r,z":
         raise ValueError(f"{path}: not a snapshot CSV")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no rows after the header")
     rows = []
-    for line in text[1:]:
-        j, r, z = line.split(",")
-        rows.append((float(r), float(z)))
+    for j, line in enumerate(lines[1:]):
+        try:
+            index, r, z = line.split(",")
+            if int(index) != j:
+                raise ValueError(f"expected j = {j}, got {index}")
+            rows.append((float(r), float(z)))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {j + 2}: {exc}") from None
     return PeriodicCurve(np.array(rows))
+
+
+def _segment_count(value) -> int:
+    """``value`` as a revolution segment count; an integral float passes."""
+    if not (isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())):
+        raise ValueError(f"segments must be an integer of at least 3, got {value!r}")
+    if value < 3:
+        raise ValueError("segments must be >= 3")
+    return int(value)
+
+
+def _face_rows(J: int, segments: int):
+    """OBJ face text of the J x segments torus grid, one node row at a time:
+    quad (j, k) gives triangles (a, b, c) and (a, c, d), a = (j, k),
+    b = (j + 1, k), c = (j + 1, k + 1), d = (j, k + 1)."""
+    k = np.arange(segments)
+    k1 = (k + 1) % segments
+    # per quad: the six corner columns, and which of them lie on row j + 1
+    columns = np.stack([k, k, k1, k, k1, k1], axis=-1).ravel()
+    on_next = np.tile([0, 1, 1, 0, 1, 0], segments)
+    template = "f %d %d %d\n" * (2 * segments)
+    for j in range(J):
+        here, after = 1 + j * segments, 1 + (j + 1) % J * segments
+        yield template % tuple((columns + here + on_next * (after - here)).tolist())
+
+
+def _write_obj(path, curve: PeriodicCurve, segments: int, face_rows) -> None:
+    phi = [2.0 * math.pi * k / segments for k in range(segments)]
+    # interleaved (cos, sin) factors; equal bit patterns share one repr,
+    # while 0.0 and -0.0 stay apart
+    factors = np.array([(math.cos(p), math.sin(p)) for p in phi]).ravel()
+    bits, index = np.unique(factors.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    expand = operator.itemgetter(*index.tolist())
+    with open(path, "w") as out:
+        for r, z in curve.positions.tolist():
+            # elementwise IEEE products, the same floats as r * math.cos(phi)
+            texts = list(map(repr, (r * distinct).tolist()))
+            out.write((f"v %s {z!r} %s\n" * segments) % expand(texts))
+        out.writelines(face_rows)
 
 
 def write_surface_obj(path, curve: PeriodicCurve, segments: int = 64) -> None:
@@ -82,30 +132,11 @@ def write_surface_obj(path, curve: PeriodicCurve, segments: int = 64) -> None:
     Vertex (j, k) is node j rotated by angle 2 pi k / segments about the
     z axis, laid out in OBJ coordinates (x, y, z) = (r cos, z, r sin)
     with 1-based index 1 + j * segments + k.  Each quad of the torus
-    grid is split into two triangles.
+    grid is split into two triangles.  Coordinates are repr round-trip
+    floats, each distinct one formatted once per node row.
     """
-    if segments < 3:
-        raise ValueError("segments must be >= 3")
-    J = curve.node_count
-    phi = [2.0 * math.pi * k / segments for k in range(segments)]
-    r = curve.positions[:, :1]
-    # elementwise IEEE products, the same floats as r * math.cos(phi)
-    x = r * np.array([math.cos(p) for p in phi])
-    w = r * np.array([math.sin(p) for p in phi])
-    j = np.arange(J)[:, None]
-    k = np.arange(segments)[None, :]
-    a = 1 + j * segments + k
-    b = 1 + (j + 1) % J * segments + k
-    c = 1 + (j + 1) % J * segments + (k + 1) % segments
-    d = 1 + j * segments + (k + 1) % segments
-    # per quad: triangles (a, b, c) and (a, c, d)
-    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(J, 6 * segments)
-    # one formatted row of nodes at a time keeps the text out of memory
-    with open(path, "w") as out:
-        for xw, z in zip(np.stack([x, w], axis=-1), curve.positions[:, 1].tolist()):
-            out.write((f"v %r {z!r} %r\n" * segments) % tuple(xw.ravel().tolist()))
-        for row in faces:
-            out.write(("f %d %d %d\n" * (2 * segments)) % tuple(row.tolist()))
+    segments = _segment_count(segments)
+    _write_obj(path, curve, segments, _face_rows(curve.node_count, segments))
 
 
 def _snapshot_label(t: float) -> str:
@@ -126,6 +157,8 @@ def write_evolution_bundle(
 ) -> OutputBundle:
     """Write diagnostics CSV, snapshot CSVs, metadata JSON and optional
     OBJ meshes for a ScenarioResult."""
+    if export_obj:
+        obj_segments = _segment_count(obj_segments)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     report = result.report
@@ -141,6 +174,7 @@ def write_evolution_bundle(
 
     snapshot_paths = []
     mesh_paths = []
+    face_rows = {}  # the face text depends only on (J, segments)
     for snap in result.snapshots:
         label = _snapshot_label(snap.requested_time)
         snap_path = directory / f"snapshot_t{label}.csv"
@@ -148,7 +182,10 @@ def write_evolution_bundle(
         snapshot_paths.append(snap_path)
         if export_obj:
             mesh_path = directory / f"snapshot_t{label}.obj"
-            write_surface_obj(mesh_path, snap.curve, obj_segments)
+            J = snap.curve.node_count
+            if J not in face_rows:
+                face_rows[J] = tuple(_face_rows(J, obj_segments))
+            _write_obj(mesh_path, snap.curve, obj_segments, face_rows[J])
             mesh_paths.append(mesh_path)
 
     meta = {

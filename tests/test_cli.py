@@ -1,11 +1,14 @@
 import json
 import re
 import shlex
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusflow import EventThresholds, PeriodicCurve, experiments, interpolate, run_scenario, torus_circle
 from torusflow.cli import (
@@ -17,7 +20,7 @@ from torusflow.cli import (
     write_surface_obj,
 )
 
-from oracles import loop_surface_obj
+from oracles import loop_surface_obj, random_admissible_positions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,6 +32,11 @@ def small_curve():
 @pytest.fixture(scope="module")
 def result():
     return run_scenario("torus:0.6", "bdf1", 16, 1e-3, 0.01, snapshot_times=(0.0, 0.01))
+
+
+@pytest.fixture(scope="module")
+def bdf2_result():
+    return run_scenario("rose", "bdf2", 24, 1e-3, 0.01, snapshot_times=(0.0, 0.005, 0.01))
 
 
 class TestSnapshotCsv:
@@ -56,6 +64,28 @@ class TestSnapshotCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError):
             read_snapshot_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("j,r,z\n0,1.5,0.0\n1,2.0\n",
+             "line 3: not enough values to unpack (expected 3, got 2)"),
+            ("j,r,z\n0,1.5,0.0\n1,abc,0.0\n",
+             "line 3: could not convert string to float: 'abc'"),
+            ("j,r,z\n0,1.5,0.0\n1,2.0,0.25,7\n", "line 3: too many values to unpack"),
+            ("j,r,z\n1,1.5,0.0\n0,2.0,0.25\n2,1.0,-1.0\n", "line 2: expected j = 0, got 1"),
+            ("j,r,z\n0,1.5,0.0\n1,2.0,0.25\n1,1.0,-1.0\n", "line 4: expected j = 2, got 1"),
+            ("j,r,z\n", "no rows after the header"),
+        ],
+        ids=["short-row", "non-number", "long-row", "j-out-of-order", "j-repeated", "header-only"],
+    )
+    def test_read_names_file_and_line_of_bad_rows(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_snapshot_csv(path)
+        assert str(info.value).startswith(f"{path}")
+        assert message in str(info.value)
 
 
 class TestSurfaceObj:
@@ -106,9 +136,62 @@ class TestSurfaceObj:
         write_surface_obj(path, curve, segments=segments)
         assert path.read_text() == loop_surface_obj(curve, segments)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        J=st.integers(3, 40),
+        # multiples of 4 and 8 give exact repeats in the cos/sin table
+        segments=st.one_of(
+            st.integers(3, 130),
+            st.integers(1, 32).map(lambda n: 4 * n),
+            st.integers(1, 16).map(lambda n: 8 * n),
+        ),
+    )
+    @example(seed=0, J=3, segments=4)
+    @example(seed=1, J=40, segments=8)
+    @example(seed=2, J=17, segments=128)
+    def test_random_curves_match_loop_writer(self, tmp_path_factory, seed, J, segments):
+        curve = PeriodicCurve(random_admissible_positions(np.random.default_rng(seed), J))
+        path = tmp_path_factory.mktemp("obj") / "m.obj"
+        write_surface_obj(path, curve, segments=segments)
+        assert path.read_text() == loop_surface_obj(curve, segments)
+
+    def test_evolved_curve_matches_loop_writer(self, bdf2_result, tmp_path):
+        curve = bdf2_result.snapshots[-1].curve
+        path = tmp_path / "m.obj"
+        write_surface_obj(path, curve, segments=16)
+        assert path.read_text() == loop_surface_obj(curve, 16)
+
+    def test_memory_stays_per_row(self, tmp_path):
+        # Bound: the 65 536 coordinates of J = 512, S = 64 held as a list of
+        # Python floats would take about 2.1 MB, and the file text 3.2 MB;
+        # one node row of text is about 6 kB.
+        curve = interpolate(torus_circle(0.7), 512)
+        tracemalloc.start()
+        try:
+            write_surface_obj(tmp_path / "m.obj", curve, segments=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_rejects_degenerate_revolution(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="segments must be >= 3"):
             write_surface_obj(tmp_path / "m.obj", small_curve(), segments=2)
+
+    @pytest.mark.parametrize("segments", [8.5, float("nan"), "8"])
+    def test_rejects_fractional_segments(self, tmp_path, segments):
+        message = f"segments must be an integer of at least 3, got {segments!r}"
+        with pytest.raises(ValueError) as info:
+            write_surface_obj(tmp_path / "m.obj", small_curve(), segments=segments)
+        assert str(info.value) == message
+        assert not (tmp_path / "m.obj").exists()
+
+    @pytest.mark.parametrize("segments", [8.0, np.int64(8)])
+    def test_integral_segments_pass(self, tmp_path, segments):
+        path = tmp_path / "m.obj"
+        write_surface_obj(path, small_curve(), segments=segments)
+        assert path.read_text() == loop_surface_obj(small_curve(), 8)
 
 
 class TestEvolutionBundle:
@@ -120,6 +203,22 @@ class TestEvolutionBundle:
         assert [p.name for p in bundle.meshes] == ["snapshot_t0.obj", "snapshot_t0.01.obj"]
         for path in [bundle.diagnostics, bundle.metadata, *bundle.snapshots, *bundle.meshes]:
             assert path.is_file()
+
+    def test_meshes_share_face_rows_and_match_loop_writer(self, bdf2_result, tmp_path):
+        bundle = write_evolution_bundle(bdf2_result, tmp_path / "out", export_obj=True,
+                                        obj_segments=12)
+        assert len(bundle.meshes) == 3
+        faces = set()
+        for snap, path in zip(bdf2_result.snapshots, bundle.meshes):
+            text = path.read_text()
+            assert text == loop_surface_obj(snap.curve, 12)
+            faces.add(text[text.index("\nf ") + 1:])
+        assert len(faces) == 1
+
+    def test_bad_obj_segments_fail_before_writing(self, result, tmp_path):
+        with pytest.raises(ValueError, match="segments must be an integer of at least 3, got 8.5"):
+            write_evolution_bundle(result, tmp_path / "out", export_obj=True, obj_segments=8.5)
+        assert not (tmp_path / "out").exists()
 
     def test_diagnostics_table(self, result, tmp_path):
         bundle = write_evolution_bundle(result, tmp_path / "out")
