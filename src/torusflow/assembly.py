@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import _node_count
+from .curves import _count
 from .quadrature import element_rho
 
 __all__ = [
@@ -200,7 +200,7 @@ def source_load(f, node_count: int, t: float, quadrature_points: int = 3) -> np.
     form (``basis`` and ``coeffs``, see ``SourceField``) is loaded as
     coeffs(t) times its basis loads, computed once per grid and rule.
     """
-    J = _node_count(node_count)
+    J = _count("node_count", node_count, 3)
     basis = getattr(f, "basis", None)
     if basis is not None:
         loads = _basis_loads(basis, J, quadrature_points)

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import operator
 import sys
 from dataclasses import asdict, dataclass
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .curves import PeriodicCurve
+from .curves import PeriodicCurve, _count
 from .experiments import (
     TABLE_ERROR_RULE,
     bisect_critical_radius,
@@ -86,15 +86,6 @@ def read_snapshot_csv(path) -> PeriodicCurve:
     return PeriodicCurve(np.array(rows))
 
 
-def _segment_count(value) -> int:
-    """``value`` as a revolution segment count; an integral float passes."""
-    if not (isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())):
-        raise ValueError(f"segments must be an integer of at least 3, got {value!r}")
-    if value < 3:
-        raise ValueError("segments must be >= 3")
-    return int(value)
-
-
 def _face_rows(J: int, segments: int):
     """OBJ face text of the J x segments torus grid, one node row at a time:
     quad (j, k) gives triangles (a, b, c) and (a, c, d), a = (j, k),
@@ -135,7 +126,7 @@ def write_surface_obj(path, curve: PeriodicCurve, segments: int = 64) -> None:
     grid is split into two triangles.  Coordinates are repr round-trip
     floats, each distinct one formatted once per node row.
     """
-    segments = _segment_count(segments)
+    segments = _count("segments", segments, 3)
     _write_obj(path, curve, segments, _face_rows(curve.node_count, segments))
 
 
@@ -158,7 +149,7 @@ def write_evolution_bundle(
     """Write diagnostics CSV, snapshot CSVs, metadata JSON and optional
     OBJ meshes for a ScenarioResult."""
     if export_obj:
-        obj_segments = _segment_count(obj_segments)
+        obj_segments = _count("segments", obj_segments, 3)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     report = result.report
@@ -246,35 +237,48 @@ def _parse_times(text: str) -> list[float]:
     return _parse_list(text, float, "--snapshots", "a number")
 
 
+def _write_output(out: str, text: str) -> None:
+    """Write ``text`` to the file ``out``, creating its directory, or to
+    stdout when ``out`` is '-'."""
+    if out == "-":
+        sys.stdout.write(text)
+    else:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text)
+
+
 def cmd_converge(args) -> int:
-    study = run_convergence(
-        SchemeKind(args.scheme),
-        args.axis,
-        _parse_levels(args.levels),
-        t_end=args.t_end,
-        fixed_steps=args.fixed_steps,
-        fixed_nodes=args.fixed_nodes,
-        error_rule=args.error_rule,
-        progress=(lambda msg: print(msg, file=sys.stderr)) if args.verbose else None,
-    )
+    # progress lines go to stderr for this command only, not to later calls
+    logger = logging.getLogger("torusflow")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    if args.verbose:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+    try:
+        study = run_convergence(
+            SchemeKind(args.scheme),
+            args.axis,
+            _parse_levels(args.levels),
+            t_end=args.t_end,
+            fixed_steps=args.fixed_steps,
+            fixed_nodes=args.fixed_nodes,
+            error_rule=args.error_rule,
+        )
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     lines = ["resolution,err_l2,order_l2,err_h1,order_h1"]
     for row in study.rows:
         lines.append(
             f"{row.resolution},{_fmt(row.err_l2)},{_fmt_or_empty(row.order_l2)},"
             f"{_fmt(row.err_h1)},{_fmt_or_empty(row.order_h1)}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+    _write_output(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_evolve(args) -> int:
-    if args.obj_segments < 3:
-        raise ValueError(f"--obj-segments must be at least 3, got {args.obj_segments}")
+    _count("--obj-segments", args.obj_segments, 3)
     result = run_scenario(
         args.scenario,
         SchemeKind(args.scheme),
@@ -319,12 +323,8 @@ def cmd_bisect(args) -> int:
     for radius, event in result.probes:
         lines.append(f"{_fmt(radius)},{event.kind.value},{_fmt(event.time)}")
     lines.append(f"bracket,{_fmt(result.lower)},{_fmt(result.upper)}")
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+    _write_output(args.out, "\n".join(lines) + "\n")
+    if args.out != "-":
         print(f"bracket [{_fmt(result.lower)}, {_fmt(result.upper)}]")
     return 0
 

@@ -9,6 +9,7 @@ analytic start geometries of the scenario library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
@@ -34,13 +35,26 @@ class InadmissibleCurveError(ValueError):
     """Raised when a curve leaves r > 0 or carries a zero-length edge."""
 
 
-def _node_count(value) -> int:
-    """``value`` as a node count; an integral float such as 64.0 passes."""
+def _count(name: str, value, least: int) -> int:
+    """``value`` as a count of at least ``least``; an integral float such
+    as 64.0 passes."""
     if not (isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())):
-        raise ValueError(f"node_count must be an integer of at least 3, got {value!r}")
-    if value < 3:
-        raise ValueError(f"node_count must be at least 3, got {value!r}")
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return int(value)
+
+
+def _finite(name: str, value, positive: bool = True) -> None:
+    """Check that ``value`` is a finite real number, positive or, with
+    ``positive=False``, nonnegative."""
+    if not (
+        isinstance(value, Real)
+        and math.isfinite(value)
+        and (value > 0.0 if positive else value >= 0.0)
+    ):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 class _NodePolygons:
@@ -187,9 +201,24 @@ class CurveFunction:
 
 def interpolate(f: CurveFunction, node_count: int, t: float = 0.0) -> PeriodicCurve:
     """Nodal interpolant of f on the uniform grid with the given node count."""
-    node_count = _node_count(node_count)
+    node_count = _count("node_count", node_count, 3)
     rho = np.arange(node_count, dtype=float) / node_count
     return PeriodicCurve(f(rho, t))
+
+
+def _circle(center: Callable[[float], float], radius: float) -> CurveFunction:
+    """Circle of the given radius about (center(t), 0), traversed once
+    counterclockwise."""
+
+    def value(rho, t=0.0):
+        ang = TWO_PI * np.asarray(rho, dtype=float)
+        return np.stack([center(t) + radius * np.cos(ang), radius * np.sin(ang)], axis=-1)
+
+    def derivative(rho, t=0.0):
+        ang = TWO_PI * np.asarray(rho, dtype=float)
+        return TWO_PI * radius * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
+
+    return CurveFunction(value, derivative)
 
 
 def torus_circle(radius: float) -> CurveFunction:
@@ -200,30 +229,12 @@ def torus_circle(radius: float) -> CurveFunction:
     radius = float(radius)
     if not 0.0 < radius < 1.0:
         raise ValueError(f"torus circle radius must lie in (0, 1), got {radius!r}")
-
-    def value(rho, t=0.0):
-        ang = TWO_PI * np.asarray(rho, dtype=float)
-        return np.stack([1.0 + radius * np.cos(ang), radius * np.sin(ang)], axis=-1)
-
-    def derivative(rho, t=0.0):
-        ang = TWO_PI * np.asarray(rho, dtype=float)
-        return TWO_PI * radius * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-
-    return CurveFunction(value, derivative)
+    return _circle(lambda t: 1.0, radius)
 
 
 def ellipse_curve() -> CurveFunction:
     """Unit circle about (5, 0): a section far from the rotation axis."""
-
-    def value(rho, t=0.0):
-        ang = TWO_PI * np.asarray(rho, dtype=float)
-        return np.stack([5.0 + np.cos(ang), np.sin(ang)], axis=-1)
-
-    def derivative(rho, t=0.0):
-        ang = TWO_PI * np.asarray(rho, dtype=float)
-        return TWO_PI * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-
-    return CurveFunction(value, derivative)
+    return _circle(lambda t: 5.0, 1.0)
 
 
 def rose_curve() -> CurveFunction:
@@ -262,15 +273,15 @@ def spiral_curve(
     The distance from the center ramps linearly from ``inner`` up to
     ``inner + spread`` and back while the angle advances an odd number of
     full turns, so the curve closes after one period and winds
-    2*layers + 1 times about its center.  Parameter combinations that
-    push the curve out of r > 0 anywhere on a dense sample are rejected.
+    2*layers + 1 times about its center.  ``center`` and ``inner`` must
+    be positive and finite, ``spread`` nonnegative and finite, and
+    ``layers`` an integer of at least 1; parameter combinations that push
+    the curve out of r > 0 anywhere on a dense sample are rejected.
     """
-    center, inner, spread = float(center), float(inner), float(spread)
-    layers = int(layers)
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    if inner <= 0.0 or spread < 0.0:
-        raise ValueError("need inner > 0 and spread >= 0")
+    _finite("center", center)
+    _finite("inner", inner)
+    _finite("spread", spread, positive=False)
+    layers = _count("layers", layers, 1)
     turns = 2 * layers + 1
 
     def value(rho, t=0.0):

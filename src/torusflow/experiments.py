@@ -13,12 +13,13 @@ regimes.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from numbers import Integral
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .curves import CurveFunction, ellipse_curve, rose_curve, spiral_curve, torus_circle
+from .curves import _count, _finite
 from .stepping import (
     EventThresholds,
     PeriodicCurve,
@@ -26,7 +27,7 @@ from .stepping import (
     SchemeKind,
     StopEvent,
     StopKind,
-    _require_positive,
+    _nearest_step_count,
     _run_stack,
     _step_count,
     manufactured_forcing,
@@ -56,6 +57,8 @@ TABLE_ERROR_RULE = "nodal"
 # the tables maximize errors over this many evenly spaced checkpoint
 # times rather than over every step (see decisions ledger)
 CHECKPOINT_COUNT = 8
+
+_log = logging.getLogger("torusflow")
 
 
 def _checkpoint_steps(steps: int) -> list[int]:
@@ -101,7 +104,6 @@ def run_convergence(
     fixed_steps: int = 10000,
     fixed_nodes: int = 50000,
     error_rule: str = TABLE_ERROR_RULE,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> ConvergenceStudy:
     """Error ladder for the forced benchmark problem.
 
@@ -109,20 +111,20 @@ def run_convergence(
     steps; ``axis='temporal'`` varies the step count at ``fixed_nodes``
     nodes.  Each row maximizes the error norms over the eight
     checkpoint times k * t_end / 8.  Any run that stops before t_end
-    invalidates the table and raises.
+    invalidates the table and raises.  Each level is announced on the
+    ``torusflow`` logger at INFO level.
     """
     scheme = SchemeKind(scheme)
     if axis not in ("spatial", "temporal"):
         raise ValueError(f"axis must be 'spatial' or 'temporal', got {axis!r}")
-    levels = [int(v) for v in levels]
+    levels = [_count("levels", v, 3) for v in levels]
     if not levels:
         raise ValueError("need at least one level")
-    if any(v < 3 for v in levels) or sorted(levels) != levels:
-        raise ValueError("levels must be increasing and >= 3")
-    _require_positive("t_end", t_end)
-    for name, value, least in (("fixed_steps", fixed_steps, 1), ("fixed_nodes", fixed_nodes, 3)):
-        if not (isinstance(value, Integral) and value >= least):
-            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly increasing, got {levels!r}")
+    _finite("t_end", t_end)
+    fixed_steps = _count("fixed_steps", fixed_steps, 1)
+    fixed_nodes = _count("fixed_nodes", fixed_nodes, 3)
 
     exact = manufactured_solution()
     forcing = manufactured_forcing()
@@ -134,8 +136,7 @@ def run_convergence(
         else:
             node_count, steps = fixed_nodes, level
         dt = t_end / steps
-        if progress is not None:
-            progress(f"{scheme.value} {axis} level {level}: J={node_count} steps={steps}")
+        _log.info("%s %s level %s: J=%s steps=%s", scheme.value, axis, level, node_count, steps)
         report = run(
             exact,
             scheme,
@@ -172,11 +173,6 @@ def run_convergence(
     return ConvergenceStudy(scheme=scheme, axis=axis, rows=rows, superconv_h1=superconv)
 
 
-def _round_t_end(t_max: float, dt: float) -> float:
-    steps = max(1, int(round(t_max / dt)))
-    return steps * dt
-
-
 def _classify(
     radii: Sequence[float],
     scheme: SchemeKind,
@@ -188,9 +184,7 @@ def _classify(
     """The terminal singularity of each radius's unforced torus circle,
     all advanced as one stack: its axis_touch or curve_collapse event,
     or the RuntimeError ``classify_radius`` raises for it."""
-    _require_positive("dt", dt)
-    _require_positive("t_max", t_max)
-    t_end = _round_t_end(t_max, dt)
+    t_end = max(1, _nearest_step_count("t_max", t_max, dt, positive=True)) * dt
     reports = _run_stack(
         [torus_circle(radius) for radius in radii],
         scheme,
@@ -285,7 +279,7 @@ def bisect_critical_radius(
     """
     if not 0.0 < lower < upper < 1.0:
         raise ValueError("need 0 < lower < upper < 1")
-    _require_positive("tol", tol)
+    _finite("tol", tol)
     results: dict[float, object] = {}
     probes: list[tuple[float, StopEvent]] = []
 

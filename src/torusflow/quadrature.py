@@ -4,12 +4,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .curves import _count
+
 
 @lru_cache(maxsize=None)
 def gauss_01(npts: int):
     """Nodes and weights on [0, 1], exact for polynomials of degree 2*npts - 1."""
-    if npts < 1:
-        raise ValueError("need at least one quadrature point")
+    npts = _count("quadrature_points", npts, 1)
     x, w = np.polynomial.legendre.leggauss(npts)
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w

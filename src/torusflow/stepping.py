@@ -40,7 +40,7 @@ from .assembly import (
     weighted_mass_matrix,
     weighted_stiffness_matrix,
 )
-from .curves import CurveFunction, CurveStack, PeriodicCurve, _node_count, interpolate
+from .curves import CurveFunction, CurveStack, PeriodicCurve, _circle, _count, _finite, interpolate
 from .cyclic_solver import SolveStatus, solve_cyclic
 from .diagnostics import (
     ErrorRecord,
@@ -136,9 +136,7 @@ class EventThresholds:
 
     def __post_init__(self):
         for name in ("axis", "collapse", "edge_fraction"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+            _finite(name, getattr(self, name), positive=False)
 
 
 class StepFailure(RuntimeError):
@@ -162,7 +160,7 @@ class StepperState:
     step_index: int = 0
 
     def __post_init__(self):
-        _require_positive("dt", self.dt)
+        _finite("dt", self.dt)
         if self.previous is not None and (
             self.previous.node_count != self.current.node_count
         ):
@@ -331,20 +329,20 @@ def bdf2_step(state: StepperState, source: Optional[SourceField] = None) -> Peri
 _STEPPERS = {kind: partial(_advance, kind) for kind in SchemeKind}
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def _nearest_step_count(name: str, t: float, dt: float, positive: bool) -> int:
+    """Number of steps of size dt nearest the time ``t`` called ``name``;
+    checks dt, then t (as ``_finite`` does), then that t / dt is finite."""
+    _finite("dt", dt)
+    _finite(name, t, positive)
+    ratio = t / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"{name} / dt overflows: {name} {t!r}, dt {dt!r}")
+    return int(round(ratio))
 
 
 def _step_count(t_end: float, dt: float) -> int:
     """Number of steps of size dt that reach t_end exactly."""
-    _require_positive("dt", dt)
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
-    ratio = t_end / dt
-    if not math.isfinite(ratio):
-        raise ValueError(f"t_end / dt overflows: t_end {t_end!r}, dt {dt!r}")
-    steps = int(round(ratio))
+    steps = _nearest_step_count("t_end", t_end, dt, positive=False)
     if abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end must be an integer multiple of dt")
     return steps
@@ -429,7 +427,7 @@ def _run_stack(
     and final curve its own run gives.  A member that stops leaves the
     stack; observers see every member's curves.
     """
-    node_count = _node_count(node_count)
+    node_count = _count("node_count", node_count, 3)
     scheme = SchemeKind(scheme)
     steps = _step_count(t_end, dt)
     starts = []
@@ -537,16 +535,7 @@ def _drift_rate(t: float) -> float:
 def manufactured_solution() -> CurveFunction:
     """Unit circle drifting along the radial axis; the exact solution used
     by the convergence harness."""
-
-    def value(rho, t=0.0):
-        ang = TWO_PI * np.asarray(rho, dtype=float)
-        return np.stack([_drift(t) + np.cos(ang), np.sin(ang)], axis=-1)
-
-    def derivative(rho, t=0.0):
-        ang = TWO_PI * np.asarray(rho, dtype=float)
-        return TWO_PI * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-
-    return CurveFunction(value, derivative)
+    return _circle(_drift, 1.0)
 
 
 def _forcing_basis(rho) -> np.ndarray:

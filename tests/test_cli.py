@@ -176,7 +176,7 @@ class TestSurfaceObj:
         assert peak < 1_000_000
 
     def test_rejects_degenerate_revolution(self, tmp_path):
-        with pytest.raises(ValueError, match="segments must be >= 3"):
+        with pytest.raises(ValueError, match="^segments must be at least 3, got 2$"):
             write_surface_obj(tmp_path / "m.obj", small_curve(), segments=2)
 
     @pytest.mark.parametrize("segments", [8.5, float("nan"), "8"])
@@ -288,7 +288,14 @@ class TestConvergeCommand:
         assert 1.8 <= float(second[2]) <= 2.2
         assert 0.9 <= float(second[4]) <= 1.1
         assert float(second[1]) < float(first[1])
-        assert "level 8" in capsys.readouterr().err
+        progress = ["bdf2 spatial level 8: J=8 steps=50", "bdf2 spatial level 16: J=16 steps=50"]
+        assert capsys.readouterr().err.splitlines() == progress
+        # a second command in the same process prints its lines once, and
+        # a command without --verbose prints none
+        assert main(self.ARGS + ["--out", str(out), "--verbose"]) == 0
+        assert capsys.readouterr().err.splitlines() == progress
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_stdout_output_and_determinism(self, tmp_path, capsys):
         assert main(self.ARGS + ["--out", "-"]) == 0
@@ -423,13 +430,13 @@ class TestErrorHandling:
         [
             (["converge", "--scheme", "cn", "--axis", "spatial", "--levels", "8,16",
               "--fixed-steps", "0", "--out", "-"],
-             "error: fixed_steps must be an integer of at least 1, got 0"),
+             "error: fixed_steps must be at least 1, got 0"),
             (["converge", "--scheme", "cn", "--axis", "spatial", "--levels", "8,16",
               "--fixed-steps", "-3", "--out", "-"],
-             "error: fixed_steps must be an integer of at least 1, got -3"),
+             "error: fixed_steps must be at least 1, got -3"),
             (["converge", "--scheme", "cn", "--axis", "temporal", "--levels", "8,16",
               "--fixed-nodes", "2", "--out", "-"],
-             "error: fixed_nodes must be an integer of at least 3, got 2"),
+             "error: fixed_nodes must be at least 3, got 2"),
             (["converge", "--scheme", "cn", "--axis", "spatial", "--levels", "8,16",
               "--t-end", "0", "--out", "-"],
              "error: t_end must be positive and finite, got 0.0"),
@@ -439,6 +446,9 @@ class TestErrorHandling:
             (["bisect", "--lower", "0.5", "--upper", "0.7", "--tol", "0.01", "--scheme", "cn",
               "--t-max", "nan"],
              "error: t_max must be positive and finite, got nan"),
+            (["bisect", "--lower", "0.5", "--upper", "0.7", "--tol", "0.01", "--scheme", "cn",
+              "--nodes", "16", "--dt", "1e-300", "--t-max", "1e300"],
+             "error: t_max / dt overflows: t_max 1e+300, dt 1e-300"),
         ],
     )
     def test_bad_study_inputs_are_named(self, capsys, monkeypatch, argv, message):

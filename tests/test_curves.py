@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,14 @@ class TestGeometries:
             spiral_curve(inner=0.0)
         with pytest.raises(ValueError):
             spiral_curve(layers=0)
+        for kwargs, message in [
+            (dict(layers=1.5), "layers must be an integer of at least 1, got 1.5"),
+            (dict(inner=float("nan")), "inner must be positive and finite, got nan"),
+            (dict(spread=float("inf")), "spread must be nonnegative and finite, got inf"),
+            (dict(center=float("nan")), "center must be positive and finite, got nan"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                spiral_curve(**kwargs)
 
 
 class TestInterpolationAccuracy:

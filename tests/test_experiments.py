@@ -55,12 +55,17 @@ class TestRunConvergence:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            (dict(fixed_steps=0), "fixed_steps must be an integer of at least 1, got 0"),
-            (dict(fixed_steps=-3), "fixed_steps must be an integer of at least 1, got -3"),
+            (dict(fixed_steps=0), "fixed_steps must be at least 1, got 0"),
+            (dict(fixed_steps=-3), "fixed_steps must be at least 1, got -3"),
             (dict(fixed_steps=2.5), "fixed_steps must be an integer of at least 1, got 2.5"),
-            (dict(fixed_nodes=2), "fixed_nodes must be an integer of at least 3, got 2"),
+            (dict(fixed_nodes=2), "fixed_nodes must be at least 3, got 2"),
             (dict(t_end=0.0), "t_end must be positive and finite, got 0.0"),
             (dict(t_end=float("nan")), "t_end must be positive and finite, got nan"),
+            (dict(levels=[3.7, 4.2]), "levels must be an integer of at least 3, got 3.7"),
+            (dict(levels=[8, float("nan")]), "levels must be an integer of at least 3, got nan"),
+            (dict(levels=[8, 8]), "levels must be strictly increasing, got [8, 8]"),
+            # an integral float is a count: fixed_steps passes and fixed_nodes is named
+            (dict(fixed_steps=10000.0, fixed_nodes=2), "fixed_nodes must be at least 3, got 2"),
         ],
     )
     def test_rejects_bad_sizes_by_name(self, monkeypatch, kwargs, message):
@@ -69,7 +74,7 @@ class TestRunConvergence:
 
         monkeypatch.setattr(experiments, "run", no_run)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run_convergence("cn", "spatial", [8, 16], **kwargs)
+            run_convergence("cn", "spatial", **{"levels": [8, 16], **kwargs})
 
     def test_spatial_smoke_ladder(self):
         study = run_convergence("bdf2", "spatial", [8, 16, 32], t_end=0.2, fixed_steps=400)
@@ -132,6 +137,7 @@ class TestClassifyRadius:
             (dict(t_max=float("nan")), "t_max"),
             (dict(t_max=-1.0), "t_max"),
             (dict(t_max=float("inf")), "t_max"),
+            (dict(node_count=16, dt=1e-300, t_max=1e300), "t_max / dt"),
         ],
     )
     def test_rejects_bad_step_inputs_by_name(self, monkeypatch, kwargs, name):
@@ -139,9 +145,10 @@ class TestClassifyRadius:
             raise AssertionError("the run started")
 
         monkeypatch.setattr(experiments, "run", no_run)
-        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+        message = f"^{re.escape(name)} (must be positive and finite, got |overflows: )"
+        with pytest.raises(ValueError, match=message):
             classify_radius(0.6, "cn", **kwargs)
-        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+        with pytest.raises(ValueError, match=message):
             bisect_critical_radius(0.5, 0.7, 0.01, "cn", **kwargs)
 
     def test_undecided_run_raises(self):
