@@ -13,7 +13,7 @@ separable source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class CyclicTridiagonal:
     sub: np.ndarray
     sup: np.ndarray
 
+    # True only for bands an assembler built exactly symmetric:
+    # sub[j] == sup[j - 1] for every j, the corners included
+    _symmetric = False
+
     def __post_init__(self):
         diag, sub, sup = map(_readonly, (self.diag, self.sub, self.sup))
         if not (diag.ndim == sub.ndim == sup.ndim == 1):
@@ -67,14 +71,17 @@ class CyclicTridiagonal:
         object.__setattr__(self, "sup", sup)
 
     @classmethod
-    def _owned(cls, diag, sub, sup) -> "CyclicTridiagonal":
+    def _owned(cls, diag, sub, sup, symmetric: bool = False) -> "CyclicTridiagonal":
         """Matrix on freshly computed bands that nothing else holds:
         made read-only in place, without the constructor's copies and
-        checks.  Bands of shape (B, J) make a stack of matrices."""
+        checks.  Bands of shape (B, J) make a stack of matrices.
+        ``symmetric`` declares bands symmetric by construction, which
+        the solver then takes on trust."""
         matrix = object.__new__(cls)
         for name, band in (("diag", diag), ("sub", sub), ("sup", sup)):
             band.setflags(write=False)
             object.__setattr__(matrix, name, band)
+        object.__setattr__(matrix, "_symmetric", symmetric)
         return matrix
 
     @property
@@ -85,17 +92,16 @@ class CyclicTridiagonal:
         """Product with nodal vectors, shape (J,) or columns (J, k); for a
         stack of matrices (B, J) or (B, J, k)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == self.diag.ndim:
-            lower = np.concatenate((x[..., -1:], x[..., :-1]), axis=-1)
-            upper = np.concatenate((x[..., 1:], x[..., :1]), axis=-1)
-            return self.diag * x + self.sub * lower + self.sup * upper
-        lower = np.concatenate((x[..., -1:, :], x[..., :-1, :]), axis=-2)
-        upper = np.concatenate((x[..., 1:, :], x[..., :1, :]), axis=-2)
-        return (
-            self.diag[..., None] * x
-            + self.sub[..., None] * lower
-            + self.sup[..., None] * upper
-        )
+        columns = x.ndim > self.diag.ndim
+        if columns:
+            # the columns as rows of a transposed view: the step kernel
+            # stores them so, component by component
+            x = x.T if x.ndim == 2 else x.transpose(2, 0, 1)
+        wrapped = np.concatenate((x[..., -1:], x, x[..., :1]), axis=-1)
+        out = self.diag * x + self.sub * wrapped[..., :-2] + self.sup * wrapped[..., 2:]
+        if columns:
+            out = out.T if out.ndim == 2 else out.transpose(1, 2, 0)
+        return out
 
     def to_dense(self) -> np.ndarray:
         J = self.order
@@ -107,7 +113,14 @@ class CyclicTridiagonal:
         return dense
 
     def inf_norm(self) -> float:
-        return float((np.abs(self.diag) + np.abs(self.sub) + np.abs(self.sup)).max())
+        return float(np.max(self._member_norms))
+
+    @cached_property
+    def _member_norms(self) -> list[float]:
+        """Largest absolute row sum of each member of a stack, one entry
+        for a single matrix, computed once."""
+        sums = np.abs(self.diag) + np.abs(self.sub) + np.abs(self.sup)
+        return sums.reshape(-1, self.order).max(axis=1).tolist()
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -128,15 +141,15 @@ def weighted_mass_matrix(weight) -> CyclicTridiagonal:
     squared reference speed.
     """
     weight.require_admissible("mass matrix weight")
-    h = weight.spacing
     (rl, w), rr = weight._elements, weight.r
-    left = w * h * (rl / 4.0 + rr / 12.0)
-    right = w * h * (rl / 12.0 + rr / 4.0)
-    cross = w * h * (rl + rr) / 12.0
+    wh = w * weight.spacing
+    left = wh * (rl / 4.0 + rr / 12.0)
+    right = wh * (rl / 12.0 + rr / 4.0)
+    cross = wh * (rl + rr) / 12.0
     diag = right + _next(left)
     sub = cross
     sup = _next(cross)
-    return CyclicTridiagonal._owned(diag, sub, sup)
+    return CyclicTridiagonal._owned(diag, sub, sup, symmetric=True)
 
 
 def weighted_stiffness_matrix(weight) -> CyclicTridiagonal:
@@ -152,7 +165,7 @@ def weighted_stiffness_matrix(weight) -> CyclicTridiagonal:
     diag = rbar + _next(rbar)
     sub = -rbar
     sup = _next(sub)
-    return CyclicTridiagonal._owned(diag, sub, sup)
+    return CyclicTridiagonal._owned(diag, sub, sup, symmetric=True)
 
 
 def radial_direction_load(weight) -> np.ndarray:

@@ -48,12 +48,14 @@ def _count(name: str, value, least: int) -> int:
 def _finite(name: str, value, positive: bool = True) -> None:
     """Check that ``value`` is a finite real number, positive or, with
     ``positive=False``, nonnegative."""
-    if not (
-        isinstance(value, Real)
-        and math.isfinite(value)
-        and (value > 0.0 if positive else value >= 0.0)
-    ):
-        sign = "positive" if positive else "nonnegative"
+    sign = "positive" if positive else "nonnegative"
+    try:
+        ok = isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the range of a float
+        raise ValueError(
+            f"{name} must be {sign} and finite, got an integer too large for a float"
+        ) from None
+    if not (ok and (value > 0.0 if positive else value >= 0.0)):
         raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 

@@ -5,22 +5,25 @@ matrix is a stack of one.  The periodic coupling is folded out of each
 member with a rank-one Sherman-Morrison update whose shift
 gamma = -diag[0] keeps a symmetric positive definite matrix's
 tridiagonal core symmetric positive definite.  The cores of an exactly
-symmetric stack, the step matrices among them, are factored as one
-block LDL^T (LAPACK pttrf) whose couplings across member boundaries are
-zero, so it splits exactly into the members' own factorizations; one
-extra column carries the rank-one vectors.  A single member that is
-not symmetric, or whose core pttrf rejects, is factored by pivoted LU
-(LAPACK gttrf).  Every order J >= 3 takes this path: the wrap columns
-(j -+ 1) mod J never coincide with each other or with the diagonal.
+symmetric stack are factored as one block LDL^T (LAPACK pttrf) whose
+couplings across member boundaries are zero, so it splits exactly into
+the members' own factorizations; one extra column carries the rank-one
+vectors.  A single member that is not symmetric, or whose core pttrf
+rejects, is factored by pivoted LU (LAPACK gttrf).  Every order J >= 3
+takes this path: the wrap columns (j -+ 1) mod J never coincide with
+each other or with the diagonal.  The assemblers declare their
+matrices symmetric by construction (mass, stiffness and step
+matrices); any other matrix has its bands compared.
 
-Each member is audited on its own.  A member of a larger stack that
-misses the audit, or every member when the block cannot be factored,
-is solved again as a stack of one.  A stack of one gets up to two
-refinement steps on its factors and, when the split breaks down or
-stays inaccurate, is redone once with a second shift, -|A|_inf, before
-a failure is reported.  Every result carries a measured residual, an
-explicit status and the path taken; callers can rely on
-``status == OK`` instead of re-checking.
+Each member is audited on its own, against the first bound that
+suffices.  A stack whose members all pass is done after one split and
+one audit.  A member of a larger stack that misses the audit, or every
+member when the block cannot be factored, is solved again as a stack
+of one.  A stack of one gets up to two refinement steps on its factors
+and, when the split breaks down or stays inaccurate, is redone once
+with a second shift, -|A|_inf, before a failure is reported.  Every
+result carries a measured residual, an explicit status and the path
+taken; callers can rely on ``status == OK`` instead of re-checking.
 """
 
 from __future__ import annotations
@@ -96,44 +99,52 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
         raise ValueError(f"rhs must have shape {dims} or {dims} + (k,), got {b.shape}")
     if not stacked:
         matrix = _rows(matrix, None)
-    r = _solve(matrix, b.reshape(*matrix.diag.shape, -1))
-    solution, members = r.solution.reshape(b.shape), r.members if stacked else ()
-    return SolveReport(solution, r.residual_norm, r.status, r.path, r.refinements, members)
+    cols = b.reshape(*matrix.diag.shape, -1)
+    shifts = [-v if v != 0.0 else 1.0 for v in matrix.diag[:, 0].tolist()]
+    first = _split(matrix, shifts, cols)
+    path, x, _, _, outcomes = first
+    status, refinements = SolveStatus.OK, 0
+    if x is None or any(verdict is not SolveStatus.OK for verdict, _ in outcomes):
+        r = _solve(matrix, cols, shifts, first)
+        x, status, path, refinements, outcomes = r.solution, r.status, r.path, r.refinements, r.members
+    residual_norm = max(res for _, res in outcomes)
+    members = tuple(outcomes) if stacked else ()
+    return SolveReport(x.reshape(b.shape), residual_norm, status, path, refinements, members)
 
 
 def _rows(matrix: CyclicTridiagonal, index) -> CyclicTridiagonal:
     """The stack of ``band[index]`` of each band, viewed, not copied."""
     bands = (matrix.diag, matrix.sub, matrix.sup)
-    return CyclicTridiagonal._owned(*(band[index] for band in bands))
+    return CyclicTridiagonal._owned(*(band[index] for band in bands), matrix._symmetric)
 
 
-def _solve(matrix: CyclicTridiagonal, cols: np.ndarray) -> SolveReport:
+def _solve(matrix: CyclicTridiagonal, cols: np.ndarray, shifts: list, first) -> SolveReport:
     """Report on a stack of B matrices for right sides (B, J, k), with
-    ``members`` filled in whatever B is."""
+    ``members`` filled in whatever B is, once ``first``, its ``_split``
+    with the shifts, has missed the audit."""
     B = len(cols)
-    first = [-v if v != 0.0 else 1.0 for v in matrix.diag[:, 0].tolist()]
     if B == 1:
-        report = _refined(matrix, cols, first[0])
+        report = _refined(matrix, cols, shifts[0], first)
         if report.status is SolveStatus.OK:
             return report
         # any negative shift keeps the core of an SPD matrix positive definite
-        second = -matrix.inf_norm()
-        if second in (0.0, first[0]):
+        second = -matrix._member_norms[0]
+        if second in (0.0, shifts[0]):
             return report
         retry = _refined(matrix, cols, second)
         if retry.status is SolveStatus.OK or retry.residual_norm < report.residual_norm:
             return retry
         return report
 
-    path, x, _ = _split(matrix, np.array(first), cols)
+    path, x, _, _, outcomes = first
     if x is None:
         x, outcomes, redo = np.empty_like(cols), [None] * B, range(B)
     else:
-        _, outcomes = _audit(matrix, cols, x)
         redo = [i for i, (status, _) in enumerate(outcomes) if status is not SolveStatus.OK]
     alone = []
     for i in redo:
-        report = _solve(_rows(matrix, slice(i, i + 1)), cols[i : i + 1])
+        member, member_cols, shift = _rows(matrix, slice(i, i + 1)), cols[i : i + 1], shifts[i : i + 1]
+        report = _solve(member, member_cols, shift, _split(member, shift, member_cols))
         x[i] = report.solution[0]
         outcomes[i] = report.members[0]
         alone.append(report)
@@ -147,14 +158,15 @@ def _solve(matrix: CyclicTridiagonal, cols: np.ndarray) -> SolveReport:
     return SolveReport(x, residual_norm, worst, path, refinements, tuple(outcomes))
 
 
-def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float) -> SolveReport:
+def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float, first=None) -> SolveReport:
     """Audited solution of a stack of one split with shift gamma, refined
-    on its factors while it misses the audit."""
-    path, x, solve = _split(matrix, np.array([gamma]), cols)
+    on its factors while it misses the audit; ``first`` is that
+    ``_split`` when it is already done."""
+    path, x, solve, residual, outcomes = first or _split(matrix, [gamma], cols)
     if x is None:
         nan, singular = np.full_like(cols, np.nan), SolveStatus.SINGULAR
         return SolveReport(nan, math.inf, singular, path, 0, ((singular, math.inf),))
-    residual, ((status, res_norm),) = _audit(matrix, cols, x)
+    ((status, res_norm),) = outcomes
     refinements = 0
     while status is SolveStatus.ILL_CONDITIONED and refinements < MAX_REFINEMENTS:
         refinements += 1
@@ -166,17 +178,19 @@ def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float) -> Solve
     return SolveReport(x, res_norm, status, path, refinements, ((status, res_norm),))
 
 
-def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
-    """(path, x, solve) for a stack of B matrices split with the shifts
-    gamma (B,): x the solutions (B, J, k) of cols, stored column by
-    column, (k, B, J) in memory, and solve mapping further right sides
-    to solutions on the same factors.  Exactly symmetric stacks are
-    factored as one block LDL^T, a single member otherwise by pivoted
-    LU.  x is None when the split breaks down, or for B > 1 when the
-    block cannot be factored; a member whose rank-one denominator breaks
-    down gets NaN, which fails its audit."""
+def _split(matrix: CyclicTridiagonal, gamma, cols: np.ndarray):
+    """(path, x, solve, residual, outcomes) for a stack of B matrices
+    split with the shifts gamma (B,): x the solutions (B, J, k) of
+    cols, stored column by column, (k, B, J) in memory, solve mapping
+    further right sides to solutions on the same factors, and the
+    ``_audit`` of x.  Exactly symmetric stacks are factored as one block
+    LDL^T, a single member otherwise by pivoted LU.  All but the path
+    are None when the split breaks down, or for B > 1 when the block
+    cannot be factored; a member whose rank-one denominator breaks down
+    gets NaN, which fails its audit."""
     diag, sub, sup = matrix.diag, matrix.sub, matrix.sup
     B, J, k = cols.shape
+    gamma = np.asarray(gamma, dtype=float)
     alpha = sup[:, -1]  # corner entries in row J-1, column 0
     beta = sub[:, 0]  # corner entries in row 0, column J-1
     d = diag.copy()
@@ -187,17 +201,20 @@ def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
     e = e.ravel()[:-1]
 
     core = None
-    if alpha.tolist() == beta.tolist() and (sub[:, 1:] == sup[:, :-1]).all():
+    symmetric = matrix._symmetric or (
+        alpha.tolist() == beta.tolist() and (sub[:, 1:] == sup[:, :-1]).all()
+    )
+    if symmetric:
         df, ef, info = lapack.dpttrf(d.ravel(), e)
         if info == 0:
             path, core = "ldlt", partial(lapack.dpttrs, df, ef)
     if core is None:
         path = "lu"
         if B > 1:
-            return path, None, None
+            return path, None, None, None, None
         dlf, df, duf, du2, ipiv, info = lapack.dgttrf(sub[0, 1:], d[0], e)
         if info != 0:
-            return path, None, None
+            return path, None, None, None, None
         core = partial(lapack.dgttrs, dlf, df, duf, du2, ipiv)
 
     def substitute(columns):
@@ -225,24 +242,32 @@ def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
     def solve(more):
         return corrected(substitute(np.array(more.transpose(2, 0, 1), order="C")))
 
-    return path, corrected(y), solve
+    x = corrected(y)
+    return (path, x, solve, *_audit(matrix, cols, x))
 
 
 def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):
     """Residuals A x - b of a stack, and each member's (status,
-    residual inf-norm)."""
+    residual inf-norm).
+
+    A residual within RESIDUAL_RTOL * |b|_inf passes at once: the full
+    bound only adds |A|_inf * |x|_inf >= 0, and a finite residual below
+    a finite bound implies a finite x, since every entry of x enters the
+    residual.  Only a member that misses pays for |x|_inf and |A|_inf.
+    """
     residual = matrix.matvec(x) - cols
-    band_sum = np.abs(matrix.diag) + np.abs(matrix.sub) + np.abs(matrix.sup)
     outcomes = []
-    for res, x_max, b_max, a_norm in zip(
+    for i, (res, b_max) in enumerate(zip(
         np.abs(residual).max(axis=(1, 2)).tolist(),
-        np.abs(x).max(axis=(1, 2)).tolist(),
         np.abs(cols).max(axis=(1, 2)).tolist(),
-        band_sum.max(axis=1).tolist(),
-    ):
+    )):
+        if res <= RESIDUAL_RTOL * b_max < math.inf:
+            outcomes.append((SolveStatus.OK, res))
+            continue
+        x_max = float(np.abs(x[i]).max())
         if not math.isfinite(x_max):
             outcomes.append((SolveStatus.SINGULAR, math.inf))
-        elif res <= RESIDUAL_RTOL * (b_max + a_norm * x_max):
+        elif res <= RESIDUAL_RTOL * (b_max + matrix._member_norms[i] * x_max):
             outcomes.append((SolveStatus.OK, res))
         else:
             outcomes.append((SolveStatus.ILL_CONDITIONED, res))

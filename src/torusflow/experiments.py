@@ -193,6 +193,7 @@ def _classify(
         t_end,
         thresholds=thresholds,
         track_diameter=False,
+        keep_records=False,
     )
     out = []
     for radius, report in zip(radii, reports):

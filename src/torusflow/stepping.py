@@ -35,6 +35,7 @@ import numpy as np
 
 from .assembly import (
     CyclicTridiagonal,
+    _next,
     radial_direction_load,
     source_load,
     weighted_mass_matrix,
@@ -254,15 +255,17 @@ def _advance(
         x, x_prev, weight = x[rows], x_prev[rows], weight.take(rows)
     mass = weighted_mass_matrix(weight)
     stiff = weighted_stiffness_matrix(weight)
-    matrix = CyclicTridiagonal._owned(
-        c / dt * mass.diag + theta * stiff.diag,
-        c / dt * mass.sub + theta * stiff.sub,
-        c / dt * mass.sup + theta * stiff.sup,
-    )
-    rhs = mass.matvec(h0 * x + h1 * x_prev) / dt
+    # terms of weight 1 go unscaled and terms of weight 0 are left out,
+    # which changes no bit of the result
+    scale = c / dt
+    diag = scale * mass.diag + (stiff.diag if theta == 1.0 else theta * stiff.diag)
+    sub = scale * mass.sub + (stiff.sub if theta == 1.0 else theta * stiff.sub)
+    # both matrices are symmetric by construction, so sup is sub shifted
+    matrix = CyclicTridiagonal._owned(diag, sub, _next(sub), symmetric=True)
+    rhs = mass.matvec(x if (h0, h1) == (1.0, 0.0) else h0 * x + h1 * x_prev) / dt
     if theta != 1.0:
-        rhs = rhs - (1.0 - theta) * stiff.matvec(x)
-    rhs = rhs - radial_direction_load(weight)
+        rhs -= (1.0 - theta) * stiff.matvec(x)
+    rhs -= radial_direction_load(weight)
     if source is not None:
         rhs = rhs + sum(
             w * source_load(source, x.shape[1], t)
@@ -420,12 +423,15 @@ def _run_stack(
     observers: Sequence[Callable] = (),
     track_diameter: bool = True,
     error_rule: str = "gauss5",
+    keep_records: bool = True,
 ) -> list[RunReport]:
     """``run`` for several curves on one grid, advanced as one stack.
 
     Returns one report per initial curve, each with the event, records
     and final curve its own run gives.  A member that stops leaves the
-    stack; observers see every member's curves.
+    stack; observers see every member's curves.  With
+    ``keep_records=False`` every report's records are empty; the stop
+    events do not read records, so they are the same either way.
     """
     node_count = _count("node_count", node_count, 3)
     scheme = SchemeKind(scheme)
@@ -439,17 +445,23 @@ def _run_stack(
         else:
             starts.append(interpolate(initial, node_count, 0.0).positions)
     thresholds = thresholds if thresholds is not None else EventThresholds()
-    with_curve = exact is not None or track_diameter or bool(observers)
+    with_curve = bool(observers) or keep_records and (exact is not None or track_diameter)
 
     records: list[list[ErrorRecord]] = [[] for _ in starts]
     events: list[Optional[StopEvent]] = [None] * len(starts)
     finals: list[Optional[PeriodicCurve]] = [None] * len(starts)
 
     def accept(idx: int, t: float, curves: CurveStack) -> dict[int, StopEvent]:
-        """Record every member's new state; return the events it triggers."""
-        ratios, rmin = mesh_ratio(curves), min_radial(curves)
-        for row, member in enumerate(members):
+        """Show every member's new state to the observers and record it;
+        return the events it triggers."""
+        if keep_records:
+            ratios, rmin = mesh_ratio(curves), min_radial(curves)
+        for row, member in enumerate(members if keep_records or observers else ()):
             curve = curves.member(row) if with_curve else None
+            for obs in observers:
+                obs(idx, t, curve)
+            if not keep_records:
+                continue
             if exact is not None:
                 e_l2 = l2_error(curve, exact, t, rule=error_rule)
                 e_h1 = h1_seminorm_error(curve, exact, t, rule=error_rule)
@@ -468,8 +480,6 @@ def _run_stack(
                     diameter=diameter(curve) if track_diameter else nan,
                 )
             )
-            for obs in observers:
-                obs(idx, t, curve)
         return _state_events(curves, t, thresholds)
 
     def retire(stopped: dict[int, StopEvent], curves: CurveStack) -> list[int]:

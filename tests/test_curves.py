@@ -223,6 +223,10 @@ class TestGeometries:
             (dict(inner=float("nan")), "inner must be positive and finite, got nan"),
             (dict(spread=float("inf")), "spread must be nonnegative and finite, got inf"),
             (dict(center=float("nan")), "center must be positive and finite, got nan"),
+            (
+                dict(center=10**400),
+                "center must be positive and finite, got an integer too large for a float",
+            ),
         ]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 spiral_curve(**kwargs)

@@ -18,7 +18,7 @@ from torusflow import (
     weighted_stiffness_matrix,
 )
 from torusflow import cyclic_solver
-from torusflow.cyclic_solver import RESIDUAL_RTOL, _refined, _split
+from torusflow.cyclic_solver import RESIDUAL_RTOL, _audit, _refined, _split
 
 from oracles import random_admissible_positions, thomas_like_dense_solve
 
@@ -172,6 +172,18 @@ class TestPaths:
         assert report.status is SolveStatus.OK
         expect = thomas_like_dense_solve(m.to_dense(), rhs)
         assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_public_constructor_matrices_are_compared_not_trusted(self, rng):
+        # only the assemblers declare symmetry; the bands of any other
+        # matrix are compared, so one ulp off symmetric takes LU
+        m = symmetric_dominant_matrix(rng, 16)
+        sup = m.sup.copy()
+        sup[7] = np.nextafter(sup[7], np.inf)
+        lopsided = CyclicTridiagonal(m.diag, m.sub, sup)
+        for matrix, path in ((m, "ldlt"), (lopsided, "lu")):
+            assert not matrix._symmetric
+            report = solve_cyclic(matrix, rng.normal(size=16))
+            assert report.path == path and report.status is SolveStatus.OK
 
     def test_symmetric_indefinite_falls_back_to_lu(self, rng):
         m = symmetric_dominant_matrix(rng, 40)
@@ -396,3 +408,64 @@ class TestStack:
             solve_cyclic(matrix, np.ones((3, 8, 2)))
         with pytest.raises(ValueError):
             solve_cyclic(matrix, np.ones(8))
+
+
+class TestAudit:
+    """The audit stops at the first bound that suffices; its verdicts are
+    those of the full bound |A x - b| <= RESIDUAL_RTOL (|b| + |A| |x|)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        B=st.integers(1, 4),
+        J=st.integers(3, 40),
+        k=st.integers(1, 3),
+        symmetric=st.booleans(),
+        bound=st.sampled_from(["cheap", "full"]),
+        factor=st.floats(0.25, 4.0),
+        poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        poison_rhs=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    def test_verdicts_match_the_full_bound(
+        self, seed, B, J, k, symmetric, bound, factor, poison, poison_rhs
+    ):
+        rng = np.random.default_rng(seed)
+        make = symmetric_dominant_matrix if symmetric else random_dominant_matrix
+        members = [make(rng, J) for _ in range(B)]
+        bands = (np.stack([getattr(m, band) for m in members]) for band in ("diag", "sub", "sup"))
+        matrix = CyclicTridiagonal._owned(*bands, symmetric)
+        x = rng.normal(size=(B, J, k)) * 10.0 ** rng.uniform(-3, 3, size=(B, 1, 1))
+        exact = matrix.matvec(x)
+        a_norms = [m.inf_norm() for m in members]
+        # each member's residual is put at `factor` times the cheap bound
+        # RESIDUAL_RTOL |b| or the full one, on either side of it
+        noise = rng.uniform(-1.0, 1.0, size=x.shape)
+        noise /= np.abs(noise).max(axis=(1, 2), keepdims=True)
+        scales = []
+        for i in range(B):
+            level = np.abs(exact[i]).max()
+            if bound == "full":
+                level += a_norms[i] * np.abs(x[i]).max()
+            scales.append(factor * RESIDUAL_RTOL * level)
+        cols = exact - np.array(scales)[:, None, None] * noise
+        if poison is not None:
+            x[rng.integers(B), rng.integers(J), rng.integers(k)] = poison
+        if poison_rhs is not None:
+            # an infinite b makes even the cheap bound infinite
+            cols[rng.integers(B), rng.integers(J), rng.integers(k)] = poison_rhs
+
+        with np.errstate(invalid="ignore"):  # inf - inf in a poisoned residual
+            residual, outcomes = _audit(matrix, cols, x)
+            product = matrix.matvec(x)
+
+        assert len(outcomes) == B
+        for i, (status, res) in enumerate(outcomes):
+            if not np.isfinite(x[i]).all():
+                assert (status, res) == (SolveStatus.SINGULAR, np.inf)
+                continue
+            true_res = np.abs(product[i] - cols[i]).max()
+            full = RESIDUAL_RTOL * (np.abs(cols[i]).max() + a_norms[i] * np.abs(x[i]).max())
+            expect = SolveStatus.OK if true_res <= full else SolveStatus.ILL_CONDITIONED
+            assert status is expect
+            assert res == true_res or np.isnan(res) and np.isnan(true_res)
+            assert np.array_equal(residual[i], product[i] - cols[i], equal_nan=True)

@@ -11,9 +11,11 @@ from torusflow import (
     bisect_critical_radius,
     classify_radius,
     interpolate,
+    run,
     run_convergence,
     run_scenario,
     scenario_curve,
+    torus_circle,
 )
 from torusflow import experiments
 from torusflow.experiments import CHECKPOINT_COUNT, _checkpoint_steps
@@ -151,6 +153,29 @@ class TestClassifyRadius:
         with pytest.raises(ValueError, match=message):
             bisect_critical_radius(0.5, 0.7, 0.01, "cn", **kwargs)
 
+    def test_classifying_without_records_gives_the_events_of_run(self, monkeypatch):
+        # the stop events read the curves, not the records, so a stack
+        # that keeps none ends each member exactly where run ends it
+        kept = []
+        real = experiments._run_stack
+
+        def spy(*args, **kwargs):
+            reports = real(*args, **kwargs)
+            kept.extend(len(report.records) for report in reports)
+            return reports
+
+        monkeypatch.setattr(experiments, "_run_stack", spy)
+        radii, dt, t_max = [0.5, 0.7], 1e-3, 0.5
+        events = experiments._classify(radii, "cn", 32, dt, t_max, None)
+        assert kept == [0, 0]
+        assert [event.kind for event in events] == [StopKind.CURVE_COLLAPSE, StopKind.AXIS_TOUCH]
+        for radius, event in zip(radii, events):
+            report = run(torus_circle(radius), "cn", 32, dt, t_max, track_diameter=False)
+            assert report.records
+            assert (event.kind, event.time, event.metric) == (
+                report.event.kind, report.event.time, report.event.metric
+            )
+
     def test_undecided_run_raises(self):
         with pytest.raises(RuntimeError, match="without a singularity"):
             classify_radius(0.5, "bdf1", t_max=0.01, **COARSE)
@@ -175,7 +200,9 @@ class TestBisection:
         with pytest.raises(ValueError):
             bisect_critical_radius(0.5, 0.7, 0.0, "cn")
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.01])
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), float("inf"), -0.01, pytest.param(10**400, id="huge-int")]
+    )
     def test_rejects_bad_tol_by_name(self, tol):
         with pytest.raises(ValueError, match="^tol must be positive and finite"):
             bisect_critical_radius(0.5, 0.7, tol, "cn")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow import (
+    CyclicTridiagonal,
     EventThresholds,
     PeriodicCurve,
     SchemeKind,
@@ -197,7 +198,7 @@ def random_state(seed, J, dt=2e-3):
     return StepperState(PeriodicCurve(cur), PeriodicCurve(prev), 0.4, dt, 1)
 
 
-def step_matrix(stepper, state):
+def step_matrix(stepper, state, source=None):
     """The matrix a step hands to the cyclic solver."""
     seen = []
 
@@ -206,7 +207,7 @@ def step_matrix(stepper, state):
         return solve_cyclic(matrix, rhs)
 
     with mock.patch.object(stepping, "solve_cyclic", spy):
-        stepper(state)
+        stepper(state, source)
     return seen[0]
 
 
@@ -215,9 +216,24 @@ class TestSymmetries:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 64))
     def test_step_matrix_is_exactly_symmetric(self, scheme, seed, J):
-        m = step_matrix(STEPPERS[scheme], random_state(seed, J))
+        # the solver takes the assemblers' symmetric declaration on trust,
+        # so every matrix built with it must pass the exact band compare:
         # row j's entry for node j-1 equals row j-1's entry for node j
-        assert np.array_equal(m.sub, np.roll(m.sup, 1))
+        declared = []
+        real = CyclicTridiagonal._owned
+
+        def spy(*args, **kwargs):
+            matrix = real(*args, **kwargs)
+            if matrix._symmetric:
+                declared.append(matrix)
+            return matrix
+
+        with mock.patch.object(CyclicTridiagonal, "_owned", spy):
+            m = step_matrix(STEPPERS[scheme], random_state(seed, J), FORCING)
+        # mass, stiffness and the step matrix, and the step matrix is among them
+        assert len(declared) >= 3 and any(d is m for d in declared)
+        for matrix in declared:
+            assert np.array_equal(matrix.sub, np.roll(matrix.sup, 1, axis=-1))
 
     @pytest.mark.parametrize("scheme", ["bdf1", "cn", "bdf2"])
     @settings(max_examples=50, deadline=None)
@@ -329,6 +345,8 @@ class TestRunDriver:
             (1e-2, float("nan"), "t_end"),
             (1e-2, float("inf"), "t_end"),
             (5e-324, 0.1, "t_end / dt"),
+            pytest.param(10**400, 0.1, "dt", id="huge-int-dt"),
+            pytest.param(1e-2, 10**400, "t_end", id="huge-int-t_end"),
         ],
     )
     def test_rejects_bad_step_inputs_by_name(self, dt, t_end, name):
@@ -440,6 +458,12 @@ class TestStoppingEvents:
         message = f"{name} must be nonnegative and finite, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EventThresholds(**{name: value})
+
+    @pytest.mark.parametrize("name", ["axis", "collapse", "edge_fraction"])
+    def test_thresholds_name_an_int_too_large_for_a_float(self, name):
+        message = f"{name} must be nonnegative and finite, got an integer too large for a float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EventThresholds(**{name: 10**400})
 
     def test_initial_state_can_already_trigger(self):
         report = run(
