@@ -208,6 +208,17 @@ def interpolate(f: CurveFunction, node_count: int, t: float = 0.0) -> PeriodicCu
     return PeriodicCurve(f(rho, t))
 
 
+@dataclass(frozen=True, kw_only=True)
+class _Circle(CurveFunction):
+    """Circle of ``radius`` about (center(t), 0), traversed once
+    counterclockwise.  The error norms in ``diagnostics`` sample it from
+    cached cos and sin tables with the arithmetic of ``value`` and
+    ``derivative``, so their numbers are the same either way."""
+
+    center: Callable[[float], float]
+    radius: float
+
+
 def _circle(center: Callable[[float], float], radius: float) -> CurveFunction:
     """Circle of the given radius about (center(t), 0), traversed once
     counterclockwise."""
@@ -220,7 +231,7 @@ def _circle(center: Callable[[float], float], radius: float) -> CurveFunction:
         ang = TWO_PI * np.asarray(rho, dtype=float)
         return TWO_PI * radius * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
 
-    return CurveFunction(value, derivative)
+    return _Circle(value, derivative, center=center, radius=radius)
 
 
 def torus_circle(radius: float) -> CurveFunction:

@@ -91,6 +91,8 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     gamma = -|A|_inf and the better result is returned.  SINGULAR then
     means both splits broke down; a nonsingular matrix can only get there
     when every shift leaves its core singular, as for a pure cyclic shift.
+    A right side holding inf or NaN, or a solution that overflows, raises
+    no floating-point warning: the report's status says what went wrong.
     """
     b = np.asarray(rhs, dtype=float)
     stacked = matrix.diag.ndim == 2
@@ -101,12 +103,15 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
         matrix = _rows(matrix, None)
     cols = b.reshape(*matrix.diag.shape, -1)
     shifts = [-v if v != 0.0 else 1.0 for v in matrix.diag[:, 0].tolist()]
-    first = _split(matrix, shifts, cols)
-    path, x, _, _, outcomes = first
-    status, refinements = SolveStatus.OK, 0
-    if x is None or any(verdict is not SolveStatus.OK for verdict, _ in outcomes):
-        r = _solve(matrix, cols, shifts, first)
-        x, status, path, refinements, outcomes = r.solution, r.status, r.path, r.refinements, r.members
+    # inf - inf and overflow in the split or the audit's residual end up
+    # as a non-finite x or residual, which the audit turns into a status
+    with np.errstate(invalid="ignore", over="ignore"):
+        first = _split(matrix, shifts, cols)
+        path, x, _, _, outcomes = first
+        status, refinements = SolveStatus.OK, 0
+        if x is None or any(verdict is not SolveStatus.OK for verdict, _ in outcomes):
+            r = _solve(matrix, cols, shifts, first)
+            x, status, path, refinements, outcomes = r.solution, r.status, r.path, r.refinements, r.members
     residual_norm = max(res for _, res in outcomes)
     members = tuple(outcomes) if stacked else ()
     return SolveReport(x.reshape(b.shape), residual_norm, status, path, refinements, members)

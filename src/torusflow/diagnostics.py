@@ -10,17 +10,26 @@ behind many published error tables.  The superconvergence distance,
 by contrast, is a closed form: the H1 norm of the difference between
 the polygon and the nodal interpolant of the exact curve is a quadratic
 in the nodal gaps.
+
+The sample points of each rule are fixed by the node count J.  For an
+exact curve that is a circle, such as the drifting circle of the
+convergence harness, cos and sin of 2 pi rho at those points are
+tabulated once and cached read-only, keyed by (J, rule); each norm
+scales and shifts that table instead of evaluating the curve, and its
+numbers are bit for bit those of evaluating it.  Any other exact curve
+is evaluated at the sample points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import nan, sqrt
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .curves import CurveFunction, PeriodicCurve
+from .curves import TWO_PI, CurveFunction, PeriodicCurve, _Circle
 from .quadrature import element_rho
 
 __all__ = [
@@ -60,6 +69,45 @@ def _check_rule(rule: str):
         raise ValueError(f"unknown error rule {rule!r}, expected one of {ERROR_RULES}")
 
 
+def _grid(J: int, rule: str) -> np.ndarray:
+    """Sample points of ``rule`` on J nodes: the nodes j/J, or the five
+    Gauss points of every element in element order."""
+    if rule == "gauss5":
+        return element_rho(J, 5)[0].ravel()
+    return np.arange(J, dtype=float) / J
+
+
+@lru_cache(maxsize=8)
+def _trig(J: int, rule: str) -> np.ndarray:
+    """(cos, sin) of 2 pi rho at the ``_grid`` points, shape (n, 2),
+    read-only."""
+    ang = TWO_PI * _grid(J, rule)
+    table = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    table.setflags(write=False)
+    return table
+
+
+def _samples(exact: CurveFunction, J: int, rule: str, t: float, derivative: bool = False):
+    """``exact`` at the ``_grid`` points of ``rule`` at time t, or with
+    ``derivative`` its rho derivative there, shape (n, 2).  A circle is
+    read off the ``_trig`` table with the operations of its ``value``
+    and ``derivative``: center + radius cos, radius sin, and
+    (2 pi radius) (-sin, cos)."""
+    if not isinstance(exact, _Circle):
+        rho = _grid(J, rule)
+        return exact.d_rho(rho, t) if derivative else exact(rho, t)
+    trig = _trig(J, rule)
+    if derivative:
+        scale = TWO_PI * exact.radius
+        out = np.empty_like(trig)
+        np.multiply(trig[:, 1], -scale, out=out[:, 0])  # (-scale) sin == scale (-sin)
+        np.multiply(trig[:, 0], scale, out=out[:, 1])
+        return out
+    out = exact.radius * trig
+    out[:, 0] += exact.center(t)
+    return out
+
+
 def l2_error(
     curve: PeriodicCurve, exact: CurveFunction, t: float = 0.0, rule: str = "gauss5"
 ) -> float:
@@ -68,11 +116,10 @@ def l2_error(
     J = curve.node_count
     h = curve.spacing
     if rule == "nodal":
-        rho = np.arange(J, dtype=float) / J
-        gap = exact(rho, t) - curve.positions
+        gap = _samples(exact, J, rule, t) - curve.positions
         return sqrt(h * float((gap * gap).sum()))
-    rho, s, w = element_rho(J, 5)
-    vals = exact(rho.ravel(), t).reshape(J, len(s), 2)
+    _, s, w = element_rho(J, 5)
+    vals = _samples(exact, J, rule, t).reshape(J, len(s), 2)
     left = _previous(curve.positions)
     poly = left[:, None, :] * (1.0 - s)[None, :, None] + curve.positions[:, None, :] * s[None, :, None]
     diff = poly - vals
@@ -88,13 +135,12 @@ def h1_seminorm_error(
     h = curve.spacing
     slope = curve.edge_vectors() / h  # constant per element
     if rule == "nodal":
-        rho = np.arange(J, dtype=float) / J
-        dx = exact.d_rho(rho, t)
+        dx = _samples(exact, J, rule, t, derivative=True)
         a = _previous(dx) - slope  # left endpoint of element j
         b = dx - slope  # right endpoint
         return sqrt(0.5 * h * float((a * a).sum() + (b * b).sum()))
-    rho, s, w = element_rho(J, 5)
-    dvals = exact.d_rho(rho.ravel(), t).reshape(J, len(s), 2)
+    _, s, w = element_rho(J, 5)
+    dvals = _samples(exact, J, rule, t, derivative=True).reshape(J, len(s), 2)
     diff = slope[:, None, :] - dvals
     return sqrt(h * float(np.einsum("g,jgc->", w, diff * diff)))
 
@@ -109,8 +155,7 @@ def superconvergence_error(
     """
     J = curve.node_count
     h = curve.spacing
-    rho = np.arange(J, dtype=float) / J
-    gap = exact(rho, t) - curve.positions
+    gap = _samples(exact, J, "nodal", t) - curve.positions
     left = _previous(gap)
     l2_sq = h / 3.0 * float((left * left + left * gap + gap * gap).sum())
     jump = gap - left

@@ -45,6 +45,7 @@ from .curves import CurveFunction, CurveStack, PeriodicCurve, _circle, _count, _
 from .cyclic_solver import SolveStatus, solve_cyclic
 from .diagnostics import (
     ErrorRecord,
+    _check_rule,
     diameter,
     h1_seminorm_error,
     l2_error,
@@ -433,6 +434,7 @@ def _run_stack(
     ``keep_records=False`` every report's records are empty; the stop
     events do not read records, so they are the same either way.
     """
+    _check_rule(error_rule)
     node_count = _count("node_count", node_count, 3)
     scheme = SchemeKind(scheme)
     steps = _step_count(t_end, dt)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -130,6 +131,25 @@ class TestFailureModes:
         report = solve_cyclic(m, np.ones(6))
         assert report.status is SolveStatus.SINGULAR
         assert not np.isfinite(report.residual_norm)
+
+    @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_non_finite_rhs_is_reported_without_a_warning(self, poison, symmetric):
+        # inf - inf in the audit's residual must not leak a RuntimeWarning
+        sup = np.ones(8) if symmetric else np.full(8, 2.0)
+        matrix = CyclicTridiagonal(np.full(8, 4.0), np.ones(8), sup)
+        rhs = np.ones(8)
+        rhs[3] = poison
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = solve_cyclic(matrix, rhs)
+            pair = solve_cyclic(stacked([matrix, matrix]), np.stack([rhs, np.ones(8)]))
+        assert (single.status, single.residual_norm) == (SolveStatus.SINGULAR, np.inf)
+        assert pair.status is SolveStatus.SINGULAR
+        assert pair.members[0] == (SolveStatus.SINGULAR, np.inf)
+        # the finite member is solved as if alone
+        assert pair.members[1][0] is SolveStatus.OK
+        assert np.array_equal(pair.solution[1], solve_cyclic(matrix, np.ones(8)).solution)
 
     def test_incompatible_singular_system_is_not_hidden(self, rng):
         # a weighted stiffness matrix annihilates constants, so a right

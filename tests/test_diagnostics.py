@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from torusflow import (
     min_radial,
     superconvergence_error,
 )
-from torusflow.curves import CurveStack
+from torusflow import diagnostics
+from torusflow.curves import CurveFunction, CurveStack, _circle
 from torusflow.diagnostics import ErrorRecord
 
 from oracles import (
@@ -97,6 +100,47 @@ class TestNormsBySlicing:
         assert l2_error(curve, EXACT, t, rule="gauss5") == l2_error_gauss5_roll(pos, EXACT, t)
         assert h1_seminorm_error(curve, EXACT, t, rule="nodal") == h1_error_nodal_roll(pos, EXACT, t)
         assert superconvergence_error(curve, EXACT, t) == superconvergence_error_roll(pos, EXACT, t)
+
+
+class TestCachedCircleSamples:
+    """A circle's exact samples come from a per-grid cos/sin table; the
+    norms equal those of the same circle evaluated point by point."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        base=st.floats(1.5, 20.0),
+        swing=st.floats(0.0, 1.0),
+        pace=st.floats(-5.0, 5.0),
+        radius=st.floats(0.05, 1.4),
+        J=st.integers(3, 200),
+        t=st.floats(0.0, 2.0),
+    )
+    def test_norms_equal_the_evaluated_circle(self, seed, base, swing, pace, radius, J, t):
+        circle = _circle(lambda time: base + swing * math.sin(pace * time), radius)
+        plain = CurveFunction(circle.value, circle.derivative)
+        rng = np.random.default_rng(seed)
+        pos = interpolate(plain, J, t).positions + 0.05 * radius * rng.normal(size=(J, 2))
+        curve = PeriodicCurve(pos)
+        hits = diagnostics._trig.cache_info().hits
+        for rule in ("nodal", "gauss5"):
+            assert l2_error(curve, circle, t, rule=rule) == l2_error(curve, plain, t, rule=rule)
+            assert h1_seminorm_error(curve, circle, t, rule=rule) == h1_seminorm_error(
+                curve, plain, t, rule=rule
+            )
+        assert superconvergence_error(curve, circle, t) == superconvergence_error(curve, plain, t)
+        # every lookup after the first of each rule hits the cache
+        assert diagnostics._trig.cache_info().hits >= hits + 3
+
+    def test_tables_are_read_only_and_the_cache_is_bounded(self):
+        keys = [(J, rule) for J in range(3, 40) for rule in ("nodal", "gauss5")]
+        for key in keys:
+            table = diagnostics._trig(*key)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        info = diagnostics._trig.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < len(keys)
 
 
 class TestMeshMetrics:

@@ -358,6 +358,17 @@ class TestRunDriver:
         with pytest.raises(ValueError, match="^node_count must be at least 3"):
             run(EXACT, SchemeKind.CN, node_count, 1e-2, 0.1)
 
+    @pytest.mark.parametrize("exact", [None, EXACT], ids=["without-exact", "with-exact"])
+    def test_rejects_unknown_error_rule_before_any_step(self, exact):
+        seen = []
+        message = "unknown error rule 'bogus', expected one of ('gauss5', 'nodal')"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(
+                torus_circle(0.6), "cn", 16, 1e-2, 0.02, exact=exact,
+                observers=[lambda *args: seen.append(args)], error_rule="bogus",
+            )
+        assert seen == []
+
     @pytest.mark.parametrize("node_count", [64.5, float("nan"), float("inf"), "64"])
     def test_rejects_non_integer_node_count(self, node_count):
         message = f"node_count must be an integer of at least 3, got {node_count!r}"
