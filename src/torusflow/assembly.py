@@ -2,12 +2,12 @@
 
 On each element of a PeriodicCurve the radial coordinate of the weight
 curve is linear and the squared reference speed |W_rho|^2 equals
-(edge length / h)^2, a constant.  Every matrix and load entry below is
-therefore a closed-form moment of the piecewise linear hat functions;
-no quadrature error enters the assembled system.  The source load is
-the one exception: it integrates an arbitrary smooth field with a
-fixed Gauss rule per element, once per grid for each basis field of a
-separable source.
+(edge length / h)^2, a constant, so every matrix and load entry is a
+closed-form moment of the hat functions.  One private assembler builds
+the bands of a M + b K from the weight curve's element data, read once;
+the mass, stiffness and radial-load assemblers are readers of it.  The
+source load alone integrates a smooth field, with a fixed Gauss rule per
+element, once per grid for each basis field of a separable source.
 """
 
 from __future__ import annotations
@@ -128,44 +128,38 @@ def _next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
 
 
+def _bands(weight, mass_factor: float, stiffness_factor: float) -> CyclicTridiagonal:
+    """Bands of mass_factor * M + stiffness_factor * K at the weight
+    curve, from its element data.  Element j (radius sum a_j,
+    hw_j = |e_j|^2 / h) adds a_j hw_j / 12 to every entry of its M block,
+    plus hw_j / 6 times each endpoint radius on the diagonal, and
+    a_j / 2h times [[1, -1], [-1, 1]] to K; the bands are symmetric."""
+    a, hw, pairs = weight._element_data
+    # a zero mass factor leaves hw out, which may hold inf
+    m = (mass_factor / 12.0) * hw if mass_factor else 0.0
+    k = 0.5 * weight.node_count * stiffness_factor
+    sub = a * (m - k)
+    plus = a * (m + k) if k else sub
+    diag = plus + _next(plus)
+    if mass_factor:
+        diag += (mass_factor / 6.0) * weight.r * pairs
+    return CyclicTridiagonal._owned(diag, sub, _next(sub), symmetric=True)
+
+
 # Each assembler takes a PeriodicCurve, or a CurveStack for a stack of
 # matrices or loads, one per member.
 
 
 def weighted_mass_matrix(weight) -> CyclicTridiagonal:
-    """Mass matrix with density r * |W_rho|^2 taken from the weight curve.
-
-    Element j contributes h * w_j * (rl/4 + rr/12) to its left node,
-    h * w_j * (rl/12 + rr/4) to its right node and h * w_j * (rl + rr)/12
-    to the coupling, with rl and rr the endpoint radii and w_j the
-    squared reference speed.
-    """
+    """Mass matrix with density r * |W_rho|^2 taken from the weight curve."""
     weight.require_admissible("mass matrix weight")
-    (rl, w), rr = weight._elements, weight.r
-    wh = w * weight.spacing
-    left = wh * (rl / 4.0 + rr / 12.0)
-    right = wh * (rl / 12.0 + rr / 4.0)
-    cross = wh * (rl + rr) / 12.0
-    diag = right + _next(left)
-    sub = cross
-    sup = _next(cross)
-    return CyclicTridiagonal._owned(diag, sub, sup, symmetric=True)
+    return _bands(weight, 1.0, 0.0)
 
 
 def weighted_stiffness_matrix(weight) -> CyclicTridiagonal:
-    """Stiffness matrix with conductivity r taken from the weight curve.
-
-    Hat gradients are constant per element, so element j contributes
-    (mean radius / h) times the textbook [[1, -1], [-1, 1]] block.
-    """
+    """Stiffness matrix with conductivity r taken from the weight curve."""
     weight.require_admissible("stiffness matrix weight")
-    h = weight.spacing
-    rl, rr = weight._elements[0], weight.r
-    rbar = 0.5 * (rl + rr) / h
-    diag = rbar + _next(rbar)
-    sub = -rbar
-    sup = _next(sub)
-    return CyclicTridiagonal._owned(diag, sub, sup, symmetric=True)
+    return _bands(weight, 0.0, 1.0)
 
 
 def radial_direction_load(weight) -> np.ndarray:
@@ -176,12 +170,10 @@ def radial_direction_load(weight) -> np.ndarray:
     radial unit direction.
     """
     weight.require_admissible("load weight")
-    h = weight.spacing
-    w = weight._elements[1]
-    per_element = w * h
+    pairs = weight._element_data[2]
     # built component by component, the layout of the step kernel's arrays
-    out = np.zeros((2,) + per_element.shape)
-    out[0] = 0.5 * (per_element + _next(per_element))
+    out = np.zeros((2,) + pairs.shape)
+    out[0] = 0.5 * pairs
     return out.transpose(tuple(range(1, out.ndim)) + (0,))
 
 

@@ -111,20 +111,27 @@ class _NodePolygons:
         )
 
     @cached_property
-    def _elements(self) -> tuple[np.ndarray, np.ndarray]:
-        """Radius at the left node of each element and the element's
-        squared reference speed (|edge| / h)^2, computed once."""
-        r = self.r
+    def _element_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What the assemblers read, computed once: a_j = r_{j-1} + r_j and
+        hw_j = |e_j|^2 / h per element, squared without hypot (inf beyond
+        about 1e154, zero below about 1e-162, silently), and hw_j + hw_{j+1}."""
+        r, z = self.r, self.z
         r_left = np.concatenate((r[..., -1:], r[..., :-1]), axis=-1)
-        return r_left, (self.edge_lengths() / self.spacing) ** 2
+        z_left = np.concatenate((z[..., -1:], z[..., :-1]), axis=-1)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            dr, dz = r - r_left, z - z_left
+            hw = (dr * dr + dz * dz) * self.node_count
+            pairs = hw + np.concatenate((hw[..., 1:], hw[..., :1]), axis=-1)
+            return r_left + r, hw, pairs
 
     def require_admissible(self, context: str = "curve") -> None:
-        rmin, emin = map(min, self._bounds)
+        """Check the assemblers' data: r > 0 and every |e_j|^2 > 0."""
+        rmin = float(self.r.min())
         if rmin <= 0.0:
             raise InadmissibleCurveError(
                 f"{context}: radial coordinate <= 0 (min {rmin:.3e})"
             )
-        if emin <= 0.0:
+        if self._element_data[1].min() <= 0.0:
             raise InadmissibleCurveError(f"{context}: zero-length edge")
 
 

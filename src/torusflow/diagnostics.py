@@ -27,7 +27,6 @@ from functools import lru_cache
 from math import nan, sqrt
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .curves import TWO_PI, CurveFunction, PeriodicCurve, _Circle
 from .quadrature import element_rho
@@ -204,6 +203,9 @@ def diameter(curve: PeriodicCurve) -> float:
         verts = pts[::-1]
         turn = _turns(verts)
     else:
+        # imported on first use: convex node polygons need no hull
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             verts = pts[ConvexHull(pts).vertices]  # counterclockwise
         except QhullError:

@@ -2,9 +2,11 @@
 
 Each scheme advances the nodal curve by solving one cyclic tridiagonal
 system shared by both spatial components.  The geometric coefficients
-(weighted mass, weighted stiffness, radial load) are frozen at a curve
-that is already known, which keeps every step linear.  The three schemes
-are rows of one coefficient table, ``_SCHEMES``, read by one kernel:
+(weighted mass M, weighted stiffness K, radial load) are frozen at a
+curve that is already known, which keeps every step linear: the kernel
+builds (c / dt) M + theta K and the right side's one product with
+(1 / dt) M - (1 - theta) K from that curve's element data.  The three
+schemes are rows of one coefficient table, ``_SCHEMES``, read by one kernel:
 
 * ``bdf1_step`` freezes them at the current curve (first order, also
   the bootstrap step for the two-step schemes),
@@ -34,10 +36,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .assembly import (
-    CyclicTridiagonal,
-    _next,
+    _bands,
     radial_direction_load,
     source_load,
+    # unused by the kernel; bound for SPAN_TARGETS in perfbench/tracing.py
     weighted_mass_matrix,
     weighted_stiffness_matrix,
 )
@@ -186,12 +188,16 @@ class RunReport:
 
 def _check_weights(weight: CurveStack, t_new: float) -> dict[int, StepFailure]:
     """Pre-flag the members whose coefficient curve left the admissible
-    set: not finite, r <= 0 or a zero-length edge."""
-    rmin, emin = weight._bounds
-    # a node that is not finite makes its edges' lengths inf or nan
-    perimeter = weight.edge_lengths().sum(axis=-1).tolist()
+    set: not finite, r <= 0 or a zero-length edge.  It reads the
+    assembler's squared edges: a member with an edge beyond about 1e154
+    fails as not finite, one below about 1e-162 as degenerate."""
+    _, hw, pairs = weight._element_data
+    rmin = weight.r.min(axis=-1).tolist()
+    emin = hw.min(axis=-1).tolist()
+    # a node that is not finite leaves inf or nan in its elements' data
+    largest = pairs.max(axis=-1).tolist()
     failures = {}
-    for row, (r, e, p) in enumerate(zip(rmin, emin, perimeter)):
+    for row, (r, e, p) in enumerate(zip(rmin, emin, largest)):
         if not math.isfinite(p):
             kind, metric, what = StopKind.SOLVER_FAILURE, math.inf, "is not finite"
         elif r <= 0.0:
@@ -254,18 +260,11 @@ def _advance(
         if not rows:
             return CurveStack(x[:0]), failures
         x, x_prev, weight = x[rows], x_prev[rows], weight.take(rows)
-    mass = weighted_mass_matrix(weight)
-    stiff = weighted_stiffness_matrix(weight)
-    # terms of weight 1 go unscaled and terms of weight 0 are left out,
-    # which changes no bit of the result
-    scale = c / dt
-    diag = scale * mass.diag + (stiff.diag if theta == 1.0 else theta * stiff.diag)
-    sub = scale * mass.sub + (stiff.sub if theta == 1.0 else theta * stiff.sub)
-    # both matrices are symmetric by construction, so sup is sub shifted
-    matrix = CyclicTridiagonal._owned(diag, sub, _next(sub), symmetric=True)
-    rhs = mass.matvec(x if (h0, h1) == (1.0, 0.0) else h0 * x + h1 * x_prev) / dt
-    if theta != 1.0:
-        rhs -= (1.0 - theta) * stiff.matvec(x)
+    matrix = _bands(weight, c / dt, theta)
+    # rows with theta != 1 have (h0, h1) = (1, 0), so M y / dt with
+    # y = h0 X^m + h1 X^{m-1}, minus (1 - theta) K X^m, is one product
+    y = x if (h0, h1) == (1.0, 0.0) else h0 * x + h1 * x_prev
+    rhs = _bands(weight, 1.0 / dt, theta - 1.0).matvec(y)
     rhs -= radial_direction_load(weight)
     if source is not None:
         rhs = rhs + sum(

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import torusflow
 from torusflow import (
     PeriodicCurve,
     diameter,
@@ -15,6 +21,7 @@ from torusflow import (
     manufactured_solution,
     mesh_ratio,
     min_radial,
+    rose_curve,
     superconvergence_error,
 )
 from torusflow import diagnostics
@@ -207,6 +214,26 @@ class TestDiameter:
         pos = np.column_stack([2.0 + np.cos(ang), 0.3 * np.sin(ang)])
         for nodes in (pos, pos[::-1]):
             assert diameter(PeriodicCurve(nodes)) == pytest.approx(diameter_pairwise(nodes), rel=1e-13)
+
+    def test_nonconvex_polygon_gets_its_hull_diameter(self):
+        # the rose's petals turn both ways, so its hull comes from Qhull
+        from scipy import spatial
+
+        curve = interpolate(rose_curve(), 96)
+        with mock.patch.object(spatial, "ConvexHull", wraps=spatial.ConvexHull) as hull:
+            found = diameter(curve)
+        assert hull.call_count == 1
+        assert found == pytest.approx(diameter_pairwise(curve.positions), rel=1e-13)
+
+    def test_import_leaves_qhull_unloaded(self):
+        # scipy.spatial is imported by the first diameter that needs a hull
+        src = str(Path(torusflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, torusflow, torusflow.cli; print('scipy.spatial' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 def _matches_pairwise(pos):

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from torusflow import (
     PeriodicCurve,
     SchemeKind,
     SourceField,
+    StepFailure,
     StepperState,
     StopKind,
     bdf1_step,
@@ -230,8 +232,8 @@ class TestSymmetries:
 
         with mock.patch.object(CyclicTridiagonal, "_owned", spy):
             m = step_matrix(STEPPERS[scheme], random_state(seed, J), FORCING)
-        # mass, stiffness and the step matrix, and the step matrix is among them
-        assert len(declared) >= 3 and any(d is m for d in declared)
+        # the step matrix and the operator of the right side's one product
+        assert len(declared) == 2 and declared[0] is m
         for matrix in declared:
             assert np.array_equal(matrix.sub, np.roll(matrix.sup, 1, axis=-1))
 
@@ -300,6 +302,88 @@ class TestSymmetries:
         full = bdf2_step(state, FORCING).positions
         part = bdf2_step(state, half).positions
         assert np.abs((full - plain) - 2.0 * (part - plain)).max() <= 1e-11
+
+
+class TestStepSystem:
+    def test_explicit_stiffness_rows_have_no_history_weight(self):
+        # the kernel forms M (h0 X^m + h1 X^{m-1}) / dt - (1 - theta) K X^m
+        # as one product, which needs (h0, h1) = (1, 0) wherever theta != 1
+        for _, _, history, theta, _ in stepping._SCHEMES.values():
+            assert theta == 1.0 or history == (1.0, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(1, 5),
+        J=st.integers(3, 40),
+        scheme=st.sampled_from(list(SchemeKind)),
+        forced=st.booleans(),
+    )
+    def test_kernel_system_equals_the_public_assemblers(self, seed, members, J, scheme, forced):
+        # the matrix and right side handed to the solver are
+        # (c / dt) M + theta K and M y / dt - (1 - theta) K X^m - R + F,
+        # each member's built from the public assemblers at its own
+        # coefficient curve
+        rng = np.random.default_rng(seed)
+        cur = np.stack(
+            [random_admissible_positions(rng, J, r_min=1.0, r_max=3.0) for _ in range(members)]
+        )
+        prev = cur + 0.01 * rng.normal(size=cur.shape)
+        time, dt = 0.4, 2e-3
+        source = FORCING if forced else None
+        seen = []
+
+        def spy(matrix, rhs):
+            seen.append((matrix, rhs))
+            return solve_cyclic(matrix, rhs)
+
+        with mock.patch.object(stepping, "solve_cyclic", spy):
+            _, failures = stepping._advance(
+                scheme, CurveStack(cur), CurveStack(prev), time, dt, source
+            )
+        assert not failures
+        ((matrix, rhs),) = seen
+        (e0, e1), c, (h0, h1), theta, (s0, s1) = stepping._SCHEMES[scheme]
+        for b, (x, x_prev) in enumerate(zip(cur, prev)):
+            weight = PeriodicCurve(x if e1 == 0.0 else e0 * x + e1 * x_prev)
+            mass, stiff = weighted_mass_matrix(weight), weighted_stiffness_matrix(weight)
+            scale = (c / dt) * mass.inf_norm() + theta * stiff.inf_norm()
+            for band in ("diag", "sub", "sup"):
+                expect = (c / dt) * getattr(mass, band) + theta * getattr(stiff, band)
+                assert np.abs(getattr(matrix, band)[b] - expect).max() <= 1e-13 * scale
+            terms = [
+                mass.matvec(h0 * x + h1 * x_prev) / dt,
+                -(1.0 - theta) * stiff.matvec(x),
+                -radial_direction_load(weight),
+            ]
+            if forced:
+                terms.append(
+                    s0 * source_load(FORCING, J, time) + s1 * source_load(FORCING, J, time + dt)
+                )
+            scale = max(np.abs(term).max() for term in terms)
+            assert np.abs(rhs[b] - sum(terms)).max() <= 1e-13 * scale
+
+
+class TestSquaredEdgeRange:
+    # the coefficient check reads squared edges, which overflow for edges
+    # beyond about 1e154 and vanish below about 1e-162
+    @pytest.mark.parametrize(
+        "scale, kind",
+        [(1e160, StopKind.SOLVER_FAILURE), (1e-170, StopKind.ELEMENT_DEGENERATE)],
+    )
+    def test_extreme_edges_end_typed_without_warnings(self, scale, kind):
+        curve = PeriodicCurve(interpolate(torus_circle(0.5), 16).positions * scale)
+        dt = 1e-3
+        # no event can fire at t = 0, so the step's own check decides
+        quiet = EventThresholds(axis=0.0, collapse=0.0, edge_fraction=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure) as failure:
+                bdf1_step(StepperState(curve, None, 0.0, dt))
+            report = run(curve, "cn", 16, dt, 10 * dt, thresholds=quiet, track_diameter=False)
+        assert failure.value.kind is kind
+        assert report.event.kind is kind and report.event.time == dt
+        assert report.final is not None and len(report.records) == 1
 
 
 class TestAccuracy:
