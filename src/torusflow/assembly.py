@@ -4,10 +4,11 @@ On each element of a PeriodicCurve the radial coordinate of the weight
 curve is linear and the squared reference speed |W_rho|^2 equals
 (edge length / h)^2, a constant, so every matrix and load entry is a
 closed-form moment of the hat functions.  One private assembler builds
-the bands of a M + b K from the weight curve's element data, read once;
-the mass, stiffness and radial-load assemblers are readers of it.  The
-source load alone integrates a smooth field, with a fixed Gauss rule per
-element, once per grid for each basis field of a separable source.
+the bands of a M + b K, and of a M - b K with them, from the weight
+curve's element data, read once; the mass, stiffness and radial-load
+assemblers are readers of it.  The source load alone integrates a smooth
+field, with a fixed Gauss rule per element, once per grid for each basis
+field of a separable source.
 """
 
 from __future__ import annotations
@@ -128,22 +129,31 @@ def _next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
 
 
-def _bands(weight, mass_factor: float, stiffness_factor: float) -> CyclicTridiagonal:
+def _bands(weight, mass_factor: float, stiffness_factor: float, right=None):
     """Bands of mass_factor * M + stiffness_factor * K at the weight
     curve, from its element data.  Element j (radius sum a_j,
     hw_j = |e_j|^2 / h) adds a_j hw_j / 12 to every entry of its M block,
     plus hw_j / 6 times each endpoint radius on the diagonal, and
-    a_j / 2h times [[1, -1], [-1, 1]] to K; the bands are symmetric."""
+    a_j / 2h times [[1, -1], [-1, 1]] to K; the bands are symmetric.
+    With ``right`` = (a, b), the pair of this matrix and a M + b K, from
+    one pass and bit for bit when a M + b K mirrors it (a = mass_factor,
+    b = -stiffness_factor, as in Crank-Nicolson): negating K swaps the
+    two off-diagonal element products."""
+    if right is not None and right != (mass_factor, -stiffness_factor):
+        return _bands(weight, mass_factor, stiffness_factor), _bands(weight, *right)
     a, hw, pairs = weight._element_data
     # a zero mass factor leaves hw out, which may hold inf
     m = (mass_factor / 12.0) * hw if mass_factor else 0.0
     k = 0.5 * weight.node_count * stiffness_factor
     sub = a * (m - k)
     plus = a * (m + k) if k else sub
-    diag = plus + _next(plus)
-    if mass_factor:
-        diag += (mass_factor / 6.0) * weight.r * pairs
-    return CyclicTridiagonal._owned(diag, sub, _next(sub), symmetric=True)
+    sub_next = _next(sub)
+    plus_next = _next(plus) if k else sub_next
+    extra = (mass_factor / 6.0) * weight.r * pairs if mass_factor else 0.0
+    matrix = CyclicTridiagonal._owned(plus + plus_next + extra, sub, sub_next, symmetric=True)
+    if right is None:
+        return matrix
+    return matrix, CyclicTridiagonal._owned(sub + sub_next + extra, plus, plus_next, symmetric=True)
 
 
 # Each assembler takes a PeriodicCurve, or a CurveStack for a stack of

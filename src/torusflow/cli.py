@@ -81,8 +81,12 @@ def read_snapshot_csv(path) -> PeriodicCurve:
             if int(index) != j:
                 raise ValueError(f"expected j = {j}, got {index}")
             rows.append((float(r), float(z)))
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"r and z must be finite, got {r}, {z}")
         except ValueError as exc:
             raise ValueError(f"{path}, line {j + 2}: {exc}") from None
+    if len(rows) < 3:
+        raise ValueError(f"{path}: a closed polygon needs at least 3 nodes, got {len(rows)}")
     return PeriodicCurve(np.array(rows))
 
 

@@ -84,30 +84,38 @@ class _NodePolygons:
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge vectors and lengths, computed once, read-only."""
+        """Edge vectors and squared lengths, computed once, read-only; the
+        squares read 0 below about 1e-162 and inf beyond about 1e154."""
         pos = self.positions
         vectors = pos - np.concatenate((pos[..., -1:, :], pos[..., :-1, :]), axis=-2)
-        lengths = np.hypot(vectors[..., 0], vectors[..., 1])
+        with np.errstate(over="ignore", under="ignore"):
+            squares = vectors[..., 0] ** 2 + vectors[..., 1] ** 2
         vectors.setflags(write=False)
-        lengths.setflags(write=False)
-        return vectors, lengths
+        squares.setflags(write=False)
+        return vectors, squares
 
     def edge_vectors(self) -> np.ndarray:
         """All J edges at once; edge j is node j minus node j-1 (read-only)."""
         return self._edges[0]
 
+    @cached_property
+    def _lengths(self) -> np.ndarray:
+        lengths = np.hypot(self._edges[0][..., 0], self._edges[0][..., 1])
+        lengths.setflags(write=False)
+        return lengths
+
     def edge_lengths(self) -> np.ndarray:
-        """Lengths of ``edge_vectors()`` (read-only)."""
-        return self._edges[1]
+        """Lengths of ``edge_vectors()`` by hypot, on first use (read-only)."""
+        return self._lengths
 
     @cached_property
     def _bounds(self) -> tuple[list[float], list[float]]:
-        """Smallest radius and smallest edge length of each member (one
-        entry for a single curve), computed once."""
+        """Smallest radius and smallest edge length, the root of the least
+        squared edge, of each member (one entry for a single curve)."""
         J = self.node_count
         return (
             self.r.reshape(-1, J).min(axis=1).tolist(),
-            self.edge_lengths().reshape(-1, J).min(axis=1).tolist(),
+            np.sqrt(self._edges[1].reshape(-1, J).min(axis=1)).tolist(),
         )
 
     @cached_property

@@ -163,17 +163,12 @@ def superconvergence_error(
 
 
 def mesh_ratio(curve):
-    """Longest edge over shortest edge; inf when an edge has length zero.
-
-    For a ``CurveStack``, a list of one ratio per member.
-    """
-    longest = curve.edge_lengths().max(axis=-1).tolist()
-    stack = curve.positions.ndim == 3
-    ratios = [
-        hi / lo if lo != 0.0 else float("inf")
-        for hi, lo in zip(longest if stack else [longest], curve._bounds[1])
-    ]
-    return ratios if stack else ratios[0]
+    """Longest edge over shortest edge, roots of the extreme squared edges
+    (which read 0 below about 1e-162); inf when an edge has length zero.
+    For a ``CurveStack``, a list of one ratio per member."""
+    longest = np.sqrt(curve._edges[1].reshape(-1, curve.node_count).max(axis=1)).tolist()
+    ratios = [hi / lo if lo != 0.0 else float("inf") for hi, lo in zip(longest, curve._bounds[1])]
+    return ratios if curve.positions.ndim == 3 else ratios[0]
 
 
 def min_radial(curve):

@@ -281,6 +281,8 @@ def bisect_critical_radius(
     if not 0.0 < lower < upper < 1.0:
         raise ValueError("need 0 < lower < upper < 1")
     _finite("tol", tol)
+    if tol <= 4.0 * math.ulp(upper):  # else a midpoint may round onto an endpoint
+        raise ValueError(f"tol must exceed 4 ulp of upper ({4.0 * math.ulp(upper):.3g}), got {tol!r}")
     results: dict[float, object] = {}
     probes: list[tuple[float, StopEvent]] = []
 

@@ -37,9 +37,9 @@ import numpy as np
 
 from .assembly import (
     _bands,
-    radial_direction_load,
     source_load,
     # unused by the kernel; bound for SPAN_TARGETS in perfbench/tracing.py
+    radial_direction_load,
     weighted_mass_matrix,
     weighted_stiffness_matrix,
 )
@@ -189,8 +189,8 @@ class RunReport:
 def _check_weights(weight: CurveStack, t_new: float) -> dict[int, StepFailure]:
     """Pre-flag the members whose coefficient curve left the admissible
     set: not finite, r <= 0 or a zero-length edge.  It reads the
-    assembler's squared edges: a member with an edge beyond about 1e154
-    fails as not finite, one below about 1e-162 as degenerate."""
+    assembler's squared edges, inf beyond about 1e154 and 0 below about
+    1e-162: such a member fails as not finite or as degenerate."""
     _, hw, pairs = weight._element_data
     rmin = weight.r.min(axis=-1).tolist()
     emin = hw.min(axis=-1).tolist()
@@ -260,12 +260,12 @@ def _advance(
         if not rows:
             return CurveStack(x[:0]), failures
         x, x_prev, weight = x[rows], x_prev[rows], weight.take(rows)
-    matrix = _bands(weight, c / dt, theta)
+    matrix, right = _bands(weight, c / dt, theta, right=(1.0 / dt, theta - 1.0))
     # rows with theta != 1 have (h0, h1) = (1, 0), so M y / dt with
     # y = h0 X^m + h1 X^{m-1}, minus (1 - theta) K X^m, is one product
     y = x if (h0, h1) == (1.0, 0.0) else h0 * x + h1 * x_prev
-    rhs = _bands(weight, 1.0 / dt, theta - 1.0).matvec(y)
-    rhs -= radial_direction_load(weight)
+    rhs = right.matvec(y)
+    rhs[..., 0] -= 0.5 * weight._element_data[2]  # the radial load (L, 0)
     if source is not None:
         rhs = rhs + sum(
             w * source_load(source, x.shape[1], t)

@@ -76,8 +76,14 @@ class TestSnapshotCsv:
             ("j,r,z\n1,1.5,0.0\n0,2.0,0.25\n2,1.0,-1.0\n", "line 2: expected j = 0, got 1"),
             ("j,r,z\n0,1.5,0.0\n1,2.0,0.25\n1,1.0,-1.0\n", "line 4: expected j = 2, got 1"),
             ("j,r,z\n", "no rows after the header"),
+            ("j,r,z\n0,1.5,0.0\n1,nan,0.25\n2,1.0,-1.0\n", "line 3: r and z must be finite"),
+            ("j,r,z\n0,1.5,0.0\n1,2.0,0.25\n2,1.0,-inf\n", "line 4: r and z must be finite"),
+            ("j,r,z\n0,1.5,0.0\n1,2.0,0.25\n", "a closed polygon needs at least 3 nodes, got 2"),
         ],
-        ids=["short-row", "non-number", "long-row", "j-out-of-order", "j-repeated", "header-only"],
+        ids=[
+            "short-row", "non-number", "long-row", "j-out-of-order", "j-repeated", "header-only",
+            "nan", "inf", "two-rows",
+        ],
     )
     def test_read_names_file_and_line_of_bad_rows(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"

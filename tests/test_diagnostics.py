@@ -166,6 +166,27 @@ class TestMeshMetrics:
         assert mesh_ratio(stack) == [mesh_ratio(c) for c in curves]
         assert min_radial(stack) == [min_radial(c) for c in curves]
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(1, 4),
+        J=st.integers(3, 100),
+        scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e100]),
+    )
+    def test_bounds_and_ratio_from_squares_match_hypot(self, seed, members, J, scale):
+        # roots of squared edges stay within a few ulp of hypot lengths
+        rng = np.random.default_rng(seed)
+        pos = scale * np.stack([random_admissible_positions(rng, J) for _ in range(members)])
+        vec = pos - np.roll(pos, 1, axis=1)
+        lengths = np.hypot(vec[..., 0], vec[..., 1])
+        stack = CurveStack(pos)
+        rmin, emin = stack._bounds
+        assert rmin == pos[..., 0].min(axis=1).tolist()
+        np.testing.assert_array_max_ulp(np.array(emin), lengths.min(axis=1), maxulp=2)
+        ratios = lengths.max(axis=1) / lengths.min(axis=1)
+        np.testing.assert_array_max_ulp(np.array(mesh_ratio(stack)), ratios, maxulp=4)
+        assert np.array_equal(PeriodicCurve(pos[0]).edge_lengths(), lengths[0])
+
     def test_zero_edge_gives_infinite_ratio(self):
         pinched = PeriodicCurve(np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 1.0]]))
         assert mesh_ratio(pinched) == np.inf

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -206,6 +207,27 @@ class TestBisection:
     def test_rejects_bad_tol_by_name(self, tol):
         with pytest.raises(ValueError, match="^tol must be positive and finite"):
             bisect_critical_radius(0.5, 0.7, tol, "cn")
+
+    def test_rejects_tol_below_the_float_spacing_before_any_run(self, monkeypatch):
+        calls = []
+
+        def classify(radii, *args):
+            calls.append(list(radii))
+            return [
+                StopEvent(StopKind.CURVE_COLLAPSE if r < 0.6415 else StopKind.AXIS_TOUCH, 0.1)
+                for r in radii
+            ]
+
+        monkeypatch.setattr(experiments, "_classify", classify)
+        floor = 4.0 * math.ulp(0.7)
+        for tol in (1e-300, floor):
+            with pytest.raises(ValueError, match="^tol must exceed 4 ulp of upper"):
+                bisect_critical_radius(0.5, 0.7, tol, "cn")
+        assert not calls
+        # just above the floor every midpoint still splits the bracket
+        result = bisect_critical_radius(0.5, 0.7, 1.25 * floor, "cn")
+        assert calls and 0.0 < result.upper - result.lower <= 1.25 * floor
+        assert result.lower < 0.6415 <= result.upper
 
     def test_rejects_misclassified_endpoints(self):
         with pytest.raises(ValueError, match="does not collapse"):

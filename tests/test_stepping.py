@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusflow import (
@@ -16,6 +16,7 @@ from torusflow import (
     SourceField,
     StepFailure,
     StepperState,
+    StopEvent,
     StopKind,
     bdf1_step,
     bdf2_step,
@@ -33,6 +34,7 @@ from torusflow import (
     weighted_stiffness_matrix,
 )
 
+from torusflow.assembly import _bands
 from torusflow.curves import CurveStack
 
 from oracles import dense_step, random_admissible_positions
@@ -316,6 +318,38 @@ class TestStepSystem:
         seed=st.integers(0, 2**32 - 1),
         members=st.integers(1, 5),
         J=st.integers(3, 40),
+        dt=st.floats(1e-6, 1.0),
+    )
+    @example(seed=0, members=1, J=3, dt=1e-3)
+    def test_cn_pair_is_bit_for_bit_two_assemblies(self, seed, members, J, dt):
+        # the mirrored pair, and the CN solver inputs built from it, equal
+        # two separate assemblies and the public radial load exactly
+        rng = np.random.default_rng(seed)
+        cur = np.stack([random_admissible_positions(rng, J) for _ in range(members)])
+        prev = cur + 0.01 * rng.normal(size=cur.shape)
+        weight = CurveStack(1.5 * cur - 0.5 * prev)
+        c = stepping._SCHEMES[SchemeKind.CN][1]
+        step, right = _bands(weight, 1.0 / dt, 0.5), _bands(weight, 1.0 / dt, -0.5)
+        pair = _bands(weight, c / dt, 0.5, right=(1.0 / dt, -0.5))
+        seen = []
+
+        def spy(matrix, rhs):
+            seen.append((matrix, rhs.copy()))
+            return solve_cyclic(matrix, rhs)
+
+        with mock.patch.object(stepping, "solve_cyclic", spy):
+            stepping._advance(SchemeKind.CN, CurveStack(cur), CurveStack(prev), 0.0, dt, None)
+        ((matrix, rhs),) = seen
+        for band in ("diag", "sub", "sup"):
+            for got, want in zip(pair + (matrix,), (step, right, step)):
+                assert np.array_equal(getattr(got, band), getattr(want, band))
+        assert np.array_equal(rhs, right.matvec(cur) - radial_direction_load(weight))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(1, 5),
+        J=st.integers(3, 40),
         scheme=st.sampled_from(list(SchemeKind)),
         forced=st.booleans(),
     )
@@ -384,6 +418,28 @@ class TestSquaredEdgeRange:
         assert failure.value.kind is kind
         assert report.event.kind is kind and report.event.time == dt
         assert report.final is not None and len(report.records) == 1
+
+
+    def test_new_state_with_an_edge_below_the_square_range_is_degenerate(self):
+        # every solve returns a curve whose edge 1 is (0, 1e-170): its
+        # square reads 0, so the step rejects it though the edge floor is 0
+        def pinch(matrix, rhs):
+            report = solve_cyclic(matrix, rhs)
+            x = report.solution.copy()
+            x[:, 0, 1] = 0.0
+            x[:, 1] = x[:, 0] + [0.0, 1e-170]
+            return dataclasses.replace(report, solution=x)
+
+        dt = 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(stepping, "solve_cyclic", pinch):
+                report = run(
+                    torus_circle(0.5), "cn", 16, dt, 10 * dt,
+                    thresholds=EventThresholds(edge_fraction=0.0),
+                )
+        assert report.event == StopEvent(StopKind.ELEMENT_DEGENERATE, dt, 0.0)
+        assert len(report.records) == 1
 
 
 class TestAccuracy:
