@@ -18,6 +18,9 @@ tabulated once and cached read-only, keyed by (J, rule); each norm
 scales and shifts that table instead of evaluating the curve, and its
 numbers are bit for bit those of evaluating it.  Any other exact curve
 is evaluated at the sample points.
+
+The diameter searches the convex hull of the nodes, which a prefiltered
+monotone chain finds when the node polygon is not its own hull.
 """
 
 from __future__ import annotations
@@ -187,28 +190,14 @@ def diameter(curve: PeriodicCurve) -> float:
     edge.  Candidates are real node pairs, so rounding cannot overstate
     the diameter; the neighbours k - 1, k + 1 cover an off-by-one search
     and parallel edges.  A node polygon that turns one way at every node
-    and winds once is its own hull and skips Qhull.
+    and winds once is its own hull; any other goes through ``_hull``.
     """
-    pts = curve.positions
-    turn = _turns(pts)
+    verts = curve.positions
+    turn = _turns(verts)
     total = float(turn.sum())  # 2 pi times the winding number
-    if (turn > 0.0).all() and total < 3.0 * np.pi:
-        verts = pts
-    elif (turn < 0.0).all() and total > -3.0 * np.pi:
-        verts = pts[::-1]
-        turn = _turns(verts)
-    else:
-        # imported on first use: convex node polygons need no hull
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            verts = pts[ConvexHull(pts).vertices]  # counterclockwise
-        except QhullError:
-            # collinear or coincident nodes: the farthest pair joins
-            # coordinate extremes
-            ext = pts[[pts[:, 0].argmin(), pts[:, 0].argmax(), pts[:, 1].argmin(), pts[:, 1].argmax()]]
-            diff = ext[:, None, :] - ext[None, :, :]
-            return sqrt(float((diff * diff).sum(axis=2).max()))
+    if not ((turn > 0.0).all() and total < 3.0 * np.pi):
+        clockwise = (turn < 0.0).all() and total > -3.0 * np.pi
+        verts = verts[::-1] if clockwise else verts[_hull(verts)]
         turn = _turns(verts)
     n = len(verts)
     # direction of edge i (vertex i to i + 1) relative to edge 0
@@ -231,8 +220,34 @@ def _turns(verts: np.ndarray) -> np.ndarray:
     """Signed turning angle from edge i to edge i + 1 of a closed
     polygon, edge i running from vertex i to vertex i + 1."""
     x, y = verts[:, 0], verts[:, 1]
-    ex = np.diff(x, append=x[0])
-    ey = np.diff(y, append=y[0])
+    ex = np.concatenate((x[1:], x[:1])) - x
+    ey = np.concatenate((y[1:], y[:1])) - y
     nx = np.concatenate((ex[1:], ex[:1]))
     ny = np.concatenate((ey[1:], ey[:1]))
     return np.arctan2(ex * ny - ey * nx, ex * nx + ey * ny)
+
+
+def _hull(pts: np.ndarray) -> np.ndarray:
+    """Indices of the strict convex hull vertices of ``pts`` (two if collinear),
+    counterclockwise: Andrew's monotone chain (IPL 9, 1979) over the nodes not
+    strictly inside the octagon of extreme nodes (Akl, Toussaint, IPL 7, 1978),
+    scaled by a power of two to below 2^500 so that only negligible turns underflow."""
+    x, y = np.ldexp(pts, 500 - np.frexp(np.abs(pts).max())[1]).T
+    s, d = x + y, x - y
+    octo = [x.argmax(), s.argmax(), y.argmax(), d.argmin(), x.argmin(), s.argmin(), y.argmin(), d.argmax()]
+    a = np.column_stack((x[octo], y[octo]))
+    e = np.concatenate((a[1:], a[:1])) - a  # a zero edge keeps every node
+    inside = (e[:, :1] * y - e[:, 1:] * x > (e[:, 0] * a[:, 1] - e[:, 1] * a[:, 0])[:, None]).all(axis=0)
+    idx = np.flatnonzero(~inside)
+    idx = idx[np.lexsort((y[idx], x[idx]))]
+    px, py = x[idx].tolist(), y[idx].tolist()
+    lower, upper = [], []
+    for chain, sweep in (lower, range(len(idx))), (upper, range(len(idx) - 1, -1, -1)):
+        for i in sweep:
+            while len(chain) > 1:
+                j, k = chain[-2], chain[-1]
+                if (px[k] - px[j]) * (py[i] - py[k]) > (py[k] - py[j]) * (px[i] - px[k]):
+                    break
+                chain.pop()
+            chain.append(i)
+    return idx[lower[:-1] + upper[:-1]]

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -237,17 +238,15 @@ class TestDiameter:
             assert diameter(PeriodicCurve(nodes)) == pytest.approx(diameter_pairwise(nodes), rel=1e-13)
 
     def test_nonconvex_polygon_gets_its_hull_diameter(self):
-        # the rose's petals turn both ways, so its hull comes from Qhull
-        from scipy import spatial
-
+        # the rose's petals turn both ways, so its hull comes from _hull
         curve = interpolate(rose_curve(), 96)
-        with mock.patch.object(spatial, "ConvexHull", wraps=spatial.ConvexHull) as hull:
+        with mock.patch.object(diagnostics, "_hull", wraps=diagnostics._hull) as hull:
             found = diameter(curve)
         assert hull.call_count == 1
         assert found == pytest.approx(diameter_pairwise(curve.positions), rel=1e-13)
 
     def test_import_leaves_qhull_unloaded(self):
-        # scipy.spatial is imported by the first diameter that needs a hull
+        # importing the package and its command line loads no scipy.spatial
         src = str(Path(torusflow.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, torusflow, torusflow.cli; print('scipy.spatial' in sys.modules)"
@@ -255,6 +254,38 @@ class TestDiameter:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_hull_diameters_leave_qhull_unloaded(self, tmp_path):
+        # rose and spiral evolves take a hull at every step, and so does a
+        # small dented polygon near r = 0.5, as a curve about to collapse
+        src = str(Path(torusflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = f"""
+import json, sys
+import numpy as np
+from torusflow import PeriodicCurve, cli, diagnostics, diameter
+calls, seen = [], {{}}
+hull = diagnostics._hull
+diagnostics._hull = lambda pts: calls.append(len(pts)) or hull(pts)
+for name in ("rose", "spiral"):
+    argv = ["evolve", "--scenario", name, "--scheme", "bdf2", "--nodes", "128", "--dt", "1e-3",
+            "--t-end", "0.02", "--out", {str(tmp_path)!r} + "/" + name]
+    seen[name] = (cli.main(argv), len(calls))
+    calls.clear()
+dented = 1e-3 * np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.0], [0.0, -1.0], [-1.0, 0.0]])
+seen["dented"] = (diameter(PeriodicCurve(np.array([0.5, 0.0]) + dented)), len(calls))
+seen["loaded"] = "scipy.spatial" in sys.modules
+print(json.dumps(seen))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        seen = json.loads(out.stdout.splitlines()[-1])
+        for name in ("rose", "spiral"):
+            status, calls = seen[name]
+            assert status == 0 and calls > 0
+        assert seen["dented"][0] == pytest.approx(2e-3, rel=1e-12) and seen["dented"][1] == 1
+        assert seen["loaded"] is False
 
 
 def _matches_pairwise(pos):
@@ -315,6 +346,105 @@ class TestDiameterProperties:
         # a collapsing curve ends as a tiny near-circle
         ang = phase + 2.0 * np.pi * np.arange(n) / n
         _matches_pairwise(np.array(center) + scale * np.column_stack([np.cos(ang), np.sin(ang)]))
+
+
+def _check_hull(pts):
+    """Invariants of ``_hull`` on a set of two or more nodes (a node polygon
+    has three or more); returns the vertices."""
+    found = diagnostics._hull(pts)
+    assert found.dtype.kind == "i" and len(set(found.tolist())) == len(found) >= 1
+    assert found.min() >= 0 and found.max() < len(pts)
+    verts = pts[found]
+    if (pts == pts[0]).all():
+        assert len(found) <= 2
+        return verts
+    assert len(np.unique(verts, axis=0)) == len(verts)
+    # a distance: the rounding of a few differences and products of coordinates
+    bound = 16.0 * np.finfo(float).eps * float(np.abs(pts).max())
+    if len(verts) >= 3:
+        # turn at each vertex, by the chain's own products on the chain's
+        # coordinates (scaled by a power of two): strictly left inside the
+        # lower and the upper chain, and left up to rounding at the
+        # lexicographic extremes where the two meet (a thin triangle's far
+        # corner can turn by less than the rounding)
+        shift = 500 - np.frexp(np.abs(pts).max())[1]
+        scaled = np.ldexp(verts, shift)
+        prev, after = scaled - np.roll(scaled, 1, axis=0), np.roll(scaled, -1, axis=0) - scaled
+        turn = prev[:, 0] * after[:, 1] - prev[:, 1] * after[:, 0]
+        order = np.lexsort((verts[:, 1], verts[:, 0]))
+        ends = np.isin(np.arange(len(verts)), order[[0, -1]])
+        assert (turn[~ends] > 0.0).all()
+        span = np.hypot(prev[:, 0], prev[:, 1]) + np.hypot(after[:, 0], after[:, 1])
+        assert (turn[ends] >= -np.ldexp(bound, shift) * span[ends]).all()
+    # no node lies outside an edge's line by more than the rounding bound
+    for v, e in zip(verts, np.roll(verts, -1, axis=0) - verts):
+        outside = e[1] * (pts[:, 0] - v[0]) - e[0] * (pts[:, 1] - v[1])
+        assert outside.max() <= bound * math.hypot(e[0], e[1])
+    return verts
+
+
+class TestHullProperties:
+    """``_hull`` on its own: input nodes, strict counterclockwise turns,
+    every node inside, and Qhull's vertices in general position."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pos=st.integers(2, 300).flatmap(
+            lambda n: arrays(float, (n, 2), elements=st.floats(-10.0, 10.0))
+        ),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+    )
+    # a thin triangle, and a vertical step whose unscaled turn underflows
+    @example(pos=np.array([[1.4477871658e-67, 1.0], [0.0, 1.0], [1.0, 0.0]]), decimals=None)
+    @example(pos=np.array([[1.0, 0.0], [-5e-324, 0.0], [0.0, -1.0], [0.0, -1.5]]), decimals=None)
+    def test_random_and_rounded_sets(self, pos, decimals):
+        # rounding to a few decimals makes duplicates and collinear runs
+        if decimals is not None:
+            pos = np.round(pos, decimals)
+        _check_hull(pos)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 50),
+        node=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        other=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        pick=st.data(),
+    )
+    def test_coincident_and_two_point_sets(self, n, node, other, pick):
+        # every node is one of two points, or all are the same point
+        which = pick.draw(arrays(bool, n))
+        pos = np.where(which[:, None], np.array(other), np.array(node))
+        verts = _check_hull(pos)
+        assert {tuple(v) for v in verts.tolist()} == {tuple(p) for p in pos.tolist()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        seed=st.integers(0, 2**32 - 1),
+        decimals=st.sampled_from([None, 5, 6]),
+    )
+    def test_tiny_sets(self, n, seed, decimals):
+        # a collapsing curve: nodes within 1e-4 of (0.5, 0)
+        pos = np.array([0.5, 0.0]) + 1e-4 * np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 2))
+        if decimals is not None:
+            pos = np.round(pos, decimals)
+        _check_hull(pos)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-4, 1.0, 10.0]),
+        gaussian=st.booleans(),
+    )
+    def test_general_position_matches_qhull(self, n, seed, scale, gaussian):
+        from scipy.spatial import ConvexHull
+
+        rng = np.random.default_rng(seed)
+        draw = rng.standard_normal((n, 2)) if gaussian else rng.uniform(-1.0, 1.0, (n, 2))
+        pos = np.array([0.5, 0.0]) + scale * draw
+        _check_hull(pos)
+        assert set(diagnostics._hull(pos).tolist()) == set(ConvexHull(pos).vertices.tolist())
 
 
 class TestErrorRecord:
