@@ -93,7 +93,10 @@ class CyclicTridiagonal:
         """Product with nodal vectors, shape (J,) or columns (J, k); for a
         stack of matrices (B, J) or (B, J, k)."""
         x = np.asarray(x, dtype=float)
-        columns = x.ndim > self.diag.ndim
+        dims = self.diag.shape
+        if x.shape[: len(dims)] != dims or x.ndim > len(dims) + 1:
+            raise ValueError(f"x must have shape {dims} or {dims} + (k,), got {x.shape}")
+        columns = x.ndim > len(dims)
         if columns:
             # the columns as rows of a transposed view: the step kernel
             # stores them so, component by component

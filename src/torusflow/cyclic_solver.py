@@ -17,11 +17,12 @@ matrices); any other matrix has its bands compared.
 
 Each member is audited on its own, against the first bound that
 suffices.  A stack whose members all pass is done after one split and
-one audit.  A member of a larger stack that misses the audit, or every
-member when the block cannot be factored, is solved again as a stack
-of one.  A stack of one gets up to two refinement steps on its factors
+one audit.  Otherwise one loop redoes alone, as a stack of one, each
+member the block did not serve: every member when the block cannot be
+factored, else those that missed the audit.  A member redone alone is
+split again, gets up to MAX_REFINEMENTS refinement steps on its factors
 and, when the split breaks down or stays inaccurate, is redone once
-with a second shift, -|A|_inf, before a failure is reported.  Every
+with a second shift, -|A|_inf, keeping the better report.  Every
 result carries a measured residual, an explicit status and the path
 taken; callers can rely on ``status == OK`` instead of re-checking.
 """
@@ -106,12 +107,25 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     # inf - inf and overflow in the split or the audit's residual end up
     # as a non-finite x or residual, which the audit turns into a status
     with np.errstate(invalid="ignore", over="ignore"):
-        first = _split(matrix, shifts, cols)
-        path, x, _, _, outcomes = first
+        path, x, _, _, outcomes = _split(matrix, shifts, cols)
         status, refinements = SolveStatus.OK, 0
         if x is None or any(verdict is not SolveStatus.OK for verdict, _ in outcomes):
-            r = _solve(matrix, cols, shifts, first)
-            x, status, path, refinements, outcomes = r.solution, r.status, r.path, r.refinements, r.members
+            # redo alone every member the block did not serve
+            if x is None:
+                x, outcomes, redo = np.empty_like(cols), [None] * len(cols), range(len(cols))
+            else:
+                redo = [i for i, (verdict, _) in enumerate(outcomes) if verdict is not SolveStatus.OK]
+            alone = []
+            for i in redo:
+                report = _alone(_rows(matrix, slice(i, i + 1)), cols[i : i + 1], shifts[i])
+                x[i], outcomes[i] = report.solution[0], report.members[0]
+                alone.append(report)
+            if len(alone) == len(cols):
+                paths = {report.path for report in alone}
+                path = paths.pop() if len(paths) == 1 else "mixed"
+            # members the block served passed their audit
+            status = max((report.status for report in alone), key=_RANK.get)
+            refinements = max(report.refinements for report in alone)
     residual_norm = max(res for _, res in outcomes)
     members = tuple(outcomes) if stacked else ()
     return SolveReport(x.reshape(b.shape), residual_norm, status, path, refinements, members)
@@ -123,51 +137,24 @@ def _rows(matrix: CyclicTridiagonal, index) -> CyclicTridiagonal:
     return CyclicTridiagonal._owned(*(band[index] for band in bands), matrix._symmetric)
 
 
-def _solve(matrix: CyclicTridiagonal, cols: np.ndarray, shifts: list, first) -> SolveReport:
-    """Report on a stack of B matrices for right sides (B, J, k), with
-    ``members`` filled in whatever B is, once ``first``, its ``_split``
-    with the shifts, has missed the audit."""
-    B = len(cols)
-    if B == 1:
-        report = _refined(matrix, cols, shifts[0], first)
-        if report.status is SolveStatus.OK:
-            return report
-        # any negative shift keeps the core of an SPD matrix positive definite
-        second = -matrix._member_norms[0]
-        if second in (0.0, shifts[0]):
-            return report
+def _alone(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float) -> SolveReport:
+    """Report on a stack of one for right sides (1, J, k): ``_refined``
+    with the shift gamma and, when that is not OK, once more with the
+    second shift -|A|_inf, keeping the better of the two."""
+    report = _refined(matrix, cols, gamma)
+    # any negative shift keeps the core of an SPD matrix positive definite
+    second = -matrix._member_norms[0]
+    if report.status is not SolveStatus.OK and second not in (0.0, gamma):
         retry = _refined(matrix, cols, second)
         if retry.status is SolveStatus.OK or retry.residual_norm < report.residual_norm:
             return retry
-        return report
-
-    path, x, _, _, outcomes = first
-    if x is None:
-        x, outcomes, redo = np.empty_like(cols), [None] * B, range(B)
-    else:
-        redo = [i for i, (status, _) in enumerate(outcomes) if status is not SolveStatus.OK]
-    alone = []
-    for i in redo:
-        member, member_cols, shift = _rows(matrix, slice(i, i + 1)), cols[i : i + 1], shifts[i : i + 1]
-        report = _solve(member, member_cols, shift, _split(member, shift, member_cols))
-        x[i] = report.solution[0]
-        outcomes[i] = report.members[0]
-        alone.append(report)
-    if len(alone) == B:
-        paths = {report.path for report in alone}
-        path = paths.pop() if len(paths) == 1 else "mixed"
-    # members the block served passed their audit
-    worst = max((report.status for report in alone), key=_RANK.get, default=SolveStatus.OK)
-    refinements = max((report.refinements for report in alone), default=0)
-    residual_norm = max(res for _, res in outcomes)
-    return SolveReport(x, residual_norm, worst, path, refinements, tuple(outcomes))
+    return report
 
 
-def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float, first=None) -> SolveReport:
+def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float) -> SolveReport:
     """Audited solution of a stack of one split with shift gamma, refined
-    on its factors while it misses the audit; ``first`` is that
-    ``_split`` when it is already done."""
-    path, x, solve, residual, outcomes = first or _split(matrix, [gamma], cols)
+    on its factors while it misses the audit."""
+    path, x, solve, residual, outcomes = _split(matrix, [gamma], cols)
     if x is None:
         nan, singular = np.full_like(cols, np.nan), SolveStatus.SINGULAR
         return SolveReport(nan, math.inf, singular, path, 0, ((singular, math.inf),))

@@ -164,6 +164,7 @@ class StepperState:
     step_index: int = 0
 
     def __post_init__(self):
+        _finite("time", self.time, positive=False)
         _finite("dt", self.dt)
         if self.previous is not None and (
             self.previous.node_count != self.current.node_count

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,14 @@ class TestCyclicTridiagonal:
             assert np.allclose(m.matvec(x), dense @ x, rtol=0, atol=1e-14)
             cols = rng.normal(size=(J, 3))
             assert np.allclose(m.matvec(cols), dense @ cols, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 2), (5, 2, 3)])
+    def test_matvec_rejects_mis_shaped_x_by_both_shapes(self, shape):
+        # none of these may broadcast against the bands of order 5
+        m = CyclicTridiagonal(np.full(5, 4.0), np.ones(5), np.ones(5))
+        message = re.escape(f"x must have shape (5,) or (5,) + (k,), got {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            m.matvec(np.ones(shape))
 
     def test_matvec_band_placement(self):
         # row j couples sub[j] to node j-1 and sup[j] to node j+1

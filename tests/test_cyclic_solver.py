@@ -399,6 +399,55 @@ class TestStack:
             for i, m in enumerate(matrices):
                 assert np.array_equal(report.solution[i], solve_cyclic(m, rhs[i]).solution)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        J=st.integers(3, 40),
+        kinds=st.lists(
+            st.sampled_from(["spd", "indefinite", "nonsymmetric", "tiny_pivot", "nan_rhs"]),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_mixed_stack_matches_its_members_solved_alone(self, seed, J, kinds):
+        # an SPD block that serves every member or that a NaN member
+        # misses, and blocks that indefinite, nonsymmetric or tiny-pivot
+        # members keep from being factored; tiny pivots refine alone
+        rng = np.random.default_rng(seed)
+        rhs = rng.normal(size=(len(kinds), J, 2))
+        matrices = []
+        for i, kind in enumerate(kinds):
+            if kind == "nonsymmetric":
+                m = random_dominant_matrix(rng, J)
+            elif kind == "tiny_pivot":
+                diag = np.full(J, 4.0)
+                diag[0] = 1e-9
+                m = CyclicTridiagonal(diag, np.ones(J), np.ones(J))
+            else:
+                m = symmetric_dominant_matrix(rng, J)
+            if kind == "indefinite":
+                diag = m.diag.copy()
+                diag[J // 2 :] *= -1.0  # still symmetric, no longer definite
+                m = CyclicTridiagonal(diag, m.sub, m.sup)
+            if kind == "nan_rhs":
+                rhs[i, rng.integers(J), rng.integers(2)] = np.nan
+            matrices.append(m)
+        report = solve_cyclic(stacked(matrices), rhs)
+        alone = [solve_cyclic(m, b) for m, b in zip(matrices, rhs)]
+        for i, single in enumerate(alone):
+            assert np.array_equal(report.solution[i], single.solution, equal_nan=True)
+            assert report.members[i] == (single.status, single.residual_norm)
+        worst = max((single.status for single in alone), key=list(SolveStatus).index)
+        assert report.status is worst
+        assert report.residual_norm == max(single.residual_norm for single in alone)
+        assert report.refinements == max(single.refinements for single in alone)
+        if set(kinds) <= {"spd", "nan_rhs"}:
+            assert report.path == "ldlt"  # the block serves the stack
+        else:
+            # no block of these factors: every member is redone alone
+            paths = {single.path for single in alone}
+            assert report.path == (paths.pop() if len(paths) == 1 else "mixed")
+
     @pytest.mark.parametrize("shape", [(8,), (8, 1), (8, 3), (2, 8), (2, 8, 1), (2, 8, 3)])
     @pytest.mark.parametrize("make", [symmetric_dominant_matrix, random_dominant_matrix])
     def test_rhs_is_left_unchanged(self, shape, make, rng):

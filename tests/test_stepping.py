@@ -65,6 +65,12 @@ class TestStateValidation:
         with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt!r}$"):
             StepperState(cur, None, 0.0, dt)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -1e-3])
+    def test_rejects_bad_time_by_name_before_any_work(self, time):
+        cur = interpolate(EXACT, 8, 0.0)
+        with pytest.raises(ValueError, match=f"^time must be nonnegative and finite, got {time!r}$"):
+            bdf1_step(StepperState(cur, None, time, 1e-3), FORCING)
+
     def test_rejects_mismatched_grids(self):
         cur = interpolate(EXACT, 8, 0.0)
         prev = interpolate(EXACT, 16, 0.0)
