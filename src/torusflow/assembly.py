@@ -184,10 +184,9 @@ def radial_direction_load(weight) -> np.ndarray:
     """
     weight.require_admissible("load weight")
     pairs = weight._element_data[2]
-    # built component by component, the layout of the step kernel's arrays
-    out = np.zeros((2,) + pairs.shape)
-    out[0] = 0.5 * pairs
-    return out.transpose(tuple(range(1, out.ndim)) + (0,))
+    out = np.zeros(pairs.shape + (2,))
+    out[..., 0] = 0.5 * pairs
+    return out
 
 
 def _hat_moments(vals, s, wts) -> np.ndarray:

@@ -192,7 +192,6 @@ def _classify(
         dt,
         t_end,
         thresholds=thresholds,
-        track_diameter=False,
         keep_records=False,
     )
     out = []
@@ -283,14 +282,10 @@ def bisect_critical_radius(
     _finite("tol", tol)
     if tol <= 4.0 * math.ulp(upper):  # else a midpoint may round onto an endpoint
         raise ValueError(f"tol must exceed 4 ulp of upper ({4.0 * math.ulp(upper):.3g}), got {tol!r}")
-    results: dict[float, object] = {}
-    probes: list[tuple[float, StopEvent]] = []
+    results: dict[float, object] = {}  # each classified radius's event or error
 
     def classify_round(radii: list[float]) -> None:
-        for radius, result in zip(radii, _classify(radii, scheme, node_count, dt, t_max, thresholds)):
-            results[radius] = result
-            if isinstance(result, StopEvent):
-                probes.append((radius, result))
+        results.update(zip(radii, _classify(radii, scheme, node_count, dt, t_max, thresholds)))
 
     def event(radius: float) -> StopEvent:
         result = results[radius]
@@ -319,6 +314,7 @@ def bisect_critical_radius(
             upper = mid
         else:
             lower = mid
+    probes = [(radius, result) for radius, result in results.items() if isinstance(result, StopEvent)]
     return BisectionResult(lower=lower, upper=upper, probes=probes)
 
 

@@ -21,7 +21,8 @@ diagnostics each step and stopping early with a typed event when the
 curve touches the axis, collapses to a point, degenerates an element,
 or the linear solver fails its residual audit.  The kernel advances a
 stack of curves on one grid at once, each member exactly as it would
-go alone; ``run`` is its one-curve case.
+go alone; ``run`` is its one-curve case.  Each member leaves the stack
+through one path, on its last accepted curve if its step fails.
 """
 
 from __future__ import annotations
@@ -164,6 +165,10 @@ class StepperState:
     step_index: int = 0
 
     def __post_init__(self):
+        for name in ("current", "previous"):
+            curve = getattr(self, name)
+            if not (isinstance(curve, PeriodicCurve) or name == "previous" and curve is None):
+                raise TypeError(f"{name} must be a PeriodicCurve, got {type(curve).__name__}")
         _finite("time", self.time, positive=False)
         _finite("dt", self.dt)
         if self.previous is not None and (
@@ -429,8 +434,9 @@ def _run_stack(
     """``run`` for several curves on one grid, advanced as one stack.
 
     Returns one report per initial curve, each with the event, records
-    and final curve its own run gives.  A member that stops leaves the
-    stack; observers see every member's curves.  With
+    and final curve its own run gives.  One helper, ``end``, retires
+    members: a failed step ends on the last accepted curve, an event or
+    t_end on the new one.  Observers see every member's curves.  With
     ``keep_records=False`` every report's records are empty; the stop
     events do not read records, so they are the same either way.
     """
@@ -444,14 +450,18 @@ def _run_stack(
             if initial.node_count != node_count:
                 raise ValueError("initial curve node count disagrees with node_count")
             starts.append(initial.positions)
-        else:
+        elif isinstance(initial, CurveFunction):
             starts.append(interpolate(initial, node_count, 0.0).positions)
+        else:
+            raise TypeError(
+                f"initial must be a PeriodicCurve or a CurveFunction, got {type(initial).__name__}"
+            )
     thresholds = thresholds if thresholds is not None else EventThresholds()
-    with_curve = bool(observers) or keep_records and (exact is not None or track_diameter)
+    if not isinstance(thresholds, EventThresholds):
+        raise TypeError(f"thresholds must be an EventThresholds, got {type(thresholds).__name__}")
 
     records: list[list[ErrorRecord]] = [[] for _ in starts]
-    events: list[Optional[StopEvent]] = [None] * len(starts)
-    finals: list[Optional[PeriodicCurve]] = [None] * len(starts)
+    outcomes: list[Optional[tuple[StopEvent, PeriodicCurve]]] = [None] * len(starts)
 
     def accept(idx: int, t: float, curves: CurveStack) -> dict[int, StopEvent]:
         """Show every member's new state to the observers and record it;
@@ -459,7 +469,7 @@ def _run_stack(
         if keep_records:
             ratios, rmin = mesh_ratio(curves), min_radial(curves)
         for row, member in enumerate(members if keep_records or observers else ()):
-            curve = curves.member(row) if with_curve else None
+            curve = curves.member(row)
             for obs in observers:
                 obs(idx, t, curve)
             if not keep_records:
@@ -484,43 +494,36 @@ def _run_stack(
             )
         return _state_events(curves, t, thresholds)
 
-    def retire(stopped: dict[int, StopEvent], curves: CurveStack) -> list[int]:
-        """Close the stopped rows' runs, each ending on its curve in
-        ``curves``; return the rows that go on."""
-        for row, event in stopped.items():
-            events[members[row]] = event
-            finals[members[row]] = curves.member(row)
-        return [row for row in range(len(members)) if row not in stopped]
+    def end(ended: dict[int, StopEvent]) -> None:
+        """End the runs of the ``ended`` rows, each with its event on its
+        curve in ``current``, and drop those rows from the stack."""
+        nonlocal members, current, previous
+        if not ended:
+            return
+        for row, event in ended.items():
+            outcomes[members[row]] = (event, current.member(row))
+        rows = [row for row in range(len(members)) if row not in ended]
+        members = [members[row] for row in rows]
+        current = current.take(rows)
+        previous = None if previous is None else previous.take(rows)
 
     members = list(range(len(starts)))  # the member in each stack row
     # stored component by component, (2, B, J), as the solver returns
     # its solutions: every elementwise step then runs along whole rows
     current = CurveStack(np.stack([pos.T for pos in starts], axis=1).transpose(1, 2, 0))
     previous = None
-    stopped = accept(0, 0.0, current)
-    m = 0
-    while True:
-        if stopped:
-            rows = retire(stopped, current)
-            members = [members[row] for row in rows]
-            current = current.take(rows)
-            previous = None if previous is None else previous.take(rows)
-        if not members or m == steps:
+    end(accept(0, 0.0, current))
+    for m in range(1, steps + 1):
+        if not members:
             break
         kind = SchemeKind.BDF1 if previous is None else scheme
-        new, failures = _STEPPERS[kind](current, previous, m * dt, dt, source)
-        m += 1
-        if failures:
-            # a failed member ends on its last accepted curve
-            failed = {row: StopEvent(f.kind, m * dt, f.metric) for row, f in failures.items()}
-            rows = retire(failed, current)
-            members = [members[row] for row in rows]
-            current = current.take(rows)
+        new, failures = _STEPPERS[kind](current, previous, (m - 1) * dt, dt, source)
+        # a failed member ends on its last accepted curve
+        end({row: StopEvent(f.kind, m * dt, f.metric) for row, f in failures.items()})
         previous, current = current, new
-        stopped = accept(m, m * dt, current) if members else {}
-    for row, member in enumerate(members):
-        events[member] = StopEvent(StopKind.REACHED_T, steps * dt, 0.0)
-        finals[member] = current.member(row)
+        if members:
+            end(accept(m, m * dt, current))
+    end(dict.fromkeys(range(len(members)), StopEvent(StopKind.REACHED_T, steps * dt, 0.0)))
     return [
         RunReport(
             scheme=scheme,
@@ -532,7 +535,7 @@ def _run_stack(
             records=rec,
             thresholds=thresholds,
         )
-        for event, final, rec in zip(events, finals, records)
+        for (event, final), rec in zip(outcomes, records)
     ]
 
 

@@ -77,6 +77,32 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             StepperState(cur, prev, 0.0, 1e-3)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda curve: run(curve.positions, "cn", 8, 1e-3, 0.01),
+                "initial must be a PeriodicCurve or a CurveFunction, got ndarray",
+            ),
+            (
+                lambda curve: run(curve, "cn", 8, 1e-3, 0.01, thresholds={"axis": 0.0}),
+                "thresholds must be an EventThresholds, got dict",
+            ),
+            (
+                lambda curve: bdf1_step(StepperState(curve.positions, None, 0.0, 1e-3)),
+                "current must be a PeriodicCurve, got ndarray",
+            ),
+            (
+                lambda curve: cn_step(StepperState(curve, curve.positions, 0.0, 1e-3)),
+                "previous must be a PeriodicCurve, got ndarray",
+            ),
+        ],
+        ids=["initial", "thresholds", "current", "previous"],
+    )
+    def test_rejects_wrong_input_types_by_name(self, call, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(interpolate(EXACT, 8, 0.0))
+
     def test_two_step_schemes_demand_history(self):
         state = StepperState(interpolate(EXACT, 8, 0.0), None, 0.0, 1e-3)
         with pytest.raises(ValueError, match="bdf1"):
@@ -666,6 +692,56 @@ class TestStack:
             assert_same_run(ours, run(torus_circle(radius), scheme, J, dt, t_end))
         if min(radii) < 0.7:
             assert stacked[0].event.time < max(r.event.time for r in stacked)
+
+    @pytest.mark.parametrize("scheme", ["cn", "bdf2"])
+    @pytest.mark.parametrize("axis", [0.0, 0.1])
+    @settings(max_examples=6, deadline=None)
+    @given(
+        radii=st.lists(st.floats(0.3, 0.97), max_size=3),
+        J=st.sampled_from([24, 32, 40, 48]),
+    )
+    def test_observers_and_retirement_match_serial_runs(self, scheme, axis, radii, J):
+        # r = 0.95 starts 0.05 from the axis: with axis = 0.1 it stops at
+        # t = 0; with axis = 0.0 it fails the coefficient check two steps
+        # in, on these even grids where a node sits at r = 0.05.  r = 0.7
+        # stops on the axis event later and r = 0.6 reaches t_end
+        radii = [0.95, 0.7, 0.6] + radii
+        thresholds = EventThresholds(axis=axis)
+        dt, t_end = 2e-3, 0.1
+
+        def watch(calls):
+            return lambda m, t, curve: calls.append((m, t, curve.positions.tobytes()))
+
+        serial, expected = [], []
+        for member, radius in enumerate(radii):
+            calls = []
+            serial.append(
+                run(torus_circle(radius), scheme, J, dt, t_end, thresholds=thresholds,
+                    observers=(watch(calls),))
+            )
+            expected += [(call[0], member, call) for call in calls]
+        # a stack shows each step's members to the observers in stack order
+        expected = [call for _, _, call in sorted(expected, key=lambda c: c[:2])]
+        first = serial[0].event
+        if axis:
+            assert (first.kind, first.time) == (StopKind.AXIS_TOUCH, 0.0)
+        else:
+            assert first.metric <= 0.0 and len(serial[0].records) == round(first.time / dt) == 2
+        assert serial[1].event.kind is StopKind.AXIS_TOUCH and serial[1].event.time > 0.0
+        assert serial[2].event.kind is StopKind.REACHED_T
+        for keep_records in (True, False):
+            calls = []
+            stacked = stepping._run_stack(
+                [torus_circle(r) for r in radii], scheme, J, dt, t_end, thresholds=thresholds,
+                observers=(watch(calls),), keep_records=keep_records,
+            )
+            assert calls == expected
+            for ours, alone in zip(stacked, serial):
+                if keep_records:
+                    assert_same_run(ours, alone)
+                else:
+                    assert ours.event == alone.event and ours.records == []
+                    assert np.array_equal(ours.final.positions, alone.final.positions)
 
     def test_member_failing_the_coefficient_check_leaves_the_others_alone(self):
         # with the axis event off, the extrapolated coefficient curve of
