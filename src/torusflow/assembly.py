@@ -198,6 +198,11 @@ def _hat_moments(vals, s, wts) -> np.ndarray:
     return right + np.concatenate((left[..., 1:, :], left[..., :1, :]), axis=-2)
 
 
+# Gauss points per element of every source load; metadata.json states
+# it as "gauss3 per element"
+_SOURCE_POINTS = 3
+
+
 @lru_cache(maxsize=8)
 def _basis_loads(basis, node_count: int, quadrature_points: int) -> np.ndarray:
     """Loads of the K basis fields of a separable source, read-only (K, J, 2)."""
@@ -208,20 +213,20 @@ def _basis_loads(basis, node_count: int, quadrature_points: int) -> np.ndarray:
     return loads
 
 
-def source_load(f, node_count: int, t: float, quadrature_points: int = 3) -> np.ndarray:
+def source_load(f, node_count: int, t: float) -> np.ndarray:
     """Hat-function moments of a source field at time t, shape (J, 2).
 
     ``f`` maps (rho array, t) to an (n, 2) array and is treated as
     1-periodic.  Three Gauss points per element integrate the smooth
     sources used here essentially to roundoff.  A field with a separable
     form (``basis`` and ``coeffs``, see ``SourceField``) is loaded as
-    coeffs(t) times its basis loads, computed once per grid and rule.
+    coeffs(t) times its basis loads, computed once per grid.
     """
     J = _count("node_count", node_count, 3)
     basis = getattr(f, "basis", None)
     if basis is not None:
-        loads = _basis_loads(basis, J, quadrature_points)
+        loads = _basis_loads(basis, J, _SOURCE_POINTS)
         return (f.coeffs(t) @ loads.reshape(len(loads), -1)).reshape(J, 2)
-    rho, s, wts = element_rho(J, quadrature_points)
+    rho, s, wts = element_rho(J, _SOURCE_POINTS)
     vals = np.asarray(f(rho.ravel(), t), dtype=float).reshape(J, len(s), 2)
     return _hat_moments(vals, s, wts)

@@ -180,10 +180,9 @@ def _classify(
     dt: float,
     t_max: float,
     thresholds: Optional[EventThresholds],
-) -> list:
-    """The terminal singularity of each radius's unforced torus circle,
-    all advanced as one stack: its axis_touch or curve_collapse event,
-    or the RuntimeError ``classify_radius`` raises for it."""
+) -> list[StopEvent]:
+    """The stop event of each radius's unforced torus circle, all advanced
+    as one stack; ``_singular`` judges whether it is a singularity."""
     t_end = max(1, _nearest_step_count("t_max", t_max, dt, positive=True)) * dt
     reports = _run_stack(
         [torus_circle(radius) for radius in radii],
@@ -194,21 +193,23 @@ def _classify(
         thresholds=thresholds,
         keep_records=False,
     )
-    out = []
-    for radius, report in zip(radii, reports):
-        kind = report.event.kind
-        if kind in (StopKind.AXIS_TOUCH, StopKind.CURVE_COLLAPSE):
-            out.append(report.event)
-        elif kind is StopKind.REACHED_T:
-            out.append(RuntimeError(
-                f"radius {radius:g} reached t = {t_end:g} without a singularity; "
-                "raise t_max or tighten the bracket"
-            ))
-        else:
-            out.append(RuntimeError(
-                f"radius {radius:g} failed with {kind.value} at t = {report.event.time:g}"
-            ))
-    return out
+    return [report.event for report in reports]
+
+
+_SINGULAR = (StopKind.AXIS_TOUCH, StopKind.CURVE_COLLAPSE)
+
+
+def _singular(radius: float, event: StopEvent) -> StopEvent:
+    """``event`` if it is an axis_touch or curve_collapse; otherwise raise
+    the RuntimeError that names ``radius`` and how its run ended."""
+    if event.kind in _SINGULAR:
+        return event
+    if event.kind is StopKind.REACHED_T:
+        raise RuntimeError(
+            f"radius {radius:g} reached t = {event.time:g} without a singularity; "
+            "raise t_max or tighten the bracket"
+        )
+    raise RuntimeError(f"radius {radius:g} failed with {event.kind.value} at t = {event.time:g}")
 
 
 def classify_radius(
@@ -224,10 +225,8 @@ def classify_radius(
     Returns the axis_touch or curve_collapse event; raises if the run
     reaches t_max without one, or dies of a non-geometric failure.
     """
-    (result,) = _classify([radius], scheme, node_count, dt, t_max, thresholds)
-    if isinstance(result, RuntimeError):
-        raise result
-    return result
+    (event,) = _classify([radius], scheme, node_count, dt, t_max, thresholds)
+    return _singular(radius, event)
 
 
 @dataclass(frozen=True)
@@ -274,38 +273,36 @@ def bisect_critical_radius(
     Each round classifies, as one stack, the radii the next
     ``ROUND_DEPTH`` bisection steps may visit (the first round adds the
     endpoints), so the bracket and every radius plain bisection probes
-    are the same, and the log lists the endpoints first, then every
-    classified radius, including those plain bisection would skip.
+    are the same.  Every stop event is judged as ``classify_radius``
+    judges it: a radius plain bisection visits that ends without a
+    singularity raises its RuntimeError, and one it would skip is only
+    left out of the log.  The log lists the endpoints first, then every
+    other radius classified as singular, including skipped ones.
     """
     if not 0.0 < lower < upper < 1.0:
         raise ValueError("need 0 < lower < upper < 1")
     _finite("tol", tol)
     if tol <= 4.0 * math.ulp(upper):  # else a midpoint may round onto an endpoint
         raise ValueError(f"tol must exceed 4 ulp of upper ({4.0 * math.ulp(upper):.3g}), got {tol!r}")
-    results: dict[float, object] = {}  # each classified radius's event or error
+    results: dict[float, StopEvent] = {}  # each classified radius's stop event
 
     def classify_round(radii: list[float]) -> None:
         results.update(zip(radii, _classify(radii, scheme, node_count, dt, t_max, thresholds)))
 
     def event(radius: float) -> StopEvent:
-        result = results[radius]
-        if isinstance(result, RuntimeError):
-            raise result
-        return result
+        return _singular(radius, results[radius])
 
     classify_round([lower, upper] + _round_radii(lower, upper, tol, ROUND_DEPTH))
-    ev = event(lower)
-    if ev.kind is not StopKind.CURVE_COLLAPSE:
-        raise ValueError(
-            f"lower radius {lower:g} does not collapse ({ev.kind.value}); "
-            "bracket must straddle the critical radius"
-        )
-    ev = event(upper)
-    if ev.kind is not StopKind.AXIS_TOUCH:
-        raise ValueError(
-            f"upper radius {upper:g} does not touch the axis ({ev.kind.value}); "
-            "bracket must straddle the critical radius"
-        )
+    for end, radius, kind, does in (
+        ("lower", lower, StopKind.CURVE_COLLAPSE, "collapse"),
+        ("upper", upper, StopKind.AXIS_TOUCH, "touch the axis"),
+    ):
+        ev = event(radius)
+        if ev.kind is not kind:
+            raise ValueError(
+                f"{end} radius {radius:g} does not {does} ({ev.kind.value}); "
+                "bracket must straddle the critical radius"
+            )
     while upper - lower > tol:
         mid = 0.5 * (lower + upper)
         if mid not in results:
@@ -314,7 +311,7 @@ def bisect_critical_radius(
             upper = mid
         else:
             lower = mid
-    probes = [(radius, result) for radius, result in results.items() if isinstance(result, StopEvent)]
+    probes = [(radius, ev) for radius, ev in results.items() if ev.kind in _SINGULAR]
     return BisectionResult(lower=lower, upper=upper, probes=probes)
 
 

@@ -364,24 +364,18 @@ def _state_events(
     axis before collapse before degeneracy."""
     rmin, emin = curves._bounds
     rmax = curves.r.max(axis=-1).tolist()
-    reach = math.sqrt(2.0) * thresholds.collapse
     edge_floor = thresholds.edge_fraction * curves.spacing
     events = {}
     for row, (low, high, shortest) in enumerate(zip(rmin, rmax, emin)):
         if low < thresholds.axis:
             events[row] = StopEvent(StopKind.AXIS_TOUCH, t, low)
             continue
-        # the diameter is at least the bounding box diagonal / sqrt(2),
-        # and that diagonal at least the radial span, so most states
-        # skip both
-        if high - low < reach:
-            pos = curves.positions[row]
-            spans = pos.max(axis=0) - pos.min(axis=0)
-            if math.hypot(float(spans[0]), float(spans[1])) < reach:
-                diam = diameter(curves.member(row))
-                if diam < thresholds.collapse:
-                    events[row] = StopEvent(StopKind.CURVE_COLLAPSE, t, diam)
-                    continue
+        # the diameter is at least the radial span
+        if high - low < thresholds.collapse:
+            diam = diameter(curves.member(row))
+            if diam < thresholds.collapse:
+                events[row] = StopEvent(StopKind.CURVE_COLLAPSE, t, diam)
+                continue
         if shortest < edge_floor:
             events[row] = StopEvent(StopKind.ELEMENT_DEGENERATE, t, shortest)
     return events

@@ -17,7 +17,8 @@ from torusflow import (
     weighted_stiffness_matrix,
 )
 
-from torusflow.assembly import _basis_loads
+from torusflow.assembly import _basis_loads, _hat_moments
+from torusflow.quadrature import element_rho
 
 from oracles import (
     dense_mass,
@@ -164,10 +165,12 @@ class TestSeparableSource:
             assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_other_rules_match_direct_load(self):
+        # source_load uses one rule; the basis-load cache is keyed by rule
         f = manufactured_forcing()
         for npts in (1, 2, 5):
-            ref = source_load(SourceField(f.func), 40, 0.3, npts)
-            ours = source_load(f, 40, 0.3, npts)
+            rho, s, wts = element_rho(40, npts)
+            ref = _hat_moments(np.asarray(f.func(rho.ravel(), 0.3)).reshape(40, npts, 2), s, wts)
+            ours = (f.coeffs(0.3) @ _basis_loads(f.basis, 40, npts).reshape(4, -1)).reshape(40, 2)
             assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @settings(max_examples=200, deadline=None)

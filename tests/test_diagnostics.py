@@ -23,6 +23,7 @@ from torusflow import (
     mesh_ratio,
     min_radial,
     rose_curve,
+    spiral_curve,
     superconvergence_error,
 )
 from torusflow import diagnostics
@@ -346,6 +347,41 @@ class TestDiameterProperties:
         # a collapsing curve ends as a tiny near-circle
         ang = phase + 2.0 * np.pi * np.arange(n) / n
         _matches_pairwise(np.array(center) + scale * np.column_stack([np.cos(ang), np.sin(ang)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pos=st.one_of(
+            # coordinates 0 or above 1e-100, so that no squared span underflows
+            st.integers(3, 300)
+            .flatmap(lambda n: arrays(float, (n, 2), elements=st.floats(-10.0, 10.0)))
+            .map(lambda pos: np.where(np.abs(pos) > 1e-100, pos, 0.0)),
+            # nodes in order along an ellipse: a convex polygon
+            st.builds(
+                lambda par, axes: axes * np.column_stack([np.cos(par), np.sin(par)]),
+                arrays(
+                    float, st.integers(3, 300), elements=st.floats(0.0, 2.0 * np.pi), unique=True
+                ).map(np.sort),
+                st.tuples(st.floats(1e-3, 5.0), st.floats(1e-3, 5.0)).map(np.array),
+            ),
+            st.builds(
+                lambda curve, n: interpolate(curve, n).positions,
+                st.sampled_from([rose_curve(), spiral_curve()]),
+                st.integers(3, 300),
+            ),
+        ),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+        tiny=st.booleans(),
+    )
+    def test_at_least_each_coordinate_span(self, pos, decimals, tiny):
+        # exactly, with no tolerance: the collapse event measures the
+        # diameter only of states whose radial span is below its threshold
+        if decimals is not None:
+            pos = np.round(pos, decimals)
+        if tiny:
+            pos = np.array([1.0, 0.0]) + 1e-6 * (pos - pos.mean(axis=0))
+        found = diameter(PeriodicCurve(pos))
+        assert found >= pos[:, 0].max() - pos[:, 0].min()
+        assert found >= pos[:, 1].max() - pos[:, 1].min()
 
 
 def _check_hull(pts):

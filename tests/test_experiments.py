@@ -273,6 +273,52 @@ class TestSpeculativeBisection:
         # three rounds: the endpoints and 3 radii, 3 radii, the last midpoint
         assert len(result.probes) == 9 and len(probes) == 7
 
+    @staticmethod
+    def _stack_ending(odd, kind):
+        """A ``_run_stack`` stand-in: torus circles below 0.6415 collapse and
+        the others touch the axis at t = 0.1, but radius ``odd`` ends with
+        ``kind`` at t_end."""
+
+        def run_stack(initials, scheme, node_count, dt, t_end, **kwargs):
+            reports = []
+            for initial in initials:
+                if initial.radius == odd:
+                    event = StopEvent(kind, t_end)
+                elif initial.radius < 0.6415:
+                    event = StopEvent(StopKind.CURVE_COLLAPSE, 0.1, 1e-4)
+                else:
+                    event = StopEvent(StopKind.AXIS_TOUCH, 0.1, 1e-4)
+                reports.append(RunReport(scheme, node_count, dt, t_end, event, final=None))
+            return reports
+
+        return run_stack
+
+    @pytest.mark.parametrize("kind", [StopKind.REACHED_T, StopKind.SOLVER_FAILURE])
+    def test_skipped_radius_without_a_singularity_is_left_out(self, monkeypatch, kind):
+        # plain bisection of [0.5, 0.7] about 0.6415 goes to 0.6 and then
+        # 0.65, so the first round's 0.55 is classified but never visited
+        _, skipped, _ = experiments._round_radii(0.5, 0.7, 0.01, 2)
+        monkeypatch.setattr(experiments, "_run_stack", self._stack_ending(None, kind))
+        every = bisect_critical_radius(0.5, 0.7, 0.01, "cn")
+        assert skipped in dict(every.probes)
+        monkeypatch.setattr(experiments, "_run_stack", self._stack_ending(skipped, kind))
+        result = bisect_critical_radius(0.5, 0.7, 0.01, "cn")
+        assert (result.lower, result.upper) == (every.lower, every.upper)
+        assert result.probes == [(r, e) for r, e in every.probes if r != skipped]
+
+    @pytest.mark.parametrize("kind", [StopKind.REACHED_T, StopKind.SOLVER_FAILURE])
+    @pytest.mark.parametrize("visited", [0.5, 0.7, 0.6])
+    def test_visited_radius_without_a_singularity_raises_as_classify_does(
+        self, monkeypatch, kind, visited
+    ):
+        monkeypatch.setattr(experiments, "_run_stack", self._stack_ending(visited, kind))
+        with pytest.raises(RuntimeError) as alone:
+            classify_radius(visited, "cn")
+        assert str(alone.value).startswith(f"radius {visited:g} ")
+        with pytest.raises(RuntimeError) as bisected:
+            bisect_critical_radius(0.5, 0.7, 0.01, "cn")
+        assert str(bisected.value) == str(alone.value)
+
     def test_bracket_already_within_tol_classifies_only_the_endpoints(self):
         result = bisect_critical_radius(0.6, 0.7, 0.2, "cn", **COARSE)
         assert [r for r, _ in result.probes] == [0.6, 0.7]

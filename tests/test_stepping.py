@@ -648,6 +648,24 @@ class TestStoppingEvents:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EventThresholds(**{name: 10**400})
 
+    def test_diameter_is_taken_only_below_the_collapse_span(self, monkeypatch):
+        # the diameter is at least the radial span, so a wider state cannot
+        # collapse; this radius (the lower end of a jittered bisection
+        # bracket) passes states slightly wider than that as it collapses
+        spans = []
+        real = stepping.diameter
+
+        def spy(curve):
+            spans.append(float(curve.r.max() - curve.r.min()))
+            return real(curve)
+
+        monkeypatch.setattr(stepping, "diameter", spy)
+        (report,) = stepping._run_stack(
+            [torus_circle(0.50074)], SchemeKind.CN, 256, 2e-4, 0.5, keep_records=False
+        )
+        assert report.event.kind is StopKind.CURVE_COLLAPSE
+        assert spans and max(spans) < EventThresholds().collapse
+
     def test_initial_state_can_already_trigger(self):
         report = run(
             torus_circle(0.5),
