@@ -29,17 +29,43 @@ taken; callers can rely on ``status == OK`` instead of re-checking.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .assembly import CyclicTridiagonal
 
 __all__ = ["SolveStatus", "SolveReport", "solve_cyclic", "RESIDUAL_RTOL"]
+
+
+def _load_lapack():
+    """SciPy's compiled LAPACK wrappers, loaded from their file: importing
+    scipy.linalg would run its package init, most of this package's import
+    time and memory, for four routines.  sys.modules is left as it was; a
+    later import of scipy.linalg hands out the same routines.  When it is
+    imported already, or no such file is on disk (an editable or zipped
+    SciPy install), the routines are imported from it."""
+    scipy = importlib.util.find_spec("scipy")
+    for folder in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path) and "scipy.linalg" not in sys.modules:
+                spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules.pop(spec.name, None)  # where the extension loader put it
+                return module
+    return importlib.import_module("scipy.linalg.lapack")
+
+
+lapack = _load_lapack()
 
 # status is OK only when the residual meets
 #   |A x - b|_inf <= RESIDUAL_RTOL * (|b|_inf + |A|_inf * |x|_inf)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import nan, sqrt
+from math import frexp, nan, sqrt
 
 import numpy as np
 
@@ -193,12 +193,12 @@ def diameter(curve: PeriodicCurve) -> float:
     and winds once is its own hull; any other goes through ``_hull``.
     """
     verts = curve.positions
-    turn = _turns(verts)
+    turn, e = _turns(verts)
     total = float(turn.sum())  # 2 pi times the winding number
     if not ((turn > 0.0).all() and total < 3.0 * np.pi):
         clockwise = (turn < 0.0).all() and total > -3.0 * np.pi
         verts = verts[::-1] if clockwise else verts[_hull(verts)]
-        turn = _turns(verts)
+        turn, e = _turns(verts)
     n = len(verts)
     # direction of edge i (vertex i to i + 1) relative to edge 0
     ang = np.maximum.accumulate(np.concatenate(([0.0], np.cumsum(turn[:-1]))))
@@ -212,19 +212,27 @@ def diameter(curve: PeriodicCurve) -> float:
     best = 0.0
     for near in slice(1, -1), slice(2, None):
         dx, dy = x[near] - xf, y[near] - yf
+        if e:  # the farthest pair is at least one edge, at most n edges apart
+            dx, dy = np.ldexp(dx, -e), np.ldexp(dy, -e)
         best = max(best, float((dx * dx + dy * dy).max()))
-    return sqrt(best)
+    return float(np.ldexp(sqrt(best), e))
 
 
-def _turns(verts: np.ndarray) -> np.ndarray:
-    """Signed turning angle from edge i to edge i + 1 of a closed
-    polygon, edge i running from vertex i to vertex i + 1."""
-    x, y = verts[:, 0], verts[:, 1]
-    ex = np.concatenate((x[1:], x[:1])) - x
-    ey = np.concatenate((y[1:], y[:1])) - y
-    nx = np.concatenate((ex[1:], ex[:1]))
-    ny = np.concatenate((ey[1:], ey[:1]))
-    return np.arctan2(ex * ny - ey * nx, ex * nx + ey * ny)
+def _turns(verts: np.ndarray):
+    """Signed turning angles from edge i to edge i + 1 of a closed polygon,
+    edge i running from vertex i to vertex i + 1, and the exponent e of the
+    edges' scaling: 0 when their largest component lies in [2^-401, 2^400],
+    else the power of two that scales it into [1/2, 1), so that no product
+    of two overflows and one that underflows is negligible."""
+    edges = np.concatenate((verts[1:], verts[:1])) - verts
+    e = frexp(np.abs(edges).max())[1]
+    if abs(e) > 400:
+        edges = np.ldexp(edges, -e)
+    else:
+        e = 0
+    ex, ey = edges.T
+    nx, ny = np.concatenate((edges[1:], edges[:1])).T
+    return np.arctan2(ex * ny - ey * nx, ex * nx + ey * ny), e
 
 
 def _hull(pts: np.ndarray) -> np.ndarray:

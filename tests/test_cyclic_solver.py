@@ -1,5 +1,11 @@
+import json
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -538,3 +544,67 @@ class TestAudit:
             assert status is expect
             assert res == true_res or np.isnan(res) and np.isnan(true_res)
             assert np.array_equal(residual[i], product[i] - cols[i], equal_nan=True)
+
+
+class TestLapackLoader:
+    """The four LAPACK routines come from SciPy's compiled wrappers,
+    loaded without importing scipy.linalg; where no such file is found,
+    the import of scipy.linalg.lapack serves the same reports."""
+
+    @staticmethod
+    def _python(code, *args):
+        src = str(Path(cyclic_solver.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        command = [sys.executable, "-c", code, *args]
+        return subprocess.run(command, env=env, capture_output=True, check=True).stdout
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        code = """
+import json, sys, torusflow, torusflow.cli
+from torusflow import cyclic_solver
+loaded = [name for name in sys.modules if name.startswith("scipy")]
+from scipy.linalg import lapack
+names = ("dpttrf", "dpttrs", "dgttrf", "dgttrs")
+print(json.dumps([loaded, [getattr(cyclic_solver.lapack, n) is getattr(lapack, n) for n in names]]))
+"""
+        # no scipy module is left loaded, and a later import of
+        # scipy.linalg hands out the very same routines
+        assert json.loads(self._python(code)) == [[], [True] * 4]
+
+    def test_scipy_linalg_imported_first_is_used_as_it_is(self):
+        code = """
+import sys, scipy.linalg
+modules = dict(sys.modules)
+from torusflow import cyclic_solver
+print(cyclic_solver.lapack is scipy.linalg.lapack, all(sys.modules[name] is modules[name] for name in modules))
+"""
+        assert self._python(code).split() == [b"True", b"True"]
+
+    def test_fallback_reports_equal_the_direct_path(self, rng, tmp_path):
+        # a process whose locator finds no SciPy file on disk imports
+        # scipy.linalg.lapack, and solves bit for bit as this one does
+        symmetric = stacked([symmetric_dominant_matrix(rng, 40) for _ in range(3)])
+        cases = [
+            (symmetric, rng.normal(size=(3, 40, 2))),
+            (random_dominant_matrix(rng, 40), rng.normal(size=40)),
+        ]
+        (tmp_path / "cases.pkl").write_bytes(pickle.dumps(cases))
+        code = """
+import importlib.util, pickle, sys
+find = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *args: None if name == "scipy" else find(name, *args)
+from torusflow import cyclic_solver, solve_cyclic
+importlib.util.find_spec = find
+with open(sys.argv[1], "rb") as f:
+    cases = pickle.load(f)
+reports = [solve_cyclic(matrix, rhs) for matrix, rhs in cases]
+sys.stdout.buffer.write(pickle.dumps((cyclic_solver.lapack.__name__, reports)))
+"""
+        name, fallback = pickle.loads(self._python(code, str(tmp_path / "cases.pkl")))
+        assert name == "scipy.linalg.lapack"
+        direct = [solve_cyclic(matrix, rhs) for matrix, rhs in cases]
+        assert [report.path for report in direct] == ["ldlt", "lu"]
+        for one, other in zip(direct, fallback):
+            assert one.solution.tobytes() == other.solution.tobytes()
+            fields = ("residual_norm", "status", "path", "refinements", "members")
+            assert [getattr(one, f) for f in fields] == [getattr(other, f) for f in fields]

@@ -351,10 +351,9 @@ class TestDiameterProperties:
     @settings(max_examples=200, deadline=None)
     @given(
         pos=st.one_of(
-            # coordinates 0 or above 1e-100, so that no squared span underflows
-            st.integers(3, 300)
-            .flatmap(lambda n: arrays(float, (n, 2), elements=st.floats(-10.0, 10.0)))
-            .map(lambda pos: np.where(np.abs(pos) > 1e-100, pos, 0.0)),
+            st.integers(3, 300).flatmap(
+                lambda n: arrays(float, (n, 2), elements=st.floats(-10.0, 10.0))
+            ),
             # nodes in order along an ellipse: a convex polygon
             st.builds(
                 lambda par, axes: axes * np.column_stack([np.cos(par), np.sin(par)]),
@@ -382,6 +381,27 @@ class TestDiameterProperties:
         found = diameter(PeriodicCurve(pos))
         assert found >= pos[:, 0].max() - pos[:, 0].min()
         assert found >= pos[:, 1].max() - pos[:, 1].min()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # coordinates 0 or at least 2^-100, so that they stay normal at 2^-900
+        pos=st.integers(3, 300)
+        .flatmap(lambda n: arrays(float, (n, 2), elements=st.floats(-10.0, 10.0)))
+        .map(lambda pos: np.where(np.abs(pos) >= 2.0**-100, pos, 0.0)),
+        k=st.integers(-900, 900),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+    )
+    # scaled by 2^k, sets whose spans square to a subnormal or to inf:
+    # unscaled, their diameters read 0, lost five digits and read inf
+    @example(pos=np.ldexp([[1.0, 0.0], [1.0, 0.0], [1.0, 1e-200]], 600), k=-600, decimals=None)
+    @example(pos=np.ldexp([[1.0, 0.0], [1.0, 1e-160], [1.0, 2e-160]], 600), k=-600, decimals=None)
+    @example(pos=np.ldexp([[0.0, 0.0], [1e200, 1e200], [0.0, 2e200]], -600), k=600, decimals=None)
+    def test_exact_under_scaling_by_a_power_of_two(self, pos, k, decimals):
+        if decimals is not None:
+            pos = np.round(pos, decimals)
+        _matches_pairwise(pos)
+        found = diameter(PeriodicCurve(np.ldexp(pos, k)))
+        assert found == np.ldexp(diameter(PeriodicCurve(pos)), k)
 
 
 def _check_hull(pts):
