@@ -101,8 +101,7 @@ class CyclicTridiagonal:
             # the columns as rows of a transposed view: the step kernel
             # stores them so, component by component
             x = x.T if x.ndim == 2 else x.transpose(2, 0, 1)
-        wrapped = np.concatenate((x[..., -1:], x, x[..., :1]), axis=-1)
-        out = self.diag * x + self.sub * wrapped[..., :-2] + self.sup * wrapped[..., 2:]
+        out = _banded(self.diag, self.sub, self.sup, x)
         if columns:
             out = out.T if out.ndim == 2 else out.transpose(1, 2, 0)
         return out
@@ -132,31 +131,58 @@ def _next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
 
 
-def _bands(weight, mass_factor: float, stiffness_factor: float, right=None):
-    """Bands of mass_factor * M + stiffness_factor * K at the weight
-    curve, from its element data.  Element j (radius sum a_j,
-    hw_j = |e_j|^2 / h) adds a_j hw_j / 12 to every entry of its M block,
-    plus hw_j / 6 times each endpoint radius on the diagonal, and
-    a_j / 2h times [[1, -1], [-1, 1]] to K; the bands are symmetric.
-    With ``right`` = (a, b), the pair of this matrix and a M + b K, from
-    one pass and bit for bit when a M + b K mirrors it (a = mass_factor,
-    b = -stiffness_factor, as in Crank-Nicolson): negating K swaps the
-    two off-diagonal element products."""
-    if right is not None and right != (mass_factor, -stiffness_factor):
-        return _bands(weight, mass_factor, stiffness_factor), _bands(weight, *right)
+def _banded(diag, sub, sup, x) -> np.ndarray:
+    """Product of the cyclic tridiagonal bands, shape (J,) or (B, J), with
+    x along its last axis: x of shape (..., J) or (..., B, J), such as
+    the step kernel's components (2, B, J)."""
+    wrapped = np.concatenate((x[..., -1:], x, x[..., :1]), axis=-1)
+    return diag * x + sub * wrapped[..., :-2] + sup * wrapped[..., 2:]
+
+
+def _element_bands(weight, mass_factor: float, stiffness_factor: float):
+    """Bands (diag, sub, sup) of mass_factor * M + stiffness_factor * K at
+    the weight curve, from its element data, and of its mirror
+    mass_factor * M - stiffness_factor * K from the same pass, bit for bit
+    as a pass of its own: negating K swaps the two off-diagonal element
+    products.  Element j (radius sum a_j, hw_j = |e_j|^2 / h) adds
+    a_j hw_j / 12 to every entry of its M block, plus hw_j / 6 times each
+    endpoint radius on the diagonal, and a_j / 2h times
+    [[1, -1], [-1, 1]] to K; the bands are symmetric."""
     a, hw, pairs = weight._element_data
     # a zero mass factor leaves hw out, which may hold inf
     m = (mass_factor / 12.0) * hw if mass_factor else 0.0
     k = 0.5 * weight.node_count * stiffness_factor
-    sub = a * (m - k)
-    plus = a * (m + k) if k else sub
-    sub_next = _next(sub)
-    plus_next = _next(plus) if k else sub_next
     extra = (mass_factor / 6.0) * weight.r * pairs if mass_factor else 0.0
-    matrix = CyclicTridiagonal._owned(plus + plus_next + extra, sub, sub_next, symmetric=True)
+    if not k:
+        sub = a * m
+        sub_next = _next(sub)
+        bands = (sub + sub_next + extra, sub, sub_next)
+        return bands, bands
+    # the element products a (m - k) and a (m + k), then their next
+    # neighbours and the two diagonals, each as one stacked operation
+    off = np.empty((2,) + a.shape)
+    np.subtract(m, k, out=off[0])
+    np.add(m, k, out=off[1])
+    off *= a
+    off_next = _next(off)
+    diags = off + off_next
+    diags += extra
+    return (diags[1], off[0], off_next[0]), (diags[0], off[1], off_next[1])
+
+
+def _bands(weight, mass_factor: float, stiffness_factor: float, right=None):
+    """Matrix mass_factor * M + stiffness_factor * K at the weight curve,
+    declared symmetric.  With ``right`` = (a, b), the pair of this matrix
+    and the bands (diag, sub, sup) of a M + b K, to be applied by
+    ``_banded``; from the same pass when a M + b K mirrors the matrix
+    (a = mass_factor, b = -stiffness_factor, as in Crank-Nicolson)."""
+    bands, mirror = _element_bands(weight, mass_factor, stiffness_factor)
+    matrix = CyclicTridiagonal._owned(*bands, symmetric=True)
     if right is None:
         return matrix
-    return matrix, CyclicTridiagonal._owned(sub + sub_next + extra, plus, plus_next, symmetric=True)
+    if right != (mass_factor, -stiffness_factor):
+        mirror = _element_bands(weight, *right)[0]
+    return matrix, mirror
 
 
 # Each assembler takes a PeriodicCurve, or a CurveStack for a stack of
@@ -189,26 +215,48 @@ def radial_direction_load(weight) -> np.ndarray:
     return out
 
 
+def _element_moments(vals, s, wts, h: float):
+    """Moments of field values at the Gauss points of each element, vals
+    of shape (..., n, npts, 2), against the hat falling and the hat
+    rising across it: two arrays (..., n, 2)."""
+    return (
+        h * np.einsum("g,...jgc->...jc", wts * (1.0 - s), vals),
+        h * np.einsum("g,...jgc->...jc", wts * s, vals),
+    )
+
+
 def _hat_moments(vals, s, wts) -> np.ndarray:
     """Hat-function moments of field values at the Gauss points of each
-    element, vals of shape (..., J, npts, 2) -> (..., J, 2)."""
-    h = 1.0 / vals.shape[-3]
-    left = h * np.einsum("g,...jgc->...jc", wts * (1.0 - s), vals)
-    right = h * np.einsum("g,...jgc->...jc", wts * s, vals)
+    element, vals of shape (..., J, npts, 2) -> (..., J, 2): node j takes
+    the rising moment of element j and the falling one of element j + 1."""
+    left, right = _element_moments(vals, s, wts, 1.0 / vals.shape[-3])
     return right + np.concatenate((left[..., 1:, :], left[..., :1, :]), axis=-2)
 
 
 # Gauss points per element of every source load; metadata.json states
 # it as "gauss3 per element"
 _SOURCE_POINTS = 3
+# elements per block of a basis-load build: the build holds the basis
+# values of at most this many elements at once
+_LOAD_BLOCK = 4096
 
 
 @lru_cache(maxsize=8)
 def _basis_loads(basis, node_count: int, quadrature_points: int) -> np.ndarray:
-    """Loads of the K basis fields of a separable source, read-only (K, J, 2)."""
+    """Loads of the K basis fields of a separable source, read-only (K, J, 2),
+    the ``_hat_moments`` of the basis values, evaluated and integrated one
+    block of elements at a time."""
     rho, s, wts = element_rho(node_count, quadrature_points)
-    vals = np.asarray(basis(rho.ravel()), dtype=float)
-    loads = _hat_moments(vals.reshape(-1, node_count, len(s), 2), s, wts)
+    left = loads = None
+    for start in range(0, node_count, _LOAD_BLOCK):
+        block = rho[start : start + _LOAD_BLOCK]
+        vals = np.asarray(basis(block.ravel()), dtype=float)
+        if loads is None:
+            left, loads = (np.empty((len(vals), node_count, 2)) for _ in range(2))
+        moments = _element_moments(vals.reshape(-1, len(block), len(s), 2), s, wts, 1.0 / node_count)
+        left[:, start : start + len(block)], loads[:, start : start + len(block)] = moments
+    loads[:, :-1] += left[:, 1:]
+    loads[:, -1] += left[:, 0]
     loads.setflags(write=False)
     return loads
 

@@ -107,16 +107,28 @@ def _face_rows(J: int, segments: int):
 
 def _write_obj(path, curve: PeriodicCurve, segments: int, face_rows) -> None:
     phi = [2.0 * math.pi * k / segments for k in range(segments)]
-    # interleaved (cos, sin) factors; equal bit patterns share one repr,
-    # while 0.0 and -0.0 stay apart
+    # interleaved (cos, sin) factors f.  In IEEE arithmetic r * f is
+    # |r| * |f| with the sign bit of r xor that of f, and repr(-x) is
+    # "-" + repr(x), so each distinct magnitude |f| (by bit pattern) is
+    # formatted once per node row and negated as text where needed
     factors = np.array([(math.cos(p), math.sin(p)) for p in phi]).ravel()
-    bits, index = np.unique(factors.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    expand = operator.itemgetter(*index.tolist())
+    bits, index = np.unique(np.abs(factors).view(np.int64), return_inverse=True)
+    magnitudes = bits.view(np.float64)
+    # for rows with r >= 0 and r < 0 (sign bit set): the magnitudes whose
+    # text is negated, and where each factor finds its text among the
+    # magnitudes' texts followed by the negated ones
+    layouts = {}
+    for r_negative in (False, True):
+        flips = (np.signbit(factors) != r_negative).tolist()
+        negated = sorted({m for m, flip in zip(index.tolist(), flips) if flip})
+        slot = {m: len(magnitudes) + i for i, m in enumerate(negated)}
+        where = [slot[m] if flip else m for m, flip in zip(index.tolist(), flips)]
+        layouts[r_negative] = negated, operator.itemgetter(*where)
     with open(path, "w") as out:
         for r, z in curve.positions.tolist():
-            # elementwise IEEE products, the same floats as r * math.cos(phi)
-            texts = list(map(repr, (r * distinct).tolist()))
+            texts = list(map(repr, (abs(r) * magnitudes).tolist()))
+            negated, expand = layouts[math.copysign(1.0, r) < 0.0]
+            texts += ["-" + texts[i] for i in negated]
             out.write((f"v %s {z!r} %s\n" * segments) % expand(texts))
         out.writelines(face_rows)
 
@@ -128,7 +140,7 @@ def write_surface_obj(path, curve: PeriodicCurve, segments: int = 64) -> None:
     z axis, laid out in OBJ coordinates (x, y, z) = (r cos, z, r sin)
     with 1-based index 1 + j * segments + k.  Each quad of the torus
     grid is split into two triangles.  Coordinates are repr round-trip
-    floats, each distinct one formatted once per node row.
+    floats, each distinct magnitude formatted once per node row.
     """
     segments = _count("segments", segments, 3)
     _write_obj(path, curve, segments, _face_rows(curve.node_count, segments))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable, Optional
 
@@ -59,9 +58,33 @@ def _finite(name: str, value, positive: bool = True) -> None:
         raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 
+def _previous(a: np.ndarray) -> np.ndarray:
+    """Entry j holds entry (j - 1) % J of ``a`` along the last axis."""
+    return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
+
+
+class _cached:
+    """``functools.cached_property`` without the lock it takes on every
+    first use before Python 3.12, a cost the step kernel pays a few times
+    a step: the value is computed once and kept in the instance's
+    ``__dict__``, which later lookups read directly."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class _NodePolygons:
     """Edge data of closed polygons on the uniform periodic grid, for
-    ``positions`` of shape (..., J, 2): one curve or a stack of them."""
+    ``positions`` of shape (..., J, 2): one curve or a stack of them.
+    Every element quantity is computed on the components, (2, ..., J),
+    a transpose view that is contiguous for the step kernel's stacks."""
 
     positions: np.ndarray
 
@@ -82,23 +105,29 @@ class _NodePolygons:
     def z(self) -> np.ndarray:
         return self.positions[..., 1]
 
-    @cached_property
+    @property
+    def _components(self) -> np.ndarray:
+        """r and z, shape (2, ..., J), viewed, not copied."""
+        pos = self.positions
+        return pos.T if pos.ndim == 2 else pos.transpose(2, 0, 1)
+
+    @_cached
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge vectors and squared lengths, computed once, read-only; the
         squares read 0 below about 1e-162 and inf beyond about 1e154."""
-        pos = self.positions
-        vectors = pos - np.concatenate((pos[..., -1:, :], pos[..., :-1, :]), axis=-2)
-        with np.errstate(over="ignore", under="ignore"):
-            squares = vectors[..., 0] ** 2 + vectors[..., 1] ** 2
+        comp = self._components
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            vectors = comp - _previous(comp)
+            squares = vectors[0] * vectors[0] + vectors[1] * vectors[1]
         vectors.setflags(write=False)
         squares.setflags(write=False)
-        return vectors, squares
+        return (vectors.T if vectors.ndim == 2 else vectors.transpose(1, 2, 0)), squares
 
     def edge_vectors(self) -> np.ndarray:
         """All J edges at once; edge j is node j minus node j-1 (read-only)."""
         return self._edges[0]
 
-    @cached_property
+    @_cached
     def _lengths(self) -> np.ndarray:
         lengths = np.hypot(self._edges[0][..., 0], self._edges[0][..., 1])
         lengths.setflags(write=False)
@@ -108,7 +137,7 @@ class _NodePolygons:
         """Lengths of ``edge_vectors()`` by hypot, on first use (read-only)."""
         return self._lengths
 
-    @cached_property
+    @_cached
     def _bounds(self) -> tuple[list[float], list[float]]:
         """Smallest radius and smallest edge length, the root of the least
         squared edge, of each member (one entry for a single curve)."""
@@ -118,19 +147,19 @@ class _NodePolygons:
             np.sqrt(self._edges[1].reshape(-1, J).min(axis=1)).tolist(),
         )
 
-    @cached_property
+    @_cached
     def _element_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """What the assemblers read, computed once: a_j = r_{j-1} + r_j and
-        hw_j = |e_j|^2 / h per element, squared without hypot (inf beyond
-        about 1e154, zero below about 1e-162, silently), and hw_j + hw_{j+1}."""
-        r, z = self.r, self.z
-        r_left = np.concatenate((r[..., -1:], r[..., :-1]), axis=-1)
-        z_left = np.concatenate((z[..., -1:], z[..., :-1]), axis=-1)
+        """What the assemblers read, computed once from one periodic wrap of
+        both components: a_j = r_{j-1} + r_j and hw_j = |e_j|^2 / h per
+        element, squared without hypot (inf beyond about 1e154, zero below
+        about 1e-162, silently), and hw_j + hw_{j+1}."""
+        comp = self._components
+        left = _previous(comp)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            dr, dz = r - r_left, z - z_left
+            dr, dz = comp - left
             hw = (dr * dr + dz * dz) * self.node_count
             pairs = hw + np.concatenate((hw[..., 1:], hw[..., :1]), axis=-1)
-            return r_left + r, hw, pairs
+            return left[0] + comp[0], hw, pairs
 
     def require_admissible(self, context: str = "curve") -> None:
         """Check the assemblers' data: r > 0 and every |e_j|^2 > 0."""
@@ -180,8 +209,18 @@ class CurveStack(_NodePolygons):
         self.positions = positions
 
     def take(self, rows) -> "CurveStack":
-        """The stack of the members in ``rows``, in that order."""
-        return CurveStack(self.positions[rows])
+        """The stack of the members in ``rows``, in that order, stored
+        component by component, with the rows of the edges and bounds
+        already computed."""
+        stack = CurveStack(self._components.take(rows, axis=1).transpose(1, 2, 0))
+        cache = self.__dict__
+        if "_edges" in cache:
+            edges = stack.__dict__["_edges"] = tuple(a.take(rows, axis=0) for a in cache["_edges"])
+            for a in edges:
+                a.setflags(write=False)
+        if "_bounds" in cache:
+            stack.__dict__["_bounds"] = tuple([b[row] for row in rows] for b in cache["_bounds"])
+        return stack
 
     def member(self, row: int) -> PeriodicCurve:
         curve = PeriodicCurve(self.positions[row])

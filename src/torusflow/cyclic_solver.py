@@ -40,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import CyclicTridiagonal
+from .assembly import CyclicTridiagonal, _banded
 
 __all__ = ["SolveStatus", "SolveReport", "solve_cyclic", "RESIDUAL_RTOL"]
 
@@ -128,8 +128,12 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
         raise ValueError(f"rhs must have shape {dims} or {dims} + (k,), got {b.shape}")
     if not stacked:
         matrix = _rows(matrix, None)
-    cols = b.reshape(*matrix.diag.shape, -1)
-    shifts = [-v if v != 0.0 else 1.0 for v in matrix.diag[:, 0].tolist()]
+    # the right sides column by column, (k, B, J), viewed: the step
+    # kernel stores them so, component by component
+    cols = b.reshape(*matrix.diag.shape, -1).transpose(2, 0, 1)
+    first = matrix.diag[:, 0]
+    shifts = -first
+    shifts[first == 0.0] = 1.0
     # inf - inf and overflow in the split or the audit's residual end up
     # as a non-finite x or residual, which the audit turns into a status
     with np.errstate(invalid="ignore", over="ignore"):
@@ -137,16 +141,18 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
         status, refinements = SolveStatus.OK, 0
         if x is None or any(verdict is not SolveStatus.OK for verdict, _ in outcomes):
             # redo alone every member the block did not serve
+            B = len(shifts)
             if x is None:
-                x, outcomes, redo = np.empty_like(cols), [None] * len(cols), range(len(cols))
+                x, outcomes, redo = np.empty(cols.shape), [None] * B, range(B)
             else:
                 redo = [i for i, (verdict, _) in enumerate(outcomes) if verdict is not SolveStatus.OK]
             alone = []
             for i in redo:
-                report = _alone(_rows(matrix, slice(i, i + 1)), cols[i : i + 1], shifts[i])
-                x[i], outcomes[i] = report.solution[0], report.members[0]
+                one = slice(i, i + 1)
+                report = _alone(_rows(matrix, one), cols[:, one], shifts[one])
+                x[:, i], outcomes[i] = report.solution[:, 0], report.members[0]
                 alone.append(report)
-            if len(alone) == len(cols):
+            if len(alone) == B:
                 paths = {report.path for report in alone}
                 path = paths.pop() if len(paths) == 1 else "mixed"
             # members the block served passed their audit
@@ -154,7 +160,8 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
             refinements = max(report.refinements for report in alone)
     residual_norm = max(res for _, res in outcomes)
     members = tuple(outcomes) if stacked else ()
-    return SolveReport(x.reshape(b.shape), residual_norm, status, path, refinements, members)
+    solution = x.transpose(1, 2, 0).reshape(b.shape)
+    return SolveReport(solution, residual_norm, status, path, refinements, members)
 
 
 def _rows(matrix: CyclicTridiagonal, index) -> CyclicTridiagonal:
@@ -163,26 +170,27 @@ def _rows(matrix: CyclicTridiagonal, index) -> CyclicTridiagonal:
     return CyclicTridiagonal._owned(*(band[index] for band in bands), matrix._symmetric)
 
 
-def _alone(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float) -> SolveReport:
-    """Report on a stack of one for right sides (1, J, k): ``_refined``
-    with the shift gamma and, when that is not OK, once more with the
-    second shift -|A|_inf, keeping the better of the two."""
+def _alone(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: np.ndarray) -> SolveReport:
+    """Report on a stack of one for right sides (k, 1, J): ``_refined``
+    with the shift gamma (1,) and, when that is not OK, once more with
+    the second shift -|A|_inf, keeping the better of the two.  The
+    report's solution is stored as its columns are, (k, 1, J)."""
     report = _refined(matrix, cols, gamma)
     # any negative shift keeps the core of an SPD matrix positive definite
     second = -matrix._member_norms[0]
-    if report.status is not SolveStatus.OK and second not in (0.0, gamma):
-        retry = _refined(matrix, cols, second)
+    if report.status is not SolveStatus.OK and second not in (0.0, gamma[0]):
+        retry = _refined(matrix, cols, np.array([second]))
         if retry.status is SolveStatus.OK or retry.residual_norm < report.residual_norm:
             return retry
     return report
 
 
-def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float) -> SolveReport:
-    """Audited solution of a stack of one split with shift gamma, refined
-    on its factors while it misses the audit."""
-    path, x, solve, residual, outcomes = _split(matrix, [gamma], cols)
+def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: np.ndarray) -> SolveReport:
+    """Audited solution (k, 1, J) of a stack of one split with the shift
+    gamma (1,), refined on its factors while it misses the audit."""
+    path, x, solve, residual, outcomes = _split(matrix, gamma, cols)
     if x is None:
-        nan, singular = np.full_like(cols, np.nan), SolveStatus.SINGULAR
+        nan, singular = np.full(cols.shape, np.nan), SolveStatus.SINGULAR
         return SolveReport(nan, math.inf, singular, path, 0, ((singular, math.inf),))
     ((status, res_norm),) = outcomes
     refinements = 0
@@ -196,24 +204,23 @@ def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: float) -> Solve
     return SolveReport(x, res_norm, status, path, refinements, ((status, res_norm),))
 
 
-def _split(matrix: CyclicTridiagonal, gamma, cols: np.ndarray):
+def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
     """(path, x, solve, residual, outcomes) for a stack of B matrices
-    split with the shifts gamma (B,): x the solutions (B, J, k) of
-    cols, stored column by column, (k, B, J) in memory, solve mapping
-    further right sides to solutions on the same factors, and the
-    ``_audit`` of x.  Exactly symmetric stacks are factored as one block
-    LDL^T, a single member otherwise by pivoted LU.  All but the path
-    are None when the split breaks down, or for B > 1 when the block
-    cannot be factored; a member whose rank-one denominator breaks down
-    gets NaN, which fails its audit."""
+    split with the shifts gamma (B,): x the solutions of the right sides
+    cols, both stored column by column, (k, B, J), solve mapping further
+    right sides to solutions on the same factors, and the ``_audit`` of
+    x.  Exactly symmetric stacks are factored as one block LDL^T, a
+    single member otherwise by pivoted LU.  All but the path are None
+    when the split breaks down, or for B > 1 when the block cannot be
+    factored; a member whose rank-one denominator breaks down gets NaN,
+    which fails its audit."""
     diag, sub, sup = matrix.diag, matrix.sub, matrix.sup
-    B, J, k = cols.shape
-    gamma = np.asarray(gamma, dtype=float)
+    k, B, J = cols.shape
     alpha = sup[:, -1]  # corner entries in row J-1, column 0
     beta = sub[:, 0]  # corner entries in row 0, column J-1
     d = diag.copy()
-    d[:, 0] -= gamma
-    d[:, -1] -= alpha * beta / gamma
+    d[:, 0] = diag[:, 0] - gamma
+    d[:, -1] = diag[:, -1] - alpha * beta / gamma
     e = sup.copy()
     e[:, -1] = 0.0  # no coupling from one block to the next
     e = e.ravel()[:-1]
@@ -240,49 +247,48 @@ def _split(matrix: CyclicTridiagonal, gamma, cols: np.ndarray):
         n = len(columns)
         return core(columns.reshape(n, B * J).T, overwrite_b=1)[0].T.reshape(n, B, J)
 
-    # column by column: the right sides, then the rank-one vectors u
+    # the right sides, then the rank-one vectors u
     rhs = np.zeros((k + 1, B, J))
-    rhs[:k] = cols.transpose(2, 0, 1)
+    rhs[:k] = cols
     rhs[k, :, 0] = gamma
     rhs[k, :, -1] = alpha
     y = substitute(rhs)
     z, y = y[k], y[:k]
     ratio = beta / gamma
-    denom = np.array([
-        q if q != 0.0 and math.isfinite(q) else math.nan
-        for q in (1.0 + z[:, 0] + ratio * z[:, -1]).tolist()
-    ])
+    q = 1.0 + z[:, 0] + ratio * z[:, -1]
+    # q / q is 1 exactly where q is finite and nonzero, else NaN
+    denom = q * (q / q)
 
     def corrected(y):
-        scale = (y[:, :, 0] + ratio * y[:, :, -1]) / denom
-        return (y - z * scale[:, :, None]).transpose(1, 2, 0)
+        return y - z * ((y[:, :, 0] + ratio * y[:, :, -1]) / denom)[:, :, None]
 
     def solve(more):
-        return corrected(substitute(np.array(more.transpose(2, 0, 1), order="C")))
+        return corrected(substitute(more.copy()))
 
     x = corrected(y)
     return (path, x, solve, *_audit(matrix, cols, x))
 
 
 def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):
-    """Residuals A x - b of a stack, and each member's (status,
-    residual inf-norm).
+    """Residuals A x - b of a stack, for solutions and right sides stored
+    column by column, (k, B, J), and each member's (status, residual
+    inf-norm).
 
     A residual within RESIDUAL_RTOL * |b|_inf passes at once: the full
     bound only adds |A|_inf * |x|_inf >= 0, and a finite residual below
     a finite bound implies a finite x, since every entry of x enters the
     residual.  Only a member that misses pays for |x|_inf and |A|_inf.
     """
-    residual = matrix.matvec(x) - cols
+    residual = _banded(matrix.diag, matrix.sub, matrix.sup, x) - cols
     outcomes = []
     for i, (res, b_max) in enumerate(zip(
-        np.abs(residual).max(axis=(1, 2)).tolist(),
-        np.abs(cols).max(axis=(1, 2)).tolist(),
+        np.abs(residual).max(axis=(0, 2)).tolist(),
+        np.abs(cols).max(axis=(0, 2)).tolist(),
     )):
         if res <= RESIDUAL_RTOL * b_max < math.inf:
             outcomes.append((SolveStatus.OK, res))
             continue
-        x_max = float(np.abs(x[i]).max())
+        x_max = float(np.abs(x[:, i]).max())
         if not math.isfinite(x_max):
             outcomes.append((SolveStatus.SINGULAR, math.inf))
         elif res <= RESIDUAL_RTOL * (b_max + matrix._member_norms[i] * x_max):

@@ -37,6 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .assembly import (
+    _banded,
     _bands,
     source_load,
     # unused by the kernel; bound for SPAN_TARGETS in perfbench/tracing.py
@@ -249,36 +250,39 @@ def _advance(
     failure of each member (by row) that did not.
     """
     (e0, e1), c, (h0, h1), theta, source_weights = _SCHEMES[kind]
-    x = current.positions
+    # every array below is stored component by component, (2, B, J)
+    x = current._components
     if e1 == 0.0:
         # a one-step scheme gives X^{m-1} zero weight everywhere
         x_prev, weight = x, current
     elif previous is None:
         raise ValueError(f"{kind.value}_step needs a previous curve; bootstrap with bdf1_step")
     else:
-        x_prev = previous.positions
-        weight = CurveStack(e0 * x + e1 * x_prev)
+        x_prev = previous._components
+        weight = CurveStack((e0 * x + e1 * x_prev).transpose(1, 2, 0))
     t_new = time + dt
     failures = _check_weights(weight, t_new)
-    rows = list(range(len(x)))
+    rows = list(range(x.shape[1]))
     if failures:
         rows = [row for row in rows if row not in failures]
         if not rows:
-            return CurveStack(x[:0]), failures
-        x, x_prev, weight = x[rows], x_prev[rows], weight.take(rows)
+            return current.take([]), failures
+        x, x_prev, weight = x.take(rows, axis=1), x_prev.take(rows, axis=1), weight.take(rows)
     matrix, right = _bands(weight, c / dt, theta, right=(1.0 / dt, theta - 1.0))
     # rows with theta != 1 have (h0, h1) = (1, 0), so M y / dt with
     # y = h0 X^m + h1 X^{m-1}, minus (1 - theta) K X^m, is one product
-    y = x if (h0, h1) == (1.0, 0.0) else h0 * x + h1 * x_prev
-    rhs = right.matvec(y)
-    rhs[..., 0] -= 0.5 * weight._element_data[2]  # the radial load (L, 0)
+    rhs = _banded(*right, x if (h0, h1) == (1.0, 0.0) else h0 * x + h1 * x_prev)
+    rhs[0] -= 0.5 * weight._element_data[2]  # the radial load (L, 0)
+    del weight, right  # no assembly array is held across the solve
+    rhs = rhs.transpose(1, 2, 0)
     if source is not None:
-        rhs = rhs + sum(
-            w * source_load(source, x.shape[1], t)
+        rhs += sum(
+            w * source_load(source, x.shape[2], t)
             for w, t in zip(source_weights, (time, t_new))
             if w
         )
     report = solve_cyclic(matrix, rhs)
+    # the new states' edges and bounds, from one wrap of the solution
     new = CurveStack(report.solution)
     emin = new._bounds[1]
     if report.status is SolveStatus.OK and all(emin):

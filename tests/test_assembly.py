@@ -17,6 +17,7 @@ from torusflow import (
     weighted_stiffness_matrix,
 )
 
+from torusflow import assembly
 from torusflow.assembly import _basis_loads, _hat_moments
 from torusflow.quadrature import element_rho
 
@@ -193,6 +194,30 @@ class TestSeparableSource:
         combined = np.einsum("k,knc->nc", coeffs, basis)
         scale = np.einsum("k,knc->nc", np.abs(coeffs), np.abs(basis))
         assert np.all(np.abs(combined - f(rho, t)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("J", [3, 4, 5, 8, 9, 13])
+    def test_blocked_build_equals_one_shot_moments(self, monkeypatch, J):
+        # the loads are built a block of elements at a time; with J below,
+        # at and across the block size they equal the hat moments of the
+        # whole grid's basis values in one piece, bit for bit
+        f = manufactured_forcing()
+        _basis_loads.cache_clear()
+        monkeypatch.setattr(assembly, "_LOAD_BLOCK", 4)
+        try:
+            for npts in (1, 3):
+                rho, s, wts = element_rho(J, npts)
+                vals = np.asarray(f.basis(rho.ravel())).reshape(4, J, npts, 2)
+                assert np.array_equal(_basis_loads(f.basis, J, npts), _hat_moments(vals, s, wts))
+        finally:
+            _basis_loads.cache_clear()
+
+    def test_blocked_build_at_the_default_block_size(self):
+        f = manufactured_forcing()
+        block = assembly._LOAD_BLOCK
+        for J in (block - 1, block, 2 * block + 1):
+            rho, s, wts = element_rho(J, 3)
+            vals = np.asarray(f.basis(rho.ravel())).reshape(4, J, 3, 2)
+            assert np.array_equal(_basis_loads(f.basis, J, 3), _hat_moments(vals, s, wts))
 
     def test_every_call_shares_one_cache_entry(self):
         assert manufactured_forcing().basis is manufactured_forcing().basis

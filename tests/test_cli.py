@@ -162,6 +162,34 @@ class TestSurfaceObj:
         write_surface_obj(path, curve, segments=segments)
         assert path.read_text() == loop_surface_obj(curve, segments)
 
+    @pytest.mark.parametrize("segments", [3, 4, 7, 8, 64, 128])
+    def test_negative_and_signed_zero_radii_match_loop_writer(self, tmp_path, segments):
+        # each magnitude is formatted once and negated as text: r * f
+        # takes the sign of r xor f, zeros included
+        # (random_admissible_positions draws none of these radii)
+        r = [1.5, -1.5, 0.0, -0.0, -2.0e-300, 3.0e300, -0.125]
+        z = [0.0, -0.0, 1.0, -2.5, 0.5, -1.0e-5, 7.0]
+        curve = PeriodicCurve(np.column_stack([r, z]))
+        path = tmp_path / "m.obj"
+        write_surface_obj(path, curve, segments=segments)
+        assert path.read_text() == loop_surface_obj(curve, segments)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        J=st.integers(3, 20),
+        segments=st.sampled_from([3, 5, 8, 12, 64]),
+    )
+    def test_random_signed_radii_match_loop_writer(self, tmp_path_factory, seed, J, segments):
+        rng = np.random.default_rng(seed)
+        pos = rng.normal(size=(J, 2))
+        zeros = rng.random(J) < 0.3
+        pos[zeros, 0] = rng.choice([0.0, -0.0], size=zeros.sum())
+        curve = PeriodicCurve(pos)
+        path = tmp_path_factory.mktemp("obj") / "m.obj"
+        write_surface_obj(path, curve, segments=segments)
+        assert path.read_text() == loop_surface_obj(curve, segments)
+
     def test_evolved_curve_matches_loop_writer(self, bdf2_result, tmp_path):
         curve = bdf2_result.snapshots[-1].curve
         path = tmp_path / "m.obj"

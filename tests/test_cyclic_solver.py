@@ -272,7 +272,7 @@ class TestPaths:
             np.array([2.0, 0.0, 1.0, 1.0]),
         )
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        assert _split(stacked([m]), np.array([-m.diag[0]]), rhs.reshape(1, 4, 1))[1] is None
+        assert _split(stacked([m]), np.array([-m.diag[0]]), rhs.reshape(1, 1, 4))[1] is None
         report = solve_cyclic(m, rhs)
         assert report.path == "lu" and report.status is SolveStatus.OK
         expect = thomas_like_dense_solve(m.to_dense(), rhs)
@@ -287,7 +287,7 @@ class TestPaths:
         diag[0] = 1e-15
         m = CyclicTridiagonal(diag, np.ones(J), np.ones(J))
         rhs = rng.normal(size=J)
-        first = _refined(stacked([m]), rhs.reshape(1, J, 1), -diag[0])
+        first = _refined(stacked([m]), rhs.reshape(1, 1, J), np.array([-diag[0]]))
         assert first.status is SolveStatus.ILL_CONDITIONED
         report = solve_cyclic(m, rhs)
         assert report.status is SolveStatus.OK
@@ -530,7 +530,8 @@ class TestAudit:
             cols[rng.integers(B), rng.integers(J), rng.integers(k)] = poison_rhs
 
         with np.errstate(invalid="ignore"):  # inf - inf in a poisoned residual
-            residual, outcomes = _audit(matrix, cols, x)
+            # the audit reads the solver's column-major (k, B, J) arrays
+            residual, outcomes = _audit(matrix, cols.transpose(2, 0, 1), x.transpose(2, 0, 1))
             product = matrix.matvec(x)
 
         assert len(outcomes) == B
@@ -543,7 +544,7 @@ class TestAudit:
             expect = SolveStatus.OK if true_res <= full else SolveStatus.ILL_CONDITIONED
             assert status is expect
             assert res == true_res or np.isnan(res) and np.isnan(true_res)
-            assert np.array_equal(residual[i], product[i] - cols[i], equal_nan=True)
+            assert np.array_equal(residual[:, i].T, product[i] - cols[i], equal_nan=True)
 
 
 class TestLapackLoader:

@@ -254,22 +254,30 @@ class TestSymmetries:
     def test_step_matrix_is_exactly_symmetric(self, scheme, seed, J):
         # the solver takes the assemblers' symmetric declaration on trust,
         # so every matrix built with it must pass the exact band compare:
-        # row j's entry for node j-1 equals row j-1's entry for node j
-        declared = []
-        real = CyclicTridiagonal._owned
+        # row j's entry for node j-1 equals row j-1's entry for node j.
+        # A step builds one, its step matrix; the bands of the right
+        # side's one product, applied without a matrix, pass it too
+        declared, assembled = [], []
+        real_owned, real_bands = CyclicTridiagonal._owned, stepping._bands
 
-        def spy(*args, **kwargs):
-            matrix = real(*args, **kwargs)
+        def owned(*args, **kwargs):
+            matrix = real_owned(*args, **kwargs)
             if matrix._symmetric:
                 declared.append(matrix)
             return matrix
 
-        with mock.patch.object(CyclicTridiagonal, "_owned", spy):
+        def bands(*args, **kwargs):
+            assembled.append(real_bands(*args, **kwargs))
+            return assembled[-1]
+
+        with mock.patch.object(CyclicTridiagonal, "_owned", owned), mock.patch.object(
+            stepping, "_bands", bands
+        ):
             m = step_matrix(STEPPERS[scheme], random_state(seed, J), FORCING)
-        # the step matrix and the operator of the right side's one product
-        assert len(declared) == 2 and declared[0] is m
-        for matrix in declared:
-            assert np.array_equal(matrix.sub, np.roll(matrix.sup, 1, axis=-1))
+        ((matrix, (_, sub, sup)),) = assembled
+        assert len(declared) == 1 and declared[0] is m and matrix is m
+        for low, up in ((m.sub, m.sup), (sub, sup)):
+            assert np.array_equal(low, np.roll(up, 1, axis=-1))
 
     @pytest.mark.parametrize("scheme", ["bdf1", "cn", "bdf2"])
     @settings(max_examples=50, deadline=None)
@@ -354,15 +362,16 @@ class TestStepSystem:
     )
     @example(seed=0, members=1, J=3, dt=1e-3)
     def test_cn_pair_is_bit_for_bit_two_assemblies(self, seed, members, J, dt):
-        # the mirrored pair, and the CN solver inputs built from it, equal
-        # two separate assemblies and the public radial load exactly
+        # the mirrored pair, the step matrix and the right side's bands,
+        # and the CN solver inputs built from it, equal two separate
+        # assemblies and the public radial load exactly
         rng = np.random.default_rng(seed)
         cur = np.stack([random_admissible_positions(rng, J) for _ in range(members)])
         prev = cur + 0.01 * rng.normal(size=cur.shape)
         weight = CurveStack(1.5 * cur - 0.5 * prev)
         c = stepping._SCHEMES[SchemeKind.CN][1]
         step, right = _bands(weight, 1.0 / dt, 0.5), _bands(weight, 1.0 / dt, -0.5)
-        pair = _bands(weight, c / dt, 0.5, right=(1.0 / dt, -0.5))
+        pair, right_bands = _bands(weight, c / dt, 0.5, right=(1.0 / dt, -0.5))
         seen = []
 
         def spy(matrix, rhs):
@@ -372,9 +381,10 @@ class TestStepSystem:
         with mock.patch.object(stepping, "solve_cyclic", spy):
             stepping._advance(SchemeKind.CN, CurveStack(cur), CurveStack(prev), 0.0, dt, None)
         ((matrix, rhs),) = seen
-        for band in ("diag", "sub", "sup"):
-            for got, want in zip(pair + (matrix,), (step, right, step)):
+        for i, band in enumerate(("diag", "sub", "sup")):
+            for got, want in ((pair, step), (matrix, step)):
                 assert np.array_equal(getattr(got, band), getattr(want, band))
+            assert np.array_equal(right_bands[i], getattr(right, band))
         assert np.array_equal(rhs, right.matvec(cur) - radial_direction_load(weight))
 
     @settings(max_examples=60, deadline=None)
@@ -428,6 +438,50 @@ class TestStepSystem:
                 )
             scale = max(np.abs(term).max() for term in terms)
             assert np.abs(rhs[b] - sum(terms)).max() <= 1e-13 * scale
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(1, 5),
+        J=st.integers(3, 64),
+        scheme=st.sampled_from(list(SchemeKind)),
+        how=st.sampled_from(["none", "coefficients", "degenerate"]),
+        data=st.data(),
+    )
+    def test_new_states_carry_the_edges_and_bounds_of_a_fresh_stack(
+        self, seed, members, J, scheme, how, data
+    ):
+        # the kernel leaves each new state's squared edges and bounds in
+        # its caches, from one wrap of the solution, also when a member
+        # fails its coefficient check or its new curve is degenerate
+        rng = np.random.default_rng(seed)
+        cur = np.stack([random_admissible_positions(rng, J) for _ in range(members)])
+        prev = cur + 0.01 * rng.normal(size=cur.shape)
+        failing = data.draw(st.integers(0, members - 1))
+        if how == "coefficients":
+            cur[failing, 0, 0] = prev[failing, 0, 0] = -1.0  # r < 0 at every weight
+
+        def solve(matrix, rhs):
+            report = solve_cyclic(matrix, rhs)
+            if how == "degenerate":
+                # the failing member's new edge 1 has length zero
+                report.solution[failing, 1] = report.solution[failing, 0]
+            return report
+
+        with mock.patch.object(stepping, "solve_cyclic", solve):
+            new, failures = stepping._advance(
+                scheme, CurveStack(cur), CurveStack(prev), 0.0, 1e-3, None
+            )
+        assert list(failures) == ([] if how == "none" else [failing])
+        assert len(new.positions) == members - len(failures)
+        if how == "coefficients" and members == 1:
+            return  # no member is left to step
+        assert {"_edges", "_bounds"} <= set(vars(new))
+        fresh = CurveStack(new.positions.copy())
+        for got, want in zip(new._edges, fresh._edges):
+            assert not got.flags.writeable and np.array_equal(got, want)
+        assert new._bounds == fresh._bounds
 
 
 class TestSquaredEdgeRange:
