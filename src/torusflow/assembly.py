@@ -79,10 +79,9 @@ class CyclicTridiagonal:
         ``symmetric`` declares bands symmetric by construction, which
         the solver then takes on trust."""
         matrix = object.__new__(cls)
-        for name, band in (("diag", diag), ("sub", sub), ("sup", sup)):
+        for band in (diag, sub, sup):
             band.setflags(write=False)
-            object.__setattr__(matrix, name, band)
-        object.__setattr__(matrix, "_symmetric", symmetric)
+        vars(matrix).update(diag=diag, sub=sub, sup=sup, _symmetric=symmetric)
         return matrix
 
     @property
@@ -126,11 +125,6 @@ class CyclicTridiagonal:
         return sums.reshape(-1, self.order).max(axis=1).tolist()
 
 
-def _next(a: np.ndarray) -> np.ndarray:
-    """Entry j holds entry (j + 1) % J of ``a`` along the last axis."""
-    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
-
-
 def _banded(diag, sub, sup, x) -> np.ndarray:
     """Product of the cyclic tridiagonal bands, shape (J,) or (B, J), with
     x along its last axis: x of shape (..., J) or (..., B, J), such as
@@ -139,50 +133,44 @@ def _banded(diag, sub, sup, x) -> np.ndarray:
     return diag * x + sub * wrapped[..., :-2] + sup * wrapped[..., 2:]
 
 
-def _element_bands(weight, mass_factor: float, stiffness_factor: float):
+def _element_bands(r, data, mass_factor: float, stiffness_factor: float):
     """Bands (diag, sub, sup) of mass_factor * M + stiffness_factor * K at
-    the weight curve, from its element data, and of its mirror
+    the weight curve with nodal radii r and element data ``data`` (see
+    ``curves._elements``), and of its mirror
     mass_factor * M - stiffness_factor * K from the same pass, bit for bit
     as a pass of its own: negating K swaps the two off-diagonal element
     products.  Element j (radius sum a_j, hw_j = |e_j|^2 / h) adds
     a_j hw_j / 12 to every entry of its M block, plus hw_j / 6 times each
     endpoint radius on the diagonal, and a_j / 2h times
     [[1, -1], [-1, 1]] to K; the bands are symmetric."""
-    a, hw, pairs = weight._element_data
+    a, hw, pairs = data
     # a zero mass factor leaves hw out, which may hold inf
     m = (mass_factor / 12.0) * hw if mass_factor else 0.0
-    k = 0.5 * weight.node_count * stiffness_factor
-    extra = (mass_factor / 6.0) * weight.r * pairs if mass_factor else 0.0
+    k = 0.5 * r.shape[-1] * stiffness_factor
+    extra = (mass_factor / 6.0) * r * pairs if mass_factor else 0.0
     if not k:
         sub = a * m
-        sub_next = _next(sub)
+        sub_next = np.concatenate((sub[..., 1:], sub[..., :1]), axis=-1)
         bands = (sub + sub_next + extra, sub, sub_next)
         return bands, bands
     # the element products a (m - k) and a (m + k), then their next
-    # neighbours and the two diagonals, each as one stacked operation
+    # neighbours (entry j holding element j + 1) and the two diagonals,
+    # each as one stacked operation
     off = np.empty((2,) + a.shape)
     np.subtract(m, k, out=off[0])
     np.add(m, k, out=off[1])
     off *= a
-    off_next = _next(off)
+    off_next = np.concatenate((off[..., 1:], off[..., :1]), axis=-1)
     diags = off + off_next
     diags += extra
     return (diags[1], off[0], off_next[0]), (diags[0], off[1], off_next[1])
 
 
-def _bands(weight, mass_factor: float, stiffness_factor: float, right=None):
+def _bands(weight, mass_factor: float, stiffness_factor: float) -> CyclicTridiagonal:
     """Matrix mass_factor * M + stiffness_factor * K at the weight curve,
-    declared symmetric.  With ``right`` = (a, b), the pair of this matrix
-    and the bands (diag, sub, sup) of a M + b K, to be applied by
-    ``_banded``; from the same pass when a M + b K mirrors the matrix
-    (a = mass_factor, b = -stiffness_factor, as in Crank-Nicolson)."""
-    bands, mirror = _element_bands(weight, mass_factor, stiffness_factor)
-    matrix = CyclicTridiagonal._owned(*bands, symmetric=True)
-    if right is None:
-        return matrix
-    if right != (mass_factor, -stiffness_factor):
-        mirror = _element_bands(weight, *right)[0]
-    return matrix, mirror
+    declared symmetric."""
+    bands = _element_bands(weight.r, weight._element_data, mass_factor, stiffness_factor)[0]
+    return CyclicTridiagonal._owned(*bands, True)
 
 
 # Each assembler takes a PeriodicCurve, or a CurveStack for a stack of

@@ -36,8 +36,10 @@ class InadmissibleCurveError(ValueError):
 
 def _count(name: str, value, least: int) -> int:
     """``value`` as a count of at least ``least``; an integral float such
-    as 64.0 passes."""
-    if not (isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())):
+    as 64.0 passes, a bool does not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())
+    ):
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
@@ -45,11 +47,11 @@ def _count(name: str, value, least: int) -> int:
 
 
 def _finite(name: str, value, positive: bool = True) -> None:
-    """Check that ``value`` is a finite real number, positive or, with
-    ``positive=False``, nonnegative."""
+    """Check that ``value`` is a finite real number, not a bool, positive
+    or, with ``positive=False``, nonnegative."""
     sign = "positive" if positive else "nonnegative"
     try:
-        ok = isinstance(value, Real) and math.isfinite(value)
+        ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:  # an int beyond the range of a float
         raise ValueError(
             f"{name} must be {sign} and finite, got an integer too large for a float"
@@ -58,9 +60,32 @@ def _finite(name: str, value, positive: bool = True) -> None:
         raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 
-def _previous(a: np.ndarray) -> np.ndarray:
-    """Entry j holds entry (j - 1) % J of ``a`` along the last axis."""
-    return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
+# The two passes below wrap the components (2, ..., J) once, entry j of
+# the wrap holding node j - 1, and square coordinate differences, which
+# overflow to inf beyond about 1e154 and flush to 0 below about 1e-162;
+# their callers hold np.errstate so that this happens silently.
+
+
+def _edge_data(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge vectors, viewed as (..., J, 2), and squared lengths (..., J),
+    both read-only, of polygons stored component by component, (2, ..., J)."""
+    vectors = comp - np.concatenate((comp[..., -1:], comp[..., :-1]), axis=-1)
+    squares = vectors * vectors
+    squares = squares[0] + squares[1]
+    vectors.setflags(write=False)
+    squares.setflags(write=False)
+    return (vectors.T if vectors.ndim == 2 else vectors.transpose(1, 2, 0)), squares
+
+
+def _elements(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the assemblers read of polygons stored component by
+    component, (2, ..., J): a_j = r_{j-1} + r_j and hw_j = |e_j|^2 / h per
+    element, squared without hypot, and hw_j + hw_{j+1}."""
+    left = np.concatenate((comp[..., -1:], comp[..., :-1]), axis=-1)
+    squares = comp - left
+    squares *= squares
+    hw = (squares[0] + squares[1]) * comp.shape[-1]
+    return left[0] + comp[0], hw, hw + np.concatenate((hw[..., 1:], hw[..., :1]), axis=-1)
 
 
 class _cached:
@@ -115,13 +140,8 @@ class _NodePolygons:
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge vectors and squared lengths, computed once, read-only; the
         squares read 0 below about 1e-162 and inf beyond about 1e154."""
-        comp = self._components
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            vectors = comp - _previous(comp)
-            squares = vectors[0] * vectors[0] + vectors[1] * vectors[1]
-        vectors.setflags(write=False)
-        squares.setflags(write=False)
-        return (vectors.T if vectors.ndim == 2 else vectors.transpose(1, 2, 0)), squares
+            return _edge_data(self._components)
 
     def edge_vectors(self) -> np.ndarray:
         """All J edges at once; edge j is node j minus node j-1 (read-only)."""
@@ -149,17 +169,10 @@ class _NodePolygons:
 
     @_cached
     def _element_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """What the assemblers read, computed once from one periodic wrap of
-        both components: a_j = r_{j-1} + r_j and hw_j = |e_j|^2 / h per
-        element, squared without hypot (inf beyond about 1e154, zero below
-        about 1e-162, silently), and hw_j + hw_{j+1}."""
-        comp = self._components
-        left = _previous(comp)
+        """``_elements`` of the curve, computed once (squares inf beyond
+        about 1e154, zero below about 1e-162, silently)."""
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            dr, dz = comp - left
-            hw = (dr * dr + dz * dz) * self.node_count
-            pairs = hw + np.concatenate((hw[..., 1:], hw[..., :1]), axis=-1)
-            return left[0] + comp[0], hw, pairs
+            return _elements(self._components)
 
     def require_admissible(self, context: str = "curve") -> None:
         """Check the assemblers' data: r > 0 and every |e_j|^2 > 0."""
@@ -207,6 +220,24 @@ class CurveStack(_NodePolygons):
 
     def __init__(self, positions: np.ndarray):
         self.positions = positions
+
+    @_cached
+    def _components(self) -> np.ndarray:
+        """r and z, shape (2, B, J), viewed, not copied, and kept: the
+        step kernel reads them every step."""
+        return self.positions.transpose(2, 0, 1)
+
+    @classmethod
+    def _stepped(cls, comp: np.ndarray) -> "CurveStack":
+        """The step kernel's new states, stored component by component,
+        (2, B, J), with their edges and bounds computed at once, under
+        the caller's np.errstate."""
+        stack = cls(comp.transpose(1, 2, 0))
+        edges = _edge_data(comp)
+        least = np.minimum.reduce  # without the Python layer of ndarray.min
+        bounds = least(comp[0], -1).tolist(), np.sqrt(least(edges[1], -1)).tolist()
+        vars(stack).update(_components=comp, _edges=edges, _bounds=bounds)
+        return stack
 
     def take(self, rows) -> "CurveStack":
         """The stack of the members in ``rows``, in that order, stored

@@ -17,14 +17,18 @@ matrices); any other matrix has its bands compared.
 
 Each member is audited on its own, against the first bound that
 suffices.  A stack whose members all pass is done after one split and
-one audit.  Otherwise one loop redoes alone, as a stack of one, each
-member the block did not serve: every member when the block cannot be
-factored, else those that missed the audit.  A member redone alone is
-split again, gets up to MAX_REFINEMENTS refinement steps on its factors
-and, when the split breaks down or stays inaccurate, is redone once
-with a second shift, -|A|_inf, keeping the better report.  Every
-result carries a measured residual, an explicit status and the path
-taken; callers can rely on ``status == OK`` instead of re-checking.
+one audit: ``_split`` builds the cores, factors them, substitutes and
+applies the rank-one correction in one pass, and ``_audit`` gives each
+member's verdict, all under the one np.errstate of ``solve_cyclic``.
+Otherwise one loop redoes alone, as a stack of one, each member the
+block did not serve: every member when the block cannot be factored,
+else those that missed the audit.  A member redone alone is split
+again, gets up to MAX_REFINEMENTS refinement steps, each a split of its
+residual with the same shift (the same factors, computed again), and,
+when the split breaks down or stays inaccurate, is redone once with a
+second shift, -|A|_inf, keeping the better report.  Every result
+carries a measured residual, an explicit status and the path taken;
+callers can rely on ``status == OK`` instead of re-checking.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -87,7 +91,7 @@ class SolveStatus(Enum):
 _RANK = {status: rank for rank, status in enumerate(SolveStatus)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolveReport:
     """Solution, its measured residual and audit status, the path taken
     (``"ldlt"`` or ``"lu"``) and the refinement steps used.
@@ -107,7 +111,18 @@ class SolveReport:
     refinements: int = 0
     members: tuple = ()
 
+    def __init__(self, solution, residual_norm, status, path="lu", refinements=0, members=()):
+        # one update of the instance dict where a frozen dataclass's own
+        # __init__ sets each field through object.__setattr__
+        vars(self).update(
+            solution=solution, residual_norm=residual_norm, status=status,
+            path=path, refinements=refinements, members=members,
+        )
 
+
+# inf - inf and overflow in the split or the audit's residual end up as
+# a non-finite x or residual, which the audit turns into a status
+@np.errstate(invalid="ignore", over="ignore")
 def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     """Solve matrix @ x = rhs for shape (J,) or stacked (J, k) right sides;
     for a stack of B matrices, rhs of shape (B, J) or (B, J, k).
@@ -122,45 +137,42 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     no floating-point warning: the report's status says what went wrong.
     """
     b = np.asarray(rhs, dtype=float)
-    stacked = matrix.diag.ndim == 2
-    dims = matrix.diag.shape if stacked else (matrix.order,)
+    dims = matrix.diag.shape
     if b.shape[: len(dims)] != dims or b.ndim > len(dims) + 1:
         raise ValueError(f"rhs must have shape {dims} or {dims} + (k,), got {b.shape}")
+    stacked = len(dims) == 2
     if not stacked:
         matrix = _rows(matrix, None)
     # the right sides column by column, (k, B, J), viewed: the step
     # kernel stores them so, component by component
-    cols = b.reshape(*matrix.diag.shape, -1).transpose(2, 0, 1)
-    first = matrix.diag[:, 0]
-    shifts = -first
-    shifts[first == 0.0] = 1.0
-    # inf - inf and overflow in the split or the audit's residual end up
-    # as a non-finite x or residual, which the audit turns into a status
-    with np.errstate(invalid="ignore", over="ignore"):
-        path, x, _, _, outcomes = _split(matrix, shifts, cols)
-        status, refinements = SolveStatus.OK, 0
-        if x is None or any(verdict is not SolveStatus.OK for verdict, _ in outcomes):
-            # redo alone every member the block did not serve
-            B = len(shifts)
-            if x is None:
-                x, outcomes, redo = np.empty(cols.shape), [None] * B, range(B)
-            else:
-                redo = [i for i, (verdict, _) in enumerate(outcomes) if verdict is not SolveStatus.OK]
-            alone = []
-            for i in redo:
-                one = slice(i, i + 1)
-                report = _alone(_rows(matrix, one), cols[:, one], shifts[one])
-                x[:, i], outcomes[i] = report.solution[:, 0], report.members[0]
-                alone.append(report)
-            if len(alone) == B:
-                paths = {report.path for report in alone}
-                path = paths.pop() if len(paths) == 1 else "mixed"
-            # members the block served passed their audit
-            status = max((report.status for report in alone), key=_RANK.get)
-            refinements = max(report.refinements for report in alone)
-    residual_norm = max(res for _, res in outcomes)
+    cols = (b if b.ndim == 3 else b.reshape(*matrix.diag.shape, -1)).transpose(2, 0, 1)
+    shifts = -matrix.diag[:, 0]
+    if 0.0 in shifts.tolist():
+        shifts[shifts == 0.0] = 1.0
+    path, x, _, outcomes, redo = _split(matrix, shifts, cols)
+    B = len(shifts)
+    if x is None:
+        x, outcomes, redo = np.empty(cols.shape), [None] * B, range(B)
+    status, refinements = SolveStatus.OK, 0
+    if redo:
+        # redo alone every member the block did not serve
+        alone = []
+        for i in redo:
+            one = slice(i, i + 1)
+            report = _alone(_rows(matrix, one), cols[:, one], shifts[one])
+            x[:, i], outcomes[i] = report.solution[:, 0], report.members[0]
+            alone.append(report)
+        if len(alone) == B:
+            paths = {report.path for report in alone}
+            path = paths.pop() if len(paths) == 1 else "mixed"
+        # members the block served passed their audit
+        status = max((report.status for report in alone), key=_RANK.get)
+        refinements = max(report.refinements for report in alone)
+    solution = x.transpose(1, 2, 0)
+    if solution.shape != b.shape:
+        solution = solution.reshape(b.shape)
     members = tuple(outcomes) if stacked else ()
-    solution = x.transpose(1, 2, 0).reshape(b.shape)
+    residual_norm = max(outcomes, key=itemgetter(1))[1]
     return SolveReport(solution, residual_norm, status, path, refinements, members)
 
 
@@ -187,8 +199,9 @@ def _alone(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: np.ndarray) -> So
 
 def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: np.ndarray) -> SolveReport:
     """Audited solution (k, 1, J) of a stack of one split with the shift
-    gamma (1,), refined on its factors while it misses the audit."""
-    path, x, solve, residual, outcomes = _split(matrix, gamma, cols)
+    gamma (1,), refined while it misses the audit: each correction solves
+    for the residual with the same split, whose factors come out the same."""
+    path, x, residual, outcomes, _ = _split(matrix, gamma, cols)
     if x is None:
         nan, singular = np.full(cols.shape, np.nan), SolveStatus.SINGULAR
         return SolveReport(nan, math.inf, singular, path, 0, ((singular, math.inf),))
@@ -196,8 +209,8 @@ def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: np.ndarray) -> 
     refinements = 0
     while status is SolveStatus.ILL_CONDITIONED and refinements < MAX_REFINEMENTS:
         refinements += 1
-        candidate = x - solve(residual)
-        c_residual, ((c_status, c_norm),) = _audit(matrix, cols, candidate)
+        candidate = x - _split(matrix, gamma, residual)[1]
+        c_residual, ((c_status, c_norm),), _ = _audit(matrix, cols, candidate)
         if not c_norm < res_norm:
             break
         x, residual, res_norm, status = candidate, c_residual, c_norm, c_status
@@ -205,10 +218,9 @@ def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: np.ndarray) -> 
 
 
 def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
-    """(path, x, solve, residual, outcomes) for a stack of B matrices
+    """(path, x, residual, outcomes, missed) for a stack of B matrices
     split with the shifts gamma (B,): x the solutions of the right sides
-    cols, both stored column by column, (k, B, J), solve mapping further
-    right sides to solutions on the same factors, and the ``_audit`` of
+    cols, both stored column by column, (k, B, J), and the ``_audit`` of
     x.  Exactly symmetric stacks are factored as one block LDL^T, a
     single member otherwise by pivoted LU.  All but the path are None
     when the split breaks down, or for B > 1 when the block cannot be
@@ -218,81 +230,74 @@ def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
     k, B, J = cols.shape
     alpha = sup[:, -1]  # corner entries in row J-1, column 0
     beta = sub[:, 0]  # corner entries in row 0, column J-1
+    # the tridiagonal cores as one block whose members do not couple
     d = diag.copy()
     d[:, 0] = diag[:, 0] - gamma
     d[:, -1] = diag[:, -1] - alpha * beta / gamma
     e = sup.copy()
-    e[:, -1] = 0.0  # no coupling from one block to the next
-    e = e.ravel()[:-1]
+    e[:, -1] = 0.0
+    d, e = d.ravel(), e.ravel()[:-1]
 
-    core = None
     symmetric = matrix._symmetric or (
         alpha.tolist() == beta.tolist() and (sub[:, 1:] == sup[:, :-1]).all()
     )
+    info = 1
     if symmetric:
-        df, ef, info = lapack.dpttrf(d.ravel(), e)
-        if info == 0:
-            path, core = "ldlt", partial(lapack.dpttrs, df, ef)
-    if core is None:
+        # LAPACK factors a stack's cores in place; a single member keeps
+        # them for the LU below
+        df, ef, info = lapack.dpttrf(d, e, overwrite_d=B > 1, overwrite_e=B > 1)
+        path, substitute, factors = "ldlt", lapack.dpttrs, (df, ef)
+    if info != 0:
         path = "lu"
         if B > 1:
             return path, None, None, None, None
-        dlf, df, duf, du2, ipiv, info = lapack.dgttrf(sub[0, 1:], d[0], e)
+        *factors, info = lapack.dgttrf(sub[0, 1:], d, e)
         if info != 0:
             return path, None, None, None, None
-        core = partial(lapack.dgttrs, dlf, df, duf, du2, ipiv)
+        substitute = lapack.dgttrs
 
-    def substitute(columns):
-        # columns (n, B, J) is a fresh array that LAPACK overwrites
-        n = len(columns)
-        return core(columns.reshape(n, B * J).T, overwrite_b=1)[0].T.reshape(n, B, J)
-
-    # the right sides, then the rank-one vectors u
+    # the right sides, then the rank-one vectors u, solved on the cores
+    # in place (LAPACK reads the columns of a Fortran-ordered view)
     rhs = np.zeros((k + 1, B, J))
     rhs[:k] = cols
     rhs[k, :, 0] = gamma
     rhs[k, :, -1] = alpha
-    y = substitute(rhs)
+    y = substitute(*factors, rhs.reshape(k + 1, B * J).T, overwrite_b=1)[0].T.reshape(k + 1, B, J)
     z, y = y[k], y[:k]
     ratio = beta / gamma
     q = 1.0 + z[:, 0] + ratio * z[:, -1]
     # q / q is 1 exactly where q is finite and nonzero, else NaN
     denom = q * (q / q)
-
-    def corrected(y):
-        return y - z * ((y[:, :, 0] + ratio * y[:, :, -1]) / denom)[:, :, None]
-
-    def solve(more):
-        return corrected(substitute(more.copy()))
-
-    x = corrected(y)
-    return (path, x, solve, *_audit(matrix, cols, x))
+    x = y - z * ((y[:, :, 0] + ratio * y[:, :, -1]) / denom)[:, :, None]
+    return (path, x, *_audit(matrix, cols, x))
 
 
 def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):
     """Residuals A x - b of a stack, for solutions and right sides stored
-    column by column, (k, B, J), and each member's (status, residual
-    inf-norm).
+    column by column, (k, B, J), each member's (status, residual
+    inf-norm) and the members whose status is not OK.
 
     A residual within RESIDUAL_RTOL * |b|_inf passes at once: the full
     bound only adds |A|_inf * |x|_inf >= 0, and a finite residual below
     a finite bound implies a finite x, since every entry of x enters the
     residual.  Only a member that misses pays for |x|_inf and |A|_inf.
     """
-    residual = _banded(matrix.diag, matrix.sub, matrix.sup, x) - cols
-    outcomes = []
+    residual = _banded(matrix.diag, matrix.sub, matrix.sup, x)
+    residual -= cols
+    outcomes, missed, ok = [], [], SolveStatus.OK
+    # ufunc reductions, without the Python layer of ndarray.max
     for i, (res, b_max) in enumerate(zip(
-        np.abs(residual).max(axis=(0, 2)).tolist(),
-        np.abs(cols).max(axis=(0, 2)).tolist(),
+        np.maximum.reduce(np.abs(residual), (0, 2)).tolist(),
+        np.maximum.reduce(np.abs(cols), (0, 2)).tolist(),
     )):
-        if res <= RESIDUAL_RTOL * b_max < math.inf:
-            outcomes.append((SolveStatus.OK, res))
-            continue
-        x_max = float(np.abs(x[:, i]).max())
-        if not math.isfinite(x_max):
-            outcomes.append((SolveStatus.SINGULAR, math.inf))
-        elif res <= RESIDUAL_RTOL * (b_max + matrix._member_norms[i] * x_max):
-            outcomes.append((SolveStatus.OK, res))
-        else:
-            outcomes.append((SolveStatus.ILL_CONDITIONED, res))
-    return residual, outcomes
+        verdict = ok
+        if not res <= RESIDUAL_RTOL * b_max < math.inf:
+            x_max = float(np.abs(x[:, i]).max())
+            if not math.isfinite(x_max):
+                verdict, res = SolveStatus.SINGULAR, math.inf
+            elif not res <= RESIDUAL_RTOL * (b_max + matrix._member_norms[i] * x_max):
+                verdict = SolveStatus.ILL_CONDITIONED
+            if verdict is not ok:
+                missed.append(i)
+        outcomes.append((verdict, res))
+    return residual, outcomes, missed

@@ -16,6 +16,13 @@ schemes are rows of one coefficient table, ``_SCHEMES``, read by one kernel:
 * ``bdf2_step`` freezes them at the extrapolation 2 X^m - X^{m-1} and
   uses the two-step backward difference in time (second order).
 
+A step is one pass of one function, ``_advance``: the coefficient
+curve's element data, the admissibility check (three reductions over
+the whole stack; members are sorted only when one fails), the bands of
+the step matrix and of the right side, the solve and the new states'
+edges and bounds, under one np.errstate.  The source loads are taken
+before it, so that a forcing's own floating-point warnings still show.
+
 ``run`` drives a scheme from t = 0 to a final time, recording
 diagnostics each step and stopping early with a typed event when the
 curve touches the axis, collapses to a point, degenerates an element,
@@ -37,15 +44,25 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .assembly import (
+    CyclicTridiagonal,
     _banded,
-    _bands,
+    _element_bands,
     source_load,
     # unused by the kernel; bound for SPAN_TARGETS in perfbench/tracing.py
     radial_direction_load,
     weighted_mass_matrix,
     weighted_stiffness_matrix,
 )
-from .curves import CurveFunction, CurveStack, PeriodicCurve, _circle, _count, _finite, interpolate
+from .curves import (
+    CurveFunction,
+    CurveStack,
+    PeriodicCurve,
+    _circle,
+    _count,
+    _elements,
+    _finite,
+    interpolate,
+)
 from .cyclic_solver import SolveStatus, solve_cyclic
 from .diagnostics import (
     ErrorRecord,
@@ -193,22 +210,26 @@ class RunReport:
     thresholds: EventThresholds = field(default_factory=EventThresholds)
 
 
-def _check_weights(weight: CurveStack, t_new: float) -> dict[int, StepFailure]:
+def _check_weights(r, hw, pairs, t_new: float) -> dict[int, StepFailure]:
     """Pre-flag the members whose coefficient curve left the admissible
-    set: not finite, r <= 0 or a zero-length edge.  It reads the
-    assembler's squared edges, inf beyond about 1e154 and 0 below about
-    1e-162: such a member fails as not finite or as degenerate."""
-    _, hw, pairs = weight._element_data
-    rmin = weight.r.min(axis=-1).tolist()
-    emin = hw.min(axis=-1).tolist()
-    # a node that is not finite leaves inf or nan in its elements' data
-    largest = pairs.max(axis=-1).tolist()
+    set: not finite, r <= 0 or a zero-length edge.  It reads the nodal
+    radii r and the assembler's squared edges hw and their pair sums,
+    (B, J) each; the squares read inf beyond about 1e154 and 0 below
+    about 1e-162: such a member fails as not finite or as degenerate."""
+    # a node that is not finite leaves inf or nan in its elements' data,
+    # and nan fails every comparison: the whole stack passes, or its rows
+    # are sorted.  ufunc reductions skip the Python layer of ndarray.min
+    least, largest = np.minimum.reduce, np.maximum.reduce
+    if least(r, None) > 0.0 and least(hw, None) > 0.0 and math.isfinite(largest(pairs, None)):
+        return {}
     failures = {}
-    for row, (r, e, p) in enumerate(zip(rmin, emin, largest)):
+    for row, (rmin, e, p) in enumerate(zip(
+        r.min(axis=-1).tolist(), hw.min(axis=-1).tolist(), pairs.max(axis=-1).tolist()
+    )):
         if not math.isfinite(p):
             kind, metric, what = StopKind.SOLVER_FAILURE, math.inf, "is not finite"
-        elif r <= 0.0:
-            kind, metric, what = StopKind.AXIS_TOUCH, r, "left r > 0"
+        elif rmin <= 0.0:
+            kind, metric, what = StopKind.AXIS_TOUCH, rmin, "left r > 0"
         elif e <= 0.0:
             kind, metric, what = StopKind.ELEMENT_DEGENERATE, e, "degenerated an element"
         else:
@@ -254,36 +275,49 @@ def _advance(
     x = current._components
     if e1 == 0.0:
         # a one-step scheme gives X^{m-1} zero weight everywhere
-        x_prev, weight = x, current
+        x_prev = weight = x
     elif previous is None:
         raise ValueError(f"{kind.value}_step needs a previous curve; bootstrap with bdf1_step")
     else:
         x_prev = previous._components
-        weight = CurveStack((e0 * x + e1 * x_prev).transpose(1, 2, 0))
+        weight = e0 * x + e1 * x_prev
     t_new = time + dt
-    failures = _check_weights(weight, t_new)
-    rows = list(range(x.shape[1]))
-    if failures:
-        rows = [row for row in rows if row not in failures]
-        if not rows:
-            return current.take([]), failures
-        x, x_prev, weight = x.take(rows, axis=1), x_prev.take(rows, axis=1), weight.take(rows)
-    matrix, right = _bands(weight, c / dt, theta, right=(1.0 / dt, theta - 1.0))
-    # rows with theta != 1 have (h0, h1) = (1, 0), so M y / dt with
-    # y = h0 X^m + h1 X^{m-1}, minus (1 - theta) K X^m, is one product
-    rhs = _banded(*right, x if (h0, h1) == (1.0, 0.0) else h0 * x + h1 * x_prev)
-    rhs[0] -= 0.5 * weight._element_data[2]  # the radial load (L, 0)
-    del weight, right  # no assembly array is held across the solve
-    rhs = rhs.transpose(1, 2, 0)
     if source is not None:
-        rhs += sum(
+        load = sum(
             w * source_load(source, x.shape[2], t)
             for w, t in zip(source_weights, (time, t_new))
             if w
         )
-    report = solve_cyclic(matrix, rhs)
-    # the new states' edges and bounds, from one wrap of the solution
-    new = CurveStack(report.solution)
+    # squares of huge or tiny edges, and a solution that is not finite,
+    # end as a typed failure, not as a floating-point warning
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        data = _elements(weight)
+        failures = _check_weights(weight[0], *data[1:], t_new)
+        rows = range(x.shape[1])
+        if failures:
+            rows = [row for row in rows if row not in failures]
+            if not rows:
+                return current.take([]), failures
+            x, x_prev, weight = (a.take(rows, axis=1) for a in (x, x_prev, weight))
+            data = tuple(a.take(rows, axis=0) for a in data)
+        # the step matrix, and the bands of the right side's operator
+        # (1 / dt) M - (1 - theta) K: from the same pass when it mirrors
+        # the matrix (c = 1, theta = 1/2, as in Crank-Nicolson)
+        bands, right = _element_bands(weight[0], data, c / dt, theta)
+        if (1.0 / dt, theta - 1.0) != (c / dt, -theta):
+            right = _element_bands(weight[0], data, 1.0 / dt, theta - 1.0)[0]
+        matrix = CyclicTridiagonal._owned(*bands, True)
+        # rows with theta != 1 have (h0, h1) = (1, 0), so M y / dt with
+        # y = h0 X^m + h1 X^{m-1}, minus (1 - theta) K X^m, is one product
+        rhs = _banded(*right, x if (h0, h1) == (1.0, 0.0) else h0 * x + h1 * x_prev)
+        rhs[0] -= 0.5 * data[2]  # the radial load (L, 0)
+        del weight, data, bands, right  # no assembly array is held across the solve
+        if source is not None:
+            rhs += load.T[:, None]
+            del load
+        report = solve_cyclic(matrix, rhs.transpose(1, 2, 0))
+        # the new states' edges and bounds, from one wrap of the solution
+        new = CurveStack._stepped(report.solution.transpose(2, 0, 1))
     emin = new._bounds[1]
     if report.status is SolveStatus.OK and all(emin):
         return new, failures
@@ -367,17 +401,18 @@ def _state_events(
     """First triggered event of each member (by row) of computed states,
     axis before collapse before degeneracy."""
     rmin, emin = curves._bounds
-    rmax = curves.r.max(axis=-1).tolist()
+    rmax = np.maximum.reduce(curves._components[0], -1).tolist()
+    axis, collapse = thresholds.axis, thresholds.collapse
     edge_floor = thresholds.edge_fraction * curves.spacing
     events = {}
     for row, (low, high, shortest) in enumerate(zip(rmin, rmax, emin)):
-        if low < thresholds.axis:
+        if low < axis:
             events[row] = StopEvent(StopKind.AXIS_TOUCH, t, low)
             continue
         # the diameter is at least the radial span
-        if high - low < thresholds.collapse:
+        if high - low < collapse:
             diam = diameter(curves.member(row))
-            if diam < thresholds.collapse:
+            if diam < collapse:
                 events[row] = StopEvent(StopKind.CURVE_COLLAPSE, t, diam)
                 continue
         if shortest < edge_floor:
@@ -442,6 +477,14 @@ def _run_stack(
     node_count = _count("node_count", node_count, 3)
     scheme = SchemeKind(scheme)
     steps = _step_count(t_end, dt)
+    try:
+        observers = tuple(observers)
+    except TypeError:
+        kind = type(observers).__name__
+        raise TypeError(f"observers must be a sequence of callables, got {kind}") from None
+    for obs in observers:
+        if not callable(obs):
+            raise TypeError(f"observers must be callables, got {type(obs).__name__}")
     starts = []
     for initial in initials:
         if isinstance(initial, PeriodicCurve):
@@ -516,8 +559,9 @@ def _run_stack(
             break
         kind = SchemeKind.BDF1 if previous is None else scheme
         new, failures = _STEPPERS[kind](current, previous, (m - 1) * dt, dt, source)
-        # a failed member ends on its last accepted curve
-        end({row: StopEvent(f.kind, m * dt, f.metric) for row, f in failures.items()})
+        if failures:
+            # a failed member ends on its last accepted curve
+            end({row: StopEvent(f.kind, m * dt, f.metric) for row, f in failures.items()})
         previous, current = current, new
         if members:
             end(accept(m, m * dt, current))

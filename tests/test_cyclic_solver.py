@@ -531,10 +531,11 @@ class TestAudit:
 
         with np.errstate(invalid="ignore"):  # inf - inf in a poisoned residual
             # the audit reads the solver's column-major (k, B, J) arrays
-            residual, outcomes = _audit(matrix, cols.transpose(2, 0, 1), x.transpose(2, 0, 1))
+            residual, outcomes, missed = _audit(matrix, cols.transpose(2, 0, 1), x.transpose(2, 0, 1))
             product = matrix.matvec(x)
 
         assert len(outcomes) == B
+        assert missed == [i for i, (status, _) in enumerate(outcomes) if status is not SolveStatus.OK]
         for i, (status, res) in enumerate(outcomes):
             if not np.isfinite(x[i]).all():
                 assert (status, res) == (SolveStatus.SINGULAR, np.inf)

@@ -69,6 +69,10 @@ class TestRunConvergence:
             (dict(levels=[8, 8]), "levels must be strictly increasing, got [8, 8]"),
             # an integral float is a count: fixed_steps passes and fixed_nodes is named
             (dict(fixed_steps=10000.0, fixed_nodes=2), "fixed_nodes must be at least 3, got 2"),
+            # a bool is neither a count nor a time
+            (dict(fixed_steps=True), "fixed_steps must be an integer of at least 1, got True"),
+            (dict(levels=[8, True]), "levels must be an integer of at least 3, got True"),
+            (dict(t_end=True), "t_end must be positive and finite, got True"),
         ],
     )
     def test_rejects_bad_sizes_by_name(self, monkeypatch, kwargs, message):
@@ -141,6 +145,8 @@ class TestClassifyRadius:
             (dict(t_max=-1.0), "t_max"),
             (dict(t_max=float("inf")), "t_max"),
             (dict(node_count=16, dt=1e-300, t_max=1e300), "t_max / dt"),
+            (dict(dt=True), "dt"),
+            (dict(t_max=True), "t_max"),
         ],
     )
     def test_rejects_bad_step_inputs_by_name(self, monkeypatch, kwargs, name):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import re
 import warnings
@@ -34,7 +35,7 @@ from torusflow import (
     weighted_stiffness_matrix,
 )
 
-from torusflow.assembly import _bands
+from torusflow.assembly import _bands, _element_bands
 from torusflow.curves import CurveStack
 
 from oracles import dense_step, random_admissible_positions
@@ -96,8 +97,16 @@ class TestStateValidation:
                 lambda curve: cn_step(StepperState(curve, curve.positions, 0.0, 1e-3)),
                 "previous must be a PeriodicCurve, got ndarray",
             ),
+            (
+                lambda curve: run(curve, "cn", 8, 1e-3, 1e-3, observers=None),
+                "observers must be a sequence of callables, got NoneType",
+            ),
+            (
+                lambda curve: run(curve, "cn", 8, 1e-3, 1e-3, observers=[1]),
+                "observers must be callables, got int",
+            ),
         ],
-        ids=["initial", "thresholds", "current", "previous"],
+        ids=["initial", "thresholds", "current", "previous", "observers", "observer"],
     )
     def test_rejects_wrong_input_types_by_name(self, call, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
@@ -255,10 +264,12 @@ class TestSymmetries:
         # the solver takes the assemblers' symmetric declaration on trust,
         # so every matrix built with it must pass the exact band compare:
         # row j's entry for node j-1 equals row j-1's entry for node j.
-        # A step builds one, its step matrix; the bands of the right
-        # side's one product, applied without a matrix, pass it too
+        # A step builds one, its step matrix, on the bands of its first
+        # assembly pass; the bands of the right side's one product,
+        # applied without a matrix, are that pass's mirror (CN) or come
+        # from a second pass, and every band triple passes it too
         declared, assembled = [], []
-        real_owned, real_bands = CyclicTridiagonal._owned, stepping._bands
+        real_owned, real_element_bands = CyclicTridiagonal._owned, stepping._element_bands
 
         def owned(*args, **kwargs):
             matrix = real_owned(*args, **kwargs)
@@ -266,18 +277,19 @@ class TestSymmetries:
                 declared.append(matrix)
             return matrix
 
-        def bands(*args, **kwargs):
-            assembled.append(real_bands(*args, **kwargs))
+        def element_bands(*args, **kwargs):
+            assembled.append(real_element_bands(*args, **kwargs))
             return assembled[-1]
 
         with mock.patch.object(CyclicTridiagonal, "_owned", owned), mock.patch.object(
-            stepping, "_bands", bands
+            stepping, "_element_bands", element_bands
         ):
             m = step_matrix(STEPPERS[scheme], random_state(seed, J), FORCING)
-        ((matrix, (_, sub, sup)),) = assembled
-        assert len(declared) == 1 and declared[0] is m and matrix is m
-        for low, up in ((m.sub, m.sup), (sub, sup)):
-            assert np.array_equal(low, np.roll(up, 1, axis=-1))
+        assert len(declared) == 1 and declared[0] is m
+        assert len(assembled) == (1 if scheme == "cn" else 2)
+        assert all(got is band for got, band in zip((m.diag, m.sub, m.sup), assembled[0][0]))
+        for _, sub, sup in (triple for pair in assembled for triple in pair):
+            assert np.array_equal(sub, np.roll(sup, 1, axis=-1))
 
     @pytest.mark.parametrize("scheme", ["bdf1", "cn", "bdf2"])
     @settings(max_examples=50, deadline=None)
@@ -371,7 +383,7 @@ class TestStepSystem:
         weight = CurveStack(1.5 * cur - 0.5 * prev)
         c = stepping._SCHEMES[SchemeKind.CN][1]
         step, right = _bands(weight, 1.0 / dt, 0.5), _bands(weight, 1.0 / dt, -0.5)
-        pair, right_bands = _bands(weight, c / dt, 0.5, right=(1.0 / dt, -0.5))
+        pair, right_bands = _element_bands(weight.r, weight._element_data, c / dt, 0.5)
         seen = []
 
         def spy(matrix, rhs):
@@ -382,8 +394,8 @@ class TestStepSystem:
             stepping._advance(SchemeKind.CN, CurveStack(cur), CurveStack(prev), 0.0, dt, None)
         ((matrix, rhs),) = seen
         for i, band in enumerate(("diag", "sub", "sup")):
-            for got, want in ((pair, step), (matrix, step)):
-                assert np.array_equal(getattr(got, band), getattr(want, band))
+            assert np.array_equal(pair[i], getattr(step, band))
+            assert np.array_equal(getattr(matrix, band), getattr(step, band))
             assert np.array_equal(right_bands[i], getattr(right, band))
         assert np.array_equal(rhs, right.matvec(cur) - radial_direction_load(weight))
 
@@ -484,6 +496,51 @@ class TestStepSystem:
         assert new._bounds == fresh._bounds
 
 
+    def test_calls_per_step_are_the_ones_the_benchmark_traces(self):
+        # perfbench wraps these names of stepping and pins their counts:
+        # one solve per stacked step; source loads 1 on the bdf1
+        # bootstrap, 2 per CN step, 1 per BDF2 step; each norm once per
+        # record of each member
+        names = ("solve_cyclic", "source_load", "l2_error", "h1_seminorm_error", "superconvergence_error")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with contextlib.ExitStack() as patches:
+            for name in names:
+                patches.enter_context(
+                    mock.patch.object(stepping, name, counted(name, getattr(stepping, name)))
+                )
+            steps = 12
+            for scheme, loads in (("cn", 1 + 2 * (steps - 1)), ("bdf2", steps)):
+                calls.update(dict.fromkeys(names, 0))
+                report = run(EXACT, scheme, 16, 1e-3, steps * 1e-3, source=FORCING, exact=EXACT)
+                assert report.event.kind is StopKind.REACHED_T
+                records = len(report.records)
+                assert records == steps + 1
+                assert calls == {
+                    "solve_cyclic": steps, "source_load": loads, "l2_error": records,
+                    "h1_seminorm_error": records, "superconvergence_error": records,
+                }
+            calls.update(dict.fromkeys(names, 0))
+            radii = (0.6, 0.62, 0.65)
+            reports = stepping._run_stack(
+                [torus_circle(r) for r in radii], "cn", 32, 1e-3, steps * 1e-3, exact=EXACT
+            )
+            assert {report.event.kind for report in reports} == {StopKind.REACHED_T}
+            records = sum(len(report.records) for report in reports)
+            assert records == len(radii) * (steps + 1)
+            assert calls == {
+                "solve_cyclic": steps, "source_load": 0, "l2_error": records,
+                "h1_seminorm_error": records, "superconvergence_error": records,
+            }
+
+
 class TestSquaredEdgeRange:
     # the coefficient check reads squared edges, which overflow for edges
     # beyond about 1e154 and vanish below about 1e-162
@@ -573,6 +630,8 @@ class TestRunDriver:
             (5e-324, 0.1, "t_end / dt"),
             pytest.param(10**400, 0.1, "dt", id="huge-int-dt"),
             pytest.param(1e-2, 10**400, "t_end", id="huge-int-t_end"),
+            (True, 2.0, "dt"),
+            (1e-2, True, "t_end"),
         ],
     )
     def test_rejects_bad_step_inputs_by_name(self, dt, t_end, name):
@@ -595,7 +654,7 @@ class TestRunDriver:
             )
         assert seen == []
 
-    @pytest.mark.parametrize("node_count", [64.5, float("nan"), float("inf"), "64"])
+    @pytest.mark.parametrize("node_count", [64.5, float("nan"), float("inf"), "64", True])
     def test_rejects_non_integer_node_count(self, node_count):
         message = f"node_count must be an integer of at least 3, got {node_count!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -690,7 +749,7 @@ class TestStoppingEvents:
         assert report.event.metric < 0.25
 
     @pytest.mark.parametrize("name", ["axis", "collapse", "edge_fraction"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, True])
     def test_thresholds_are_finite_and_nonnegative(self, name, value):
         message = f"{name} must be nonnegative and finite, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
