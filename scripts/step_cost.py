@@ -111,8 +111,8 @@ def measure(number: int) -> dict:
     out = {}
     for B, J in SHAPES:
         start = np.stack([interpolate(torus_circle(0.6 + 0.01 * i), J).positions for i in range(B)])
-        # the kernel's component-major form: (2, B, J) viewed as (B, J, 2)
-        previous = CurveStack(np.ascontiguousarray(start.transpose(2, 0, 1)).transpose(1, 2, 0))
+        # the kernel's component-major form, (2, B, J)
+        previous = CurveStack(np.ascontiguousarray(start.transpose(2, 0, 1)))
         current, failures = stepping._STEPPERS[stepping.SchemeKind.BDF1](previous, None, 0.0, DT, None)
         if failures:
             raise RuntimeError(f"the bootstrap step failed: {failures}")

@@ -239,6 +239,8 @@ def _basis_loads(basis, node_count: int, quadrature_points: int) -> np.ndarray:
     for start in range(0, node_count, _LOAD_BLOCK):
         block = rho[start : start + _LOAD_BLOCK]
         vals = np.asarray(basis(block.ravel()), dtype=float)
+        if vals.ndim != 3 or vals.shape[1:] != (block.size, 2):
+            raise ValueError(f"source field basis gave shape {vals.shape}, expected (K, {block.size}, 2)")
         if loads is None:
             left, loads = (np.empty((len(vals), node_count, 2)) for _ in range(2))
         moments = _element_moments(vals.reshape(-1, len(block), len(s), 2), s, wts, 1.0 / node_count)
@@ -262,7 +264,12 @@ def source_load(f, node_count: int, t: float) -> np.ndarray:
     basis = getattr(f, "basis", None)
     if basis is not None:
         loads = _basis_loads(basis, J, _SOURCE_POINTS)
-        return (f.coeffs(t) @ loads.reshape(len(loads), -1)).reshape(J, 2)
+        coeffs = f.coeffs(t)
+        if len(coeffs) != len(loads):
+            raise ValueError(f"source field coeffs gave {len(coeffs)} entries, expected {len(loads)}")
+        return (coeffs @ loads.reshape(len(loads), -1)).reshape(J, 2)
     rho, s, wts = element_rho(J, _SOURCE_POINTS)
-    vals = np.asarray(f(rho.ravel(), t), dtype=float).reshape(J, len(s), 2)
-    return _hat_moments(vals, s, wts)
+    vals = np.asarray(f(rho.ravel(), t), dtype=float)
+    if vals.shape != (rho.size, 2):
+        raise ValueError(f"source field gave shape {vals.shape}, expected ({rho.size}, 2)")
+    return _hat_moments(vals.reshape(J, len(s), 2), s, wts)

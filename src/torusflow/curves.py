@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable, Optional
 
@@ -88,55 +89,38 @@ def _elements(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return left[0] + comp[0], hw, hw + np.concatenate((hw[..., 1:], hw[..., :1]), axis=-1)
 
 
-class _cached:
-    """``functools.cached_property`` without the lock it takes on every
-    first use before Python 3.12, a cost the step kernel pays a few times
-    a step: the value is computed once and kept in the instance's
-    ``__dict__``, which later lookups read directly."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
+def _least(r: np.ndarray, squares: np.ndarray) -> tuple[list[float], list[float]]:
+    """Smallest radius and smallest edge length, the root of the least
+    squared edge, of each row of the radii and squared edges, (B, J)."""
+    least = np.minimum.reduce  # without the Python layer of ndarray.min
+    return least(r, -1).tolist(), np.sqrt(least(squares, -1)).tolist()
 
 
 class _NodePolygons:
-    """Edge data of closed polygons on the uniform periodic grid, for
-    ``positions`` of shape (..., J, 2): one curve or a stack of them.
-    Every element quantity is computed on the components, (2, ..., J),
-    a transpose view that is contiguous for the step kernel's stacks."""
+    """Edge data of closed polygons on the uniform periodic grid, read
+    from ``_components``, r and z of shape (2, ..., J): one curve or a
+    stack of them."""
 
-    positions: np.ndarray
+    _components: np.ndarray
 
     @property
     def node_count(self) -> int:
-        return self.positions.shape[-2]
+        return self._components.shape[-1]
 
     @property
     def spacing(self) -> float:
         """Reference grid spacing h = 1/J."""
-        return 1.0 / self.positions.shape[-2]
+        return 1.0 / self._components.shape[-1]
 
     @property
     def r(self) -> np.ndarray:
-        return self.positions[..., 0]
+        return self._components[0]
 
     @property
     def z(self) -> np.ndarray:
-        return self.positions[..., 1]
+        return self._components[1]
 
-    @property
-    def _components(self) -> np.ndarray:
-        """r and z, shape (2, ..., J), viewed, not copied."""
-        pos = self.positions
-        return pos.T if pos.ndim == 2 else pos.transpose(2, 0, 1)
-
-    @_cached
+    @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge vectors and squared lengths, computed once, read-only; the
         squares read 0 below about 1e-162 and inf beyond about 1e154."""
@@ -147,7 +131,7 @@ class _NodePolygons:
         """All J edges at once; edge j is node j minus node j-1 (read-only)."""
         return self._edges[0]
 
-    @_cached
+    @cached_property
     def _lengths(self) -> np.ndarray:
         lengths = np.hypot(self._edges[0][..., 0], self._edges[0][..., 1])
         lengths.setflags(write=False)
@@ -157,17 +141,12 @@ class _NodePolygons:
         """Lengths of ``edge_vectors()`` by hypot, on first use (read-only)."""
         return self._lengths
 
-    @_cached
+    @cached_property
     def _bounds(self) -> tuple[list[float], list[float]]:
-        """Smallest radius and smallest edge length, the root of the least
-        squared edge, of each member (one entry for a single curve)."""
-        J = self.node_count
-        return (
-            self.r.reshape(-1, J).min(axis=1).tolist(),
-            np.sqrt(self._edges[1].reshape(-1, J).min(axis=1)).tolist(),
-        )
+        """``_least`` of each member (one entry for a single curve)."""
+        return _least(np.atleast_2d(self.r), np.atleast_2d(self._edges[1]))
 
-    @_cached
+    @cached_property
     def _element_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_elements`` of the curve, computed once (squares inf beyond
         about 1e154, zero below about 1e-162, silently)."""
@@ -206,58 +185,50 @@ class PeriodicCurve(_NodePolygons):
             raise ValueError("positions must be finite")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "_components", pos.T)
+
+    def __reduce__(self):  # rebuilt from positions: read-only, components a view of them
+        return PeriodicCurve, (self.positions,)
 
 
 class CurveStack(_NodePolygons):
-    """B closed polygons on one grid, ``positions`` of shape (B, J, 2).
+    """B closed polygons on one grid, stored component by component:
+    ``_components``, r and z of shape (2, B, J).
 
     The step kernel's working form of the curves it advances together.
-    The positions are the kernel's own array, taken without the copy and
-    the finiteness check of ``PeriodicCurve``: the kernel checks each
+    The components are the kernel's own array, taken without the copy
+    and the finiteness check of ``PeriodicCurve``: the kernel checks each
     member itself.  Reductions over axis -1 of ``r`` or
     ``edge_lengths()`` give one value per member.
     """
 
-    def __init__(self, positions: np.ndarray):
-        self.positions = positions
-
-    @_cached
-    def _components(self) -> np.ndarray:
-        """r and z, shape (2, B, J), viewed, not copied, and kept: the
-        step kernel reads them every step."""
-        return self.positions.transpose(2, 0, 1)
+    def __init__(self, components: np.ndarray):
+        self._components = components
 
     @classmethod
     def _stepped(cls, comp: np.ndarray) -> "CurveStack":
-        """The step kernel's new states, stored component by component,
-        (2, B, J), with their edges and bounds computed at once, under
-        the caller's np.errstate."""
-        stack = cls(comp.transpose(1, 2, 0))
+        """The step kernel's new states, with their edges and bounds
+        computed at once, under the caller's np.errstate."""
+        stack = cls(comp)
         edges = _edge_data(comp)
-        least = np.minimum.reduce  # without the Python layer of ndarray.min
-        bounds = least(comp[0], -1).tolist(), np.sqrt(least(edges[1], -1)).tolist()
-        vars(stack).update(_components=comp, _edges=edges, _bounds=bounds)
+        vars(stack).update(_edges=edges, _bounds=_least(comp[0], edges[1]))
         return stack
 
     def take(self, rows) -> "CurveStack":
-        """The stack of the members in ``rows``, in that order, stored
-        component by component, with the rows of the edges and bounds
-        already computed."""
-        stack = CurveStack(self._components.take(rows, axis=1).transpose(1, 2, 0))
-        cache = self.__dict__
-        if "_edges" in cache:
-            edges = stack.__dict__["_edges"] = tuple(a.take(rows, axis=0) for a in cache["_edges"])
-            for a in edges:
-                a.setflags(write=False)
-        if "_bounds" in cache:
-            stack.__dict__["_bounds"] = tuple([b[row] for row in rows] for b in cache["_bounds"])
+        """The stack of the members in ``rows``, in that order, with the
+        rows of the edges and bounds already computed."""
+        stack = CurveStack(self._components.take(rows, axis=1))
+        edges = tuple(a.take(rows, axis=0) for a in self._edges)
+        for a in edges:
+            a.setflags(write=False)
+        bounds = tuple([b[row] for row in rows] for b in self._bounds)
+        vars(stack).update(_edges=edges, _bounds=bounds)
         return stack
 
     def member(self, row: int) -> PeriodicCurve:
-        curve = PeriodicCurve(self.positions[row])
-        if "_edges" in self.__dict__:
-            # the member's edges are rows of the stack's, already computed
-            curve.__dict__["_edges"] = tuple(a[row] for a in self._edges)
+        curve = PeriodicCurve(self._components[:, row].T)
+        # the member's edges are rows of the stack's
+        curve.__dict__["_edges"] = tuple(a[row] for a in self._edges)
         return curve
 
 

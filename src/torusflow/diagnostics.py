@@ -171,14 +171,14 @@ def mesh_ratio(curve):
     For a ``CurveStack``, a list of one ratio per member."""
     longest = np.sqrt(curve._edges[1].reshape(-1, curve.node_count).max(axis=1)).tolist()
     ratios = [hi / lo if lo != 0.0 else float("inf") for hi, lo in zip(longest, curve._bounds[1])]
-    return ratios if curve.positions.ndim == 3 else ratios[0]
+    return ratios if curve._components.ndim == 3 else ratios[0]
 
 
 def min_radial(curve):
     """Smallest nodal distance to the rotation axis; for a ``CurveStack``,
     a list of one per member."""
     rmin = curve._bounds[0]
-    return rmin if curve.positions.ndim == 3 else rmin[0]
+    return rmin if curve._components.ndim == 3 else rmin[0]
 
 
 def diameter(curve: PeriodicCurve) -> float:

@@ -340,9 +340,9 @@ def _advance(
 
 def _step_one(kind: SchemeKind, state: StepperState, source: Optional[SourceField]) -> PeriodicCurve:
     """``_advance`` for the one curve of ``state``; raises its failure."""
-    previous = None if state.previous is None else CurveStack(state.previous.positions[None])
+    previous = None if state.previous is None else CurveStack(state.previous._components[:, None])
     new, failures = _advance(
-        kind, CurveStack(state.current.positions[None]), previous, state.time, state.dt, source
+        kind, CurveStack(state.current._components[:, None]), previous, state.time, state.dt, source
     )
     if failures:
         raise failures[0]
@@ -485,14 +485,16 @@ def _run_stack(
     for obs in observers:
         if not callable(obs):
             raise TypeError(f"observers must be callables, got {type(obs).__name__}")
+    if not (exact is None or isinstance(exact, CurveFunction)):
+        raise TypeError(f"exact must be a CurveFunction or None, got {type(exact).__name__}")
     starts = []
     for initial in initials:
         if isinstance(initial, PeriodicCurve):
             if initial.node_count != node_count:
                 raise ValueError("initial curve node count disagrees with node_count")
-            starts.append(initial.positions)
+            starts.append(initial)
         elif isinstance(initial, CurveFunction):
-            starts.append(interpolate(initial, node_count, 0.0).positions)
+            starts.append(interpolate(initial, node_count, 0.0))
         else:
             raise TypeError(
                 f"initial must be a PeriodicCurve or a CurveFunction, got {type(initial).__name__}"
@@ -551,7 +553,7 @@ def _run_stack(
     members = list(range(len(starts)))  # the member in each stack row
     # stored component by component, (2, B, J), as the solver returns
     # its solutions: every elementwise step then runs along whole rows
-    current = CurveStack(np.stack([pos.T for pos in starts], axis=1).transpose(1, 2, 0))
+    current = CurveStack(np.stack([curve._components for curve in starts], axis=1))
     previous = None
     end(accept(0, 0.0, current))
     for m in range(1, steps + 1):

@@ -152,6 +152,11 @@ class TestAgainstDenseOracle:
             source_load(manufactured_forcing(), 64.5, 0.0)
 
 
+def unit_rows(rho):
+    """A unit radial field's values laid out as (2, n), not (n, 2)."""
+    return np.stack([np.ones_like(rho), np.zeros_like(rho)])
+
+
 class TestSeparableSource:
     """The manufactured forcing carries a separable form; its load is a
     combination of cached basis loads and must match the direct load."""
@@ -242,6 +247,32 @@ class TestSeparableSource:
     def test_half_a_form_is_rejected(self, given):
         with pytest.raises(ValueError, match="both basis and coeffs"):
             SourceField(lambda rho, t: rho, **given)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (
+                SourceField(np.add, basis=unit_rows, coeffs=lambda t: np.ones(1)),
+                "source field basis gave shape (2, 24), expected (K, 24, 2)",
+            ),
+            (
+                SourceField(
+                    manufactured_forcing().func,
+                    basis=manufactured_forcing().basis,
+                    coeffs=lambda t: manufactured_forcing().coeffs(t)[:3],
+                ),
+                "source field coeffs gave 3 entries, expected 4",
+            ),
+            (
+                SourceField(lambda rho, t: unit_rows(rho)),
+                "source field gave shape (2, 24), expected (24, 2)",
+            ),
+        ],
+        ids=["basis", "coeffs", "plain"],
+    )
+    def test_values_of_the_wrong_shape_are_rejected_by_both_shapes(self, field, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            source_load(field, 8, 0.5)
 
     def test_field_without_form_keeps_direct_path(self):
         f = manufactured_forcing()

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -35,6 +36,11 @@ class TestPeriodicCurve:
         c = square_curve()
         with pytest.raises(ValueError):
             c.positions[0, 0] = 99.0
+
+    def test_positions_stay_immutable_through_a_pickle(self):
+        c = pickle.loads(pickle.dumps(square_curve()))
+        assert np.array_equal(c.positions, square_curve().positions)
+        assert np.shares_memory(c.r, c.positions) and not c.positions.flags.writeable
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

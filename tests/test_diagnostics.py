@@ -164,7 +164,7 @@ class TestMeshMetrics:
 
     def test_stack_gives_one_value_per_member(self, rng):
         curves = [PeriodicCurve(random_admissible_positions(rng, 12)) for _ in range(3)]
-        stack = CurveStack(np.stack([c.positions for c in curves]))
+        stack = CurveStack(np.stack([c._components for c in curves], axis=1))
         assert mesh_ratio(stack) == [mesh_ratio(c) for c in curves]
         assert min_radial(stack) == [min_radial(c) for c in curves]
 
@@ -181,7 +181,7 @@ class TestMeshMetrics:
         pos = scale * np.stack([random_admissible_positions(rng, J) for _ in range(members)])
         vec = pos - np.roll(pos, 1, axis=1)
         lengths = np.hypot(vec[..., 0], vec[..., 1])
-        stack = CurveStack(pos)
+        stack = CurveStack(pos.transpose(2, 0, 1))
         rmin, emin = stack._bounds
         assert rmin == pos[..., 0].min(axis=1).tolist()
         np.testing.assert_array_max_ulp(np.array(emin), lengths.min(axis=1), maxulp=2)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import re
 import warnings
 from unittest import mock
@@ -36,13 +37,18 @@ from torusflow import (
 )
 
 from torusflow.assembly import _bands, _element_bands
-from torusflow.curves import CurveStack
+from torusflow.curves import CurveStack, _NodePolygons
 
 from oracles import dense_step, random_admissible_positions
 
 EXACT = manufactured_solution()
 FORCING = manufactured_forcing()
 STEPPERS = {"bdf1": bdf1_step, "cn": cn_step, "bdf2": bdf2_step}
+
+
+def stack(positions):
+    """The CurveStack of curves given by their positions, (B, J, 2)."""
+    return CurveStack(positions.transpose(2, 0, 1))
 
 
 def history_state(J, dt, t=0.2):
@@ -105,8 +111,19 @@ class TestStateValidation:
                 lambda curve: run(curve, "cn", 8, 1e-3, 1e-3, observers=[1]),
                 "observers must be callables, got int",
             ),
+            (
+                lambda curve: run(curve, "cn", 8, 1e-3, 0.01, exact=3.0),
+                "exact must be a CurveFunction or None, got float",
+            ),
+            (
+                lambda curve: run(curve, "cn", 8, 1e-3, 0.01, exact=lambda rho, t: rho),
+                "exact must be a CurveFunction or None, got function",
+            ),
         ],
-        ids=["initial", "thresholds", "current", "previous", "observers", "observer"],
+        ids=[
+            "initial", "thresholds", "current", "previous", "observers", "observer", "exact",
+            "exact-function",
+        ],
     )
     def test_rejects_wrong_input_types_by_name(self, call, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
@@ -380,7 +397,7 @@ class TestStepSystem:
         rng = np.random.default_rng(seed)
         cur = np.stack([random_admissible_positions(rng, J) for _ in range(members)])
         prev = cur + 0.01 * rng.normal(size=cur.shape)
-        weight = CurveStack(1.5 * cur - 0.5 * prev)
+        weight = stack(1.5 * cur - 0.5 * prev)
         c = stepping._SCHEMES[SchemeKind.CN][1]
         step, right = _bands(weight, 1.0 / dt, 0.5), _bands(weight, 1.0 / dt, -0.5)
         pair, right_bands = _element_bands(weight.r, weight._element_data, c / dt, 0.5)
@@ -391,7 +408,7 @@ class TestStepSystem:
             return solve_cyclic(matrix, rhs)
 
         with mock.patch.object(stepping, "solve_cyclic", spy):
-            stepping._advance(SchemeKind.CN, CurveStack(cur), CurveStack(prev), 0.0, dt, None)
+            stepping._advance(SchemeKind.CN, stack(cur), stack(prev), 0.0, dt, None)
         ((matrix, rhs),) = seen
         for i, band in enumerate(("diag", "sub", "sup")):
             assert np.array_equal(pair[i], getattr(step, band))
@@ -427,7 +444,7 @@ class TestStepSystem:
 
         with mock.patch.object(stepping, "solve_cyclic", spy):
             _, failures = stepping._advance(
-                scheme, CurveStack(cur), CurveStack(prev), time, dt, source
+                scheme, stack(cur), stack(prev), time, dt, source
             )
         assert not failures
         ((matrix, rhs),) = seen
@@ -464,9 +481,11 @@ class TestStepSystem:
     def test_new_states_carry_the_edges_and_bounds_of_a_fresh_stack(
         self, seed, members, J, scheme, how, data
     ):
-        # the kernel leaves each new state's squared edges and bounds in
-        # its caches, from one wrap of the solution, also when a member
-        # fails its coefficient check or its new curve is degenerate
+        # the edges and bounds the kernel leaves in each new state's
+        # caches, from one wrap of the solution, and the rows of them a
+        # taken stack carries, are the values of a fresh stack of the same
+        # components, also when a member fails its coefficient check or
+        # its new curve is degenerate
         rng = np.random.default_rng(seed)
         cur = np.stack([random_admissible_positions(rng, J) for _ in range(members)])
         prev = cur + 0.01 * rng.normal(size=cur.shape)
@@ -483,17 +502,47 @@ class TestStepSystem:
 
         with mock.patch.object(stepping, "solve_cyclic", solve):
             new, failures = stepping._advance(
-                scheme, CurveStack(cur), CurveStack(prev), 0.0, 1e-3, None
+                scheme, stack(cur), stack(prev), 0.0, 1e-3, None
             )
         assert list(failures) == ([] if how == "none" else [failing])
-        assert len(new.positions) == members - len(failures)
+        left = members - len(failures)
+        assert new._components.shape == (2, left, J)
         if how == "coefficients" and members == 1:
             return  # no member is left to step
-        assert {"_edges", "_bounds"} <= set(vars(new))
-        fresh = CurveStack(new.positions.copy())
-        for got, want in zip(new._edges, fresh._edges):
-            assert not got.flags.writeable and np.array_equal(got, want)
-        assert new._bounds == fresh._bounds
+        rows = data.draw(st.lists(st.integers(0, max(left - 1, 0)), max_size=left))
+        for curves in (new, new.take(rows)):
+            fresh = CurveStack(curves._components.copy())
+            for got, want in zip(curves._edges, fresh._edges):
+                assert not got.flags.writeable and np.array_equal(got, want)
+            assert curves._bounds == fresh._bounds
+
+    def test_cached_geometry_computes_do_not_grow_with_the_steps(self):
+        # the kernel seeds the caches of every state it makes, so a run
+        # computes cached geometry as often at 100 steps as at 10: the
+        # few first uses a cached property pays its lock on
+        props = {
+            name: prop for name, prop in vars(_NodePolygons).items()
+            if isinstance(prop, functools.cached_property)
+        }
+        assert set(props) == {"_edges", "_lengths", "_bounds", "_element_data"}
+
+        def computes(steps):
+            counts = dict.fromkeys(props, 0)
+
+            def counted(name, compute):
+                def wrapper(curve):
+                    counts[name] += 1
+                    return compute(curve)
+                return wrapper
+
+            with contextlib.ExitStack() as patches:
+                for name, prop in props.items():
+                    patches.enter_context(mock.patch.object(prop, "func", counted(name, prop.func)))
+                run(EXACT, "bdf2", 16, 1e-3, steps * 1e-3, source=FORCING, exact=EXACT)
+            return counts
+
+        few = computes(10)
+        assert sum(few.values()) > 0 and computes(100) == few
 
 
     def test_calls_per_step_are_the_ones_the_benchmark_traces(self):
@@ -897,18 +946,18 @@ class TestStack:
         positions = np.stack([c.positions for c in curves])
         positions[1, 8, 0] = 0.0
         new, failures = stepping._advance(
-            SchemeKind.BDF1, CurveStack(positions), None, 0.0, 1e-3, None
+            SchemeKind.BDF1, stack(positions), None, 0.0, 1e-3, None
         )
         assert list(failures) == [1]
         assert failures[1].kind is StopKind.AXIS_TOUCH and failures[1].metric == 0.0
-        assert new.positions.shape == (2, 16, 2)
+        assert new._components.shape == (2, 2, 16)
         for row, curve in zip((0, 1), (curves[0], curves[2])):
             alone = bdf1_step(StepperState(curve, None, 0.0, 1e-3))
-            assert np.array_equal(new.positions[row], alone.positions)
+            assert np.array_equal(new.member(row).positions, alone.positions)
 
     def test_nonfinite_coefficient_curve_is_a_solver_failure(self):
         positions = interpolate(torus_circle(0.6), 16).positions[None].copy()
         positions[0, 3, 1] = np.inf
-        _, failures = stepping._advance(SchemeKind.BDF1, CurveStack(positions), None, 0.0, 1e-3, None)
+        _, failures = stepping._advance(SchemeKind.BDF1, stack(positions), None, 0.0, 1e-3, None)
         assert failures[0].kind is StopKind.SOLVER_FAILURE
         assert "not finite" in str(failures[0])
