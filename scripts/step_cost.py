@@ -7,7 +7,13 @@ BDF2 unforced and CN with the manufactured forcing.  Beside it, the CN
 unforced step written as straight-line NumPy with the same operations
 in the same order, the same coefficient check and the same residual
 audit against ``RESIDUAL_RTOL``; its new positions are checked equal,
-bit for bit, to the kernel's.
+bit for bit, to the kernel's.  The ``record`` column is the cost of one
+member's record of the kernel's new states as a recording run makes it
+(the stack's mesh ratios and smallest radii, shared by its B members,
+then for each member its view, the three nodal norms against the
+manufactured solution and its ``ErrorRecord``), per member; every
+record is checked equal, bit for bit, to the same quantities of a
+checked copy of the member.
 
 Each source tree is timed in a child process of its own, the trees in
 alternating rounds, and every figure is the least over the rounds of
@@ -99,12 +105,46 @@ def straight_cn(x, x_prev, dt, lapack, rtol):
     return new
 
 
+def records(stack, exact, t):
+    """The records of the members of ``stack`` at time t, as ``_run_stack``
+    makes them when it records every step against ``exact``."""
+    from torusflow import stepping
+
+    ratios, rmin = stepping.mesh_ratio(stack), stepping.min_radial(stack)
+    return [
+        stepping._record(stack.member(row), 1, t, exact, "nodal", ratios[row], rmin[row], False)
+        for row in range(len(ratios))
+    ]
+
+
+def check_records(stack, exact, t) -> bool:
+    """Whether every record of ``stack`` holds, bit for bit, what a checked
+    copy of its member gives."""
+    import numpy as np
+
+    from torusflow import PeriodicCurve, diagnostics
+
+    for row, record in enumerate(records(stack, exact, t)):
+        copy = PeriodicCurve(np.array(stack.member(row).positions))
+        expected = (
+            diagnostics.l2_error(copy, exact, t, "nodal"),
+            diagnostics.h1_seminorm_error(copy, exact, t, "nodal"),
+            diagnostics.superconvergence_error(copy, exact, t),
+            diagnostics.mesh_ratio(copy),
+            diagnostics.min_radial(copy),
+        )
+        got = (record.err_l2, record.err_h1, record.superconv_h1, record.mesh_ratio, record.min_radius)
+        if [x.hex() for x in got] != [x.hex() for x in expected]:
+            return False
+    return True
+
+
 def measure(number: int) -> dict:
     """Microseconds per step of every case and of the straight-line CN
     step, for the torusflow importable in this process."""
     import numpy as np
 
-    from torusflow import interpolate, manufactured_forcing, torus_circle
+    from torusflow import interpolate, manufactured_forcing, manufactured_solution, torus_circle
     from torusflow import cyclic_solver, stepping
     from torusflow.curves import CurveStack
 
@@ -134,6 +174,11 @@ def measure(number: int) -> dict:
             lambda: straight_cn(x, x_prev, DT, cyclic_solver.lapack, cyclic_solver.RESIDUAL_RTOL)
         )
         out[f"floor {B}x{J}"] = min(timer.repeat(7, number)) / number * 1e6
+        exact = manufactured_solution()
+        if not check_records(current, exact, DT):
+            raise RuntimeError(f"a member's record differs from its checked copy's at {B} x {J}")
+        timer = timeit.Timer(lambda: records(current, exact, DT))
+        out[f"record {B}x{J}"] = min(timer.repeat(7, number)) / number * 1e6 / B
     return out
 
 
@@ -159,12 +204,12 @@ def main(argv=None) -> None:
                 seen[key] = min(seen.get(key, value), value)
     names = [f"{scheme}{'_forced' if forced else ''}" for scheme, forced in CASES]
     header = ["B x J"] + [f"{name} [{i}]" for name in names for i in range(len(trees))]
-    header += [f"floor [{i}]" for i in range(len(trees))]
+    header += [f"{name} [{i}]" for name in ("floor", "record") for i in range(len(trees))]
     print(" | ".join(header))
     for B, J in SHAPES:
         row = [f"{B} x {J}"]
         row += [f"{best[i][f'{name} {B}x{J}']:.1f}" for name in names for i in range(len(trees))]
-        row += [f"{best[i][f'floor {B}x{J}']:.1f}" for i in range(len(trees))]
+        row += [f"{best[i][f'{name} {B}x{J}']:.1f}" for name in ("floor", "record") for i in range(len(trees))]
         print(" | ".join(row))
     print(json.dumps({"trees": [os.path.abspath(t) for t in trees], "us_per_step": best}))
 

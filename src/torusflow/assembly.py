@@ -265,8 +265,11 @@ def source_load(f, node_count: int, t: float) -> np.ndarray:
     if basis is not None:
         loads = _basis_loads(basis, J, _SOURCE_POINTS)
         coeffs = f.coeffs(t)
-        if len(coeffs) != len(loads):
-            raise ValueError(f"source field coeffs gave {len(coeffs)} entries, expected {len(loads)}")
+        shape = np.shape(coeffs)
+        if shape != (len(loads),):
+            got = f"{shape[0]} entries" if len(shape) == 1 else f"shape {shape}"
+            want = len(loads) if len(shape) == 1 else (len(loads),)
+            raise ValueError(f"source field coeffs gave {got}, expected {want}")
         return (coeffs @ loads.reshape(len(loads), -1)).reshape(J, 2)
     rho, s, wts = element_rho(J, _SOURCE_POINTS)
     vals = np.asarray(f(rho.ravel(), t), dtype=float)

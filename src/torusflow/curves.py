@@ -226,9 +226,15 @@ class CurveStack(_NodePolygons):
         return stack
 
     def member(self, row: int) -> PeriodicCurve:
-        curve = PeriodicCurve(self._components[:, row].T)
-        # the member's edges are rows of the stack's
-        curve.__dict__["_edges"] = tuple(a[row] for a in self._edges)
+        """Member ``row`` as a curve that views the stack: its positions
+        a read-only view of the row, strides (8, 8 B J), and its edges
+        rows of the stack's.  No copy and no finiteness check: the
+        kernel's solver audit has passed every member of its new states."""
+        comp = self._components[:, row]
+        comp.setflags(write=False)
+        curve = object.__new__(PeriodicCurve)
+        edges = self._edges
+        vars(curve).update(positions=comp.T, _components=comp, _edges=(edges[0][row], edges[1][row]))
         return curve
 
 

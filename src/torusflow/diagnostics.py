@@ -13,11 +13,19 @@ in the nodal gaps.
 
 The sample points of each rule are fixed by the node count J.  For an
 exact curve that is a circle, such as the drifting circle of the
-convergence harness, cos and sin of 2 pi rho at those points are
-tabulated once and cached read-only, keyed by (J, rule); each norm
-scales and shifts that table instead of evaluating the curve, and its
-numbers are bit for bit those of evaluating it.  Any other exact curve
-is evaluated at the sample points.
+convergence harness, two per-grid tables are computed once and cached
+read-only, keyed by (J, rule): (cos, sin) of 2 pi rho at those points,
+for the circle itself, and (-sin, cos) with the last row repeated in
+front, for its rho derivative at the points and at their left
+neighbours.  Each norm scales and shifts these tables instead of
+evaluating the curve, and its numbers are bit for bit those of
+evaluating it.  Any other exact curve is evaluated at the sample points.
+
+A run records each accepted state on a read-only view of the step
+kernel's row (``CurveStack.member``), without a copy.  The nodal L2
+error and the superconvergence distance share one nodal gap, kept on
+the curve for the last (exact, t) asked.  Every temporary the norms sum
+is C-ordered, so a view sums in the order of a copy, bit for bit.
 
 The diameter searches the convex hull of the nodes, which a prefiltered
 monotone chain finds when the node polygon is not its own hull.
@@ -80,34 +88,59 @@ def _grid(J: int, rule: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _trig(J: int, rule: str) -> np.ndarray:
+def _trig(J: int, rule: str, turned: bool = False) -> np.ndarray:
     """(cos, sin) of 2 pi rho at the ``_grid`` points, shape (n, 2),
-    read-only."""
-    ang = TWO_PI * _grid(J, rule)
-    table = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    read-only.  With ``turned``, the directions (-sin, cos) of a circle's
+    rho derivative there, shape (n + 1, 2) with row 0 a copy of row n:
+    rows 1: sit at the points and rows :-1 at their left neighbours."""
+    if turned:
+        trig = _trig(J, rule)
+        table = np.empty((len(trig) + 1, 2))
+        np.negative(trig[:, 1], out=table[1:, 0])
+        table[1:, 1] = trig[:, 0]
+        table[0] = table[-1]
+    else:
+        ang = TWO_PI * _grid(J, rule)
+        table = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     table.setflags(write=False)
     return table
 
 
 def _samples(exact: CurveFunction, J: int, rule: str, t: float, derivative: bool = False):
     """``exact`` at the ``_grid`` points of ``rule`` at time t, or with
-    ``derivative`` its rho derivative there, shape (n, 2).  A circle is
-    read off the ``_trig`` table with the operations of its ``value``
-    and ``derivative``: center + radius cos, radius sin, and
-    (2 pi radius) (-sin, cos)."""
+    ``derivative`` its rho derivative there: a fresh C-ordered (n, 2)
+    array.  A circle is read off the ``_trig`` tables with the operations
+    of its ``value`` and ``derivative``: center + radius cos, radius sin,
+    and (2 pi radius) (-sin, cos), whose first product is
+    (-2 pi radius) sin bit for bit."""
     if not isinstance(exact, _Circle):
         rho = _grid(J, rule)
-        return exact.d_rho(rho, t) if derivative else exact(rho, t)
-    trig = _trig(J, rule)
+        return np.array(exact.d_rho(rho, t) if derivative else exact(rho, t), order="C")
     if derivative:
-        scale = TWO_PI * exact.radius
-        out = np.empty_like(trig)
-        np.multiply(trig[:, 1], -scale, out=out[:, 0])  # (-scale) sin == scale (-sin)
-        np.multiply(trig[:, 0], scale, out=out[:, 1])
-        return out
-    out = exact.radius * trig
+        return _trig(J, rule, True)[1:] * (TWO_PI * exact.radius)
+    out = exact.radius * _trig(J, rule)
     out[:, 0] += exact.center(t)
     return out
+
+
+# The norms below sum C-ordered temporaries only: a member of a curve
+# stack views the stack, strides (8, 8 B J), and a temporary that took
+# its layout would be summed in another order.  np.add.reduce(x, None)
+# is the pairwise sum of ndarray.sum without its Python layer.
+_sum = np.add.reduce
+
+
+def _nodal_gap(curve: PeriodicCurve, exact: CurveFunction, t: float) -> np.ndarray:
+    """exact(j / J, t) minus node j, (J, 2), C-ordered and read-only,
+    kept on the curve for the last (exact, t) asked, so that
+    ``l2_error`` and ``superconvergence_error`` of one record share it."""
+    held = vars(curve).get("_gap")
+    if held is None or held[0] is not exact or held[1] is not t:
+        gap = _samples(exact, curve.node_count, "nodal", t)
+        gap -= curve.positions
+        gap.setflags(write=False)
+        held = vars(curve)["_gap"] = (exact, t, gap)
+    return held[2]
 
 
 def l2_error(
@@ -118,14 +151,16 @@ def l2_error(
     J = curve.node_count
     h = curve.spacing
     if rule == "nodal":
-        gap = _samples(exact, J, rule, t) - curve.positions
-        return sqrt(h * float((gap * gap).sum()))
+        gap = _nodal_gap(curve, exact, t)
+        return sqrt(h * float(_sum(gap * gap, None)))
     _, s, w = element_rho(J, 5)
-    vals = _samples(exact, J, rule, t).reshape(J, len(s), 2)
     left = _previous(curve.positions)
     poly = left[:, None, :] * (1.0 - s)[None, :, None] + curve.positions[:, None, :] * s[None, :, None]
-    diff = poly - vals
-    return sqrt(h * float(np.einsum("g,jgc->", w, diff * diff)))
+    # vals - poly, the negated difference, squares to the same numbers
+    diff = _samples(exact, J, rule, t).reshape(J, len(s), 2)
+    diff -= poly
+    diff *= diff
+    return sqrt(h * float(np.einsum("g,jgc->", w, diff)))
 
 
 def h1_seminorm_error(
@@ -137,14 +172,23 @@ def h1_seminorm_error(
     h = curve.spacing
     slope = curve.edge_vectors() / h  # constant per element
     if rule == "nodal":
-        dx = _samples(exact, J, rule, t, derivative=True)
-        a = _previous(dx) - slope  # left endpoint of element j
-        b = dx - slope  # right endpoint
-        return sqrt(0.5 * h * float((a * a).sum() + (b * b).sum()))
+        if isinstance(exact, _Circle):
+            turned, scale = _trig(J, rule, True), TWO_PI * exact.radius
+            a, b = turned[:-1] * scale, turned[1:] * scale
+        else:
+            b = _samples(exact, J, rule, t, derivative=True)
+            a = _previous(b)
+        a -= slope  # left endpoint of element j
+        b -= slope  # right endpoint
+        a *= a
+        b *= b
+        return sqrt(0.5 * h * float(_sum(a, None) + _sum(b, None)))
     _, s, w = element_rho(J, 5)
-    dvals = _samples(exact, J, rule, t, derivative=True).reshape(J, len(s), 2)
-    diff = slope[:, None, :] - dvals
-    return sqrt(h * float(np.einsum("g,jgc->", w, diff * diff)))
+    # the derivative minus the slope, negated, squares to the same numbers
+    diff = _samples(exact, J, rule, t, derivative=True).reshape(J, len(s), 2)
+    diff -= slope[:, None, :]
+    diff *= diff
+    return sqrt(h * float(np.einsum("g,jgc->", w, diff)))
 
 
 def superconvergence_error(
@@ -155,13 +199,17 @@ def superconvergence_error(
     Both arguments of the difference are piecewise linear on the same
     grid, so the norm is evaluated in closed form from the nodal gaps.
     """
-    J = curve.node_count
     h = curve.spacing
-    gap = _samples(exact, J, "nodal", t) - curve.positions
+    gap = _nodal_gap(curve, exact, t)
     left = _previous(gap)
-    l2_sq = h / 3.0 * float((left * left + left * gap + gap * gap).sum())
-    jump = gap - left
-    semi_sq = float((jump * jump).sum()) / h
+    terms = left * left
+    cross = left * gap
+    terms += cross
+    terms += np.multiply(gap, gap, out=cross)
+    l2_sq = h / 3.0 * float(_sum(terms, None))
+    jump = np.subtract(gap, left, out=left)
+    jump *= jump
+    semi_sq = float(_sum(jump, None)) / h
     return sqrt(l2_sq + semi_sq)
 
 
@@ -169,7 +217,8 @@ def mesh_ratio(curve):
     """Longest edge over shortest edge, roots of the extreme squared edges
     (which read 0 below about 1e-162); inf when an edge has length zero.
     For a ``CurveStack``, a list of one ratio per member."""
-    longest = np.sqrt(curve._edges[1].reshape(-1, curve.node_count).max(axis=1)).tolist()
+    squares = curve._edges[1].reshape(-1, curve.node_count)
+    longest = np.sqrt(np.maximum.reduce(squares, 1)).tolist()  # ufunc: no ndarray.max layer
     ratios = [hi / lo if lo != 0.0 else float("inf") for hi, lo in zip(longest, curve._bounds[1])]
     return ratios if curve._components.ndim == 3 else ratios[0]
 

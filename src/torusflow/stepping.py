@@ -420,6 +420,40 @@ def _state_events(
     return events
 
 
+def _record(
+    curve: PeriodicCurve,
+    step: int,
+    t: float,
+    exact: Optional[CurveFunction],
+    rule: str,
+    ratio: float,
+    rmin: float,
+    track_diameter: bool,
+) -> ErrorRecord:
+    """The record of one accepted curve, a member of the kernel's stack,
+    given its mesh ratio and smallest radius."""
+    if exact is not None:
+        e_l2 = l2_error(curve, exact, t, rule)
+        e_h1 = h1_seminorm_error(curve, exact, t, rule)
+        e_sup = superconvergence_error(curve, exact, t)
+    else:
+        e_l2 = e_h1 = e_sup = nan
+    # one instance-dict update, where the frozen dataclass's __init__
+    # sets each field through object.__setattr__
+    record = object.__new__(ErrorRecord)
+    vars(record).update(
+        step=step,
+        time=t,
+        err_l2=e_l2,
+        err_h1=e_h1,
+        superconv_h1=e_sup,
+        mesh_ratio=ratio,
+        min_radius=rmin,
+        diameter=diameter(curve) if track_diameter else nan,
+    )
+    return record
+
+
 def run(
     initial: Union[CurveFunction, PeriodicCurve],
     scheme: SchemeKind,
@@ -515,26 +549,10 @@ def _run_stack(
             curve = curves.member(row)
             for obs in observers:
                 obs(idx, t, curve)
-            if not keep_records:
-                continue
-            if exact is not None:
-                e_l2 = l2_error(curve, exact, t, rule=error_rule)
-                e_h1 = h1_seminorm_error(curve, exact, t, rule=error_rule)
-                e_sup = superconvergence_error(curve, exact, t)
-            else:
-                e_l2 = e_h1 = e_sup = nan
-            records[member].append(
-                ErrorRecord(
-                    step=idx,
-                    time=t,
-                    err_l2=e_l2,
-                    err_h1=e_h1,
-                    superconv_h1=e_sup,
-                    mesh_ratio=ratios[row],
-                    min_radius=rmin[row],
-                    diameter=diameter(curve) if track_diameter else nan,
+            if keep_records:
+                records[member].append(
+                    _record(curve, idx, t, exact, error_rule, ratios[row], rmin[row], track_diameter)
                 )
-            )
         return _state_events(curves, t, thresholds)
 
     def end(ended: dict[int, StopEvent]) -> None:

@@ -264,11 +264,27 @@ class TestSeparableSource:
                 "source field coeffs gave 3 entries, expected 4",
             ),
             (
+                SourceField(
+                    manufactured_forcing().func,
+                    basis=manufactured_forcing().basis,
+                    coeffs=lambda t: 1.0,
+                ),
+                "source field coeffs gave shape (), expected (4,)",
+            ),
+            (
+                SourceField(
+                    manufactured_forcing().func,
+                    basis=manufactured_forcing().basis,
+                    coeffs=lambda t: manufactured_forcing().coeffs(t)[:, None],
+                ),
+                "source field coeffs gave shape (4, 1), expected (4,)",
+            ),
+            (
                 SourceField(lambda rho, t: unit_rows(rho)),
                 "source field gave shape (2, 24), expected (24, 2)",
             ),
         ],
-        ids=["basis", "coeffs", "plain"],
+        ids=["basis", "coeffs", "coeffs_scalar", "coeffs_column", "plain"],
     )
     def test_values_of_the_wrong_shape_are_rejected_by_both_shapes(self, field, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

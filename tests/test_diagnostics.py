@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,55 @@ class TestCachedCircleSamples:
                 table[0] = 0.0
         info = diagnostics._trig.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize < len(keys)
+
+
+class TestMemberViews:
+    """A stack member views its row of the stack, strides (8, 8 B J); it
+    records what a checked copy of it records, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        B=st.integers(1, 4),
+        J=st.integers(3, 200),
+        t=st.floats(0.0, 1.0),
+    )
+    @example(seed=0, B=1, J=3, t=0.0)
+    @example(seed=1, B=4, J=200, t=0.5)
+    def test_view_records_what_a_checked_copy_records(self, seed, B, J, t):
+        rng = np.random.default_rng(seed)
+        base = interpolate(EXACT, J, t).positions
+        pos = np.stack([base + 0.05 * rng.normal(size=(J, 2)) for _ in range(B)])
+        stack = CurveStack._stepped(np.ascontiguousarray(pos.transpose(2, 0, 1)))
+        evaluated = CurveFunction(EXACT.value, EXACT.derivative)
+        for row in range(B):
+            member = stack.member(row)
+            copy = PeriodicCurve(np.array(member.positions))
+            for exact in EXACT, evaluated:
+                for rule in diagnostics.ERROR_RULES:
+                    assert l2_error(member, exact, t, rule) == l2_error(copy, exact, t, rule)
+                    assert h1_seminorm_error(member, exact, t, rule) == h1_seminorm_error(
+                        copy, exact, t, rule
+                    )
+                assert superconvergence_error(member, exact, t) == superconvergence_error(
+                    copy, exact, t
+                )
+            assert mesh_ratio(member) == mesh_ratio(copy)
+            assert min_radial(member) == min_radial(copy)
+            assert diameter(member) == diameter(copy)
+
+    def test_view_is_read_only_and_pickles_to_a_checked_copy(self):
+        pos = np.stack([interpolate(EXACT, 16, 0.0).positions + 0.1 * k for k in range(3)])
+        stack = CurveStack._stepped(np.ascontiguousarray(pos.transpose(2, 0, 1)))
+        member = stack.member(1)
+        assert np.shares_memory(member.positions, stack._components)
+        assert member.positions.strides == (8, 8 * 3 * 16)
+        with pytest.raises(ValueError):
+            member.positions[0, 0] = 1.0
+        back = pickle.loads(pickle.dumps(member))
+        assert np.array_equal(back.positions, pos[1])
+        assert not back.positions.flags.writeable
+        assert back.positions.flags.c_contiguous
 
 
 class TestMeshMetrics:
