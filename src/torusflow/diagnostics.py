@@ -13,13 +13,14 @@ in the nodal gaps.
 
 The sample points of each rule are fixed by the node count J.  For an
 exact curve that is a circle, such as the drifting circle of the
-convergence harness, two per-grid tables are computed once and cached
-read-only, keyed by (J, rule): (cos, sin) of 2 pi rho at those points,
-for the circle itself, and (-sin, cos) with the last row repeated in
-front, for its rho derivative at the points and at their left
-neighbours.  Each norm scales and shifts these tables instead of
-evaluating the curve, and its numbers are bit for bit those of
-evaluating it.  Any other exact curve is evaluated at the sample points.
+convergence harness, one per-grid table is computed once and cached
+read-only, keyed by (J, rule): (-sin, cos) of 2 pi rho at those points,
+with the last row repeated in front.  Scaled, its rows give the
+circle's rho derivative at the points and at their left neighbours,
+and its columns the circle itself.  Each norm scales and shifts the
+table instead of evaluating the curve, and its numbers are bit for bit
+those of evaluating it.  Any other exact curve is evaluated at the
+sample points.
 
 A run records each accepted state on a read-only view of the step
 kernel's row (``CurveStack.member``), without a copy.  The nodal L2
@@ -88,20 +89,14 @@ def _grid(J: int, rule: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _trig(J: int, rule: str, turned: bool = False) -> np.ndarray:
-    """(cos, sin) of 2 pi rho at the ``_grid`` points, shape (n, 2),
-    read-only.  With ``turned``, the directions (-sin, cos) of a circle's
-    rho derivative there, shape (n + 1, 2) with row 0 a copy of row n:
-    rows 1: sit at the points and rows :-1 at their left neighbours."""
-    if turned:
-        trig = _trig(J, rule)
-        table = np.empty((len(trig) + 1, 2))
-        np.negative(trig[:, 1], out=table[1:, 0])
-        table[1:, 1] = trig[:, 0]
-        table[0] = table[-1]
-    else:
-        ang = TWO_PI * _grid(J, rule)
-        table = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+def _trig(J: int, rule: str) -> np.ndarray:
+    """(-sin, cos) of 2 pi rho at the ``_grid`` points, the directions of
+    a circle's rho derivative there, read-only, shape (n + 1, 2) with
+    row 0 a copy of row n: rows 1: sit at the points and rows :-1 at
+    their left neighbours."""
+    ang = TWO_PI * _grid(J, rule)
+    table = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
+    table = np.concatenate((table[-1:], table))
     table.setflags(write=False)
     return table
 
@@ -109,17 +104,20 @@ def _trig(J: int, rule: str, turned: bool = False) -> np.ndarray:
 def _samples(exact: CurveFunction, J: int, rule: str, t: float, derivative: bool = False):
     """``exact`` at the ``_grid`` points of ``rule`` at time t, or with
     ``derivative`` its rho derivative there: a fresh C-ordered (n, 2)
-    array.  A circle is read off the ``_trig`` tables with the operations
-    of its ``value`` and ``derivative``: center + radius cos, radius sin,
-    and (2 pi radius) (-sin, cos), whose first product is
-    (-2 pi radius) sin bit for bit."""
+    array.  A circle is read off its ``_trig`` table with the operations
+    of its ``value`` and ``derivative``, center + radius cos, radius sin
+    and (2 pi radius) (-sin, cos), bit for bit: a product's sign is the
+    product of the signs, so radius sin is (-radius) (-sin)."""
     if not isinstance(exact, _Circle):
         rho = _grid(J, rule)
         return np.array(exact.d_rho(rho, t) if derivative else exact(rho, t), order="C")
+    turned = _trig(J, rule)[1:]
     if derivative:
-        return _trig(J, rule, True)[1:] * (TWO_PI * exact.radius)
-    out = exact.radius * _trig(J, rule)
+        return turned * (TWO_PI * exact.radius)
+    out = np.empty_like(turned)
+    np.multiply(turned[:, 1], exact.radius, out=out[:, 0])
     out[:, 0] += exact.center(t)
+    np.multiply(turned[:, 0], -exact.radius, out=out[:, 1])
     return out
 
 
@@ -173,7 +171,7 @@ def h1_seminorm_error(
     slope = curve.edge_vectors() / h  # constant per element
     if rule == "nodal":
         if isinstance(exact, _Circle):
-            turned, scale = _trig(J, rule, True), TWO_PI * exact.radius
+            turned, scale = _trig(J, rule), TWO_PI * exact.radius
             a, b = turned[:-1] * scale, turned[1:] * scale
         else:
             b = _samples(exact, J, rule, t, derivative=True)
