@@ -154,7 +154,7 @@ def l2_error(
     _, s, w = element_rho(J, 5)
     left = _previous(curve.positions)
     poly = left[:, None, :] * (1.0 - s)[None, :, None] + curve.positions[:, None, :] * s[None, :, None]
-    # vals - poly, the negated difference, squares to the same numbers
+    # formed in place as samples - polygon: a difference's sign leaves its square
     diff = _samples(exact, J, rule, t).reshape(J, len(s), 2)
     diff -= poly
     diff *= diff
@@ -182,7 +182,7 @@ def h1_seminorm_error(
         b *= b
         return sqrt(0.5 * h * float(_sum(a, None) + _sum(b, None)))
     _, s, w = element_rho(J, 5)
-    # the derivative minus the slope, negated, squares to the same numbers
+    # formed in place as derivative - slope: a difference's sign leaves its square
     diff = _samples(exact, J, rule, t, derivative=True).reshape(J, len(s), 2)
     diff -= slope[:, None, :]
     diff *= diff

@@ -113,7 +113,7 @@ class TestNormsBySlicing:
 
 
 class TestCachedCircleSamples:
-    """A circle's exact samples come from a per-grid cos/sin table; the
+    """A circle's exact samples come from a per-grid (-sin, cos) table; the
     norms equal those of the same circle evaluated point by point."""
 
     @settings(max_examples=80, deadline=None)
