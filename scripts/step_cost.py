@@ -1,9 +1,14 @@
 """Per-step cost of the stacked step kernel, against its NumPy floor.
 
-Times ``stepping._STEPPERS[kind](current, previous, t, dt, source)``,
+Times ``stepping._STEPPERS[kind](current, previous, t, dt, source, t_new)``,
 one stacked step as every run takes it, for stacks of B torus circles
 (tube radii 0.60, 0.61, ...) on J nodes at dt = 2e-4: CN unforced,
-BDF2 unforced and CN with the manufactured forcing.  Beside it, the CN
+BDF2 unforced and CN with the manufactured forcing.  An unforced step
+repeats the step from t = dt.  The forced case times consecutive steps
+on the grid t_m = m dt, from t_1 on, as a run takes them, so each CN
+step is handed the load of its old level that the step before left on
+the field (``assembly.source_load``); a tree whose kernel takes no
+``t_new`` forms its new level as t + dt.  Beside it, the CN
 unforced step written as straight-line NumPy with the same operations
 in the same order, the same coefficient check and the same residual
 audit against ``RESIDUAL_RTOL``; its new positions are checked equal,
@@ -26,6 +31,8 @@ the minimum of 7 repeats of N steps (in-process ``timeit``):
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -149,6 +156,7 @@ def measure(number: int) -> dict:
     from torusflow.curves import CurveStack
 
     out = {}
+    takes_new_level = "t_new" in inspect.signature(stepping._advance).parameters
     for B, J in SHAPES:
         start = np.stack([interpolate(torus_circle(0.6 + 0.01 * i), J).positions for i in range(B)])
         # the kernel's component-major form, (2, B, J)
@@ -159,11 +167,18 @@ def measure(number: int) -> dict:
         for scheme, forced in CASES:
             source = manufactured_forcing() if forced else None
             step = stepping._STEPPERS[stepping.SchemeKind(scheme)]
+            grid = itertools.count(2)
 
-            def call():
+            def repeated():
                 return step(current, previous, DT, DT, source)
 
-            timer = timeit.Timer(call)
+            def consecutive():
+                # step m of a run, from t_{m-1} to t_m = m dt
+                m = next(grid)
+                new_level = (m * DT,) if takes_new_level else ()
+                return step(current, previous, (m - 1) * DT, DT, source, *new_level)
+
+            timer = timeit.Timer(consecutive if forced else repeated)
             out[f"{scheme}{'_forced' if forced else ''} {B}x{J}"] = min(timer.repeat(7, number)) / number * 1e6
         x, x_prev = current._components, previous._components
         floor = straight_cn(x, x_prev, DT, cyclic_solver.lapack, cyclic_solver.RESIDUAL_RTOL)

@@ -8,11 +8,13 @@ the bands of a M + b K, and of a M - b K with them, from the weight
 curve's element data, read once; the mass, stiffness and radial-load
 assemblers are readers of it.  The source load alone integrates a smooth
 field, with a fixed Gauss rule per element, once per grid for each basis
-field of a separable source.
+field of a separable source; such a field holds its last load for the
+next call at the same time level.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -221,6 +223,10 @@ def _hat_moments(vals, s, wts) -> np.ndarray:
     return right + np.concatenate((left[..., 1:, :], left[..., :1, :]), axis=-2)
 
 
+# the bits of a time, which a held load's time must match: 0.0 and -0.0
+# are two times here, since a field's coeffs may tell them apart
+_bits = struct.Struct("d").pack
+
 # Gauss points per element of every source load; metadata.json states
 # it as "gauss3 per element"
 _SOURCE_POINTS = 3
@@ -252,17 +258,29 @@ def _basis_loads(basis, node_count: int, quadrature_points: int) -> np.ndarray:
 
 
 def source_load(f, node_count: int, t: float) -> np.ndarray:
-    """Hat-function moments of a source field at time t, shape (J, 2).
+    """Hat-function moments of a source field at time t, shape (J, 2),
+    an array the caller owns.
 
     ``f`` maps (rho array, t) to an (n, 2) array and is treated as
     1-periodic.  Three Gauss points per element integrate the smooth
     sources used here essentially to roundoff.  A field with a separable
     form (``basis`` and ``coeffs``, see ``SourceField``) is loaded as
-    coeffs(t) times its basis loads, computed once per grid.
+    coeffs(t) times its basis loads, computed once per grid.  Such a
+    field also holds a copy of the last load computed for it, with its
+    J and the bits of t: a call for that same (J, t) is handed the copy,
+    and the field keeps nothing; any other call computes its load and
+    leaves a copy of it behind.  A Crank-Nicolson run asks for each time
+    level twice, as the new level of one step and the old level of the
+    next, and so computes it once.
     """
     J = _count("node_count", node_count, 3)
     basis = getattr(f, "basis", None)
     if basis is not None:
+        key = (J, _bits(t))
+        store = getattr(f, "__dict__", {})  # a field without one holds nothing
+        held = store.pop("_held_load", None)
+        if held is not None and held[0] == key:
+            return held[1]
         loads = _basis_loads(basis, J, _SOURCE_POINTS)
         coeffs = f.coeffs(t)
         shape = np.shape(coeffs)
@@ -270,7 +288,9 @@ def source_load(f, node_count: int, t: float) -> np.ndarray:
             got = f"{shape[0]} entries" if len(shape) == 1 else f"shape {shape}"
             want = len(loads) if len(shape) == 1 else (len(loads),)
             raise ValueError(f"source field coeffs gave {got}, expected {want}")
-        return (coeffs @ loads.reshape(len(loads), -1)).reshape(J, 2)
+        load = (coeffs @ loads.reshape(len(loads), -1)).reshape(J, 2)
+        store["_held_load"] = (key, load.copy())
+        return load
     rho, s, wts = element_rho(J, _SOURCE_POINTS)
     vals = np.asarray(f(rho.ravel(), t), dtype=float)
     if vals.shape != (rho.size, 2):

@@ -274,7 +274,7 @@ def interpolate(f: CurveFunction, node_count: int, t: float = 0.0) -> PeriodicCu
 class _Circle(CurveFunction):
     """Circle of ``radius`` about (center(t), 0), traversed once
     counterclockwise.  The error norms in ``diagnostics`` sample it from
-    a cached per-grid table with the arithmetic of ``value`` and
+    its cached per-grid tables with the arithmetic of ``value`` and
     ``derivative``, so their numbers are the same either way."""
 
     center: Callable[[float], float]

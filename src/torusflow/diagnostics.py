@@ -13,14 +13,15 @@ in the nodal gaps.
 
 The sample points of each rule are fixed by the node count J.  For an
 exact curve that is a circle, such as the drifting circle of the
-convergence harness, one per-grid table is computed once and cached
-read-only, keyed by (J, rule): (-sin, cos) of 2 pi rho at those points,
-with the last row repeated in front.  Scaled, its rows give the
-circle's rho derivative at the points and at their left neighbours,
-and its columns the circle itself.  Each norm scales and shifts the
-table instead of evaluating the curve, and its numbers are bit for bit
-those of evaluating it.  Any other exact curve is evaluated at the
-sample points.
+convergence harness, the circle's own tables are computed once per grid
+and radius and cached read-only, keyed by (J, rule, radius): its values
+(radius cos, radius sin) of 2 pi rho at those points, and its rho
+derivative there with the last row repeated in front, so that its rows
+also sit at each point's left neighbour.  A norm shifts a copy of the
+values by the circle's center at t and reads the derivative as it is,
+instead of evaluating the curve, and its numbers are bit for bit those
+of evaluating it.  Any other exact curve is evaluated at the sample
+points.
 
 A run records each accepted state on a read-only view of the step
 kernel's row (``CurveStack.member``), without a copy.  The nodal L2
@@ -89,35 +90,38 @@ def _grid(J: int, rule: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _trig(J: int, rule: str) -> np.ndarray:
-    """(-sin, cos) of 2 pi rho at the ``_grid`` points, the directions of
-    a circle's rho derivative there, read-only, shape (n + 1, 2) with
-    row 0 a copy of row n: rows 1: sit at the points and rows :-1 at
-    their left neighbours."""
+def _circle_tables(J: int, rule: str, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """A circle of ``radius`` about the origin at the ``_grid`` points of
+    ``rule``, two read-only tables: its values (radius cos, radius sin)
+    of 2 pi rho, shape (n, 2), and its rho derivative
+    (2 pi radius) (-sin, cos), shape (n + 1, 2) with row 0 a copy of row
+    n, so that rows 1: sit at the points and rows :-1 at their left
+    neighbours.  Each entry is the product a ``_Circle``'s ``value`` and
+    ``derivative`` form, bit for bit."""
     ang = TWO_PI * _grid(J, rule)
-    table = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-    table = np.concatenate((table[-1:], table))
-    table.setflags(write=False)
-    return table
+    cos, sin = np.cos(ang), np.sin(ang)
+    values = np.stack([radius * cos, radius * sin], axis=-1)
+    slopes = (TWO_PI * radius) * np.stack([-sin, cos], axis=-1)
+    slopes = np.concatenate((slopes[-1:], slopes))
+    values.setflags(write=False)
+    slopes.setflags(write=False)
+    return values, slopes
 
 
 def _samples(exact: CurveFunction, J: int, rule: str, t: float, derivative: bool = False):
     """``exact`` at the ``_grid`` points of ``rule`` at time t, or with
     ``derivative`` its rho derivative there: a fresh C-ordered (n, 2)
-    array.  A circle is read off its ``_trig`` table with the operations
-    of its ``value`` and ``derivative``, center + radius cos, radius sin
-    and (2 pi radius) (-sin, cos), bit for bit: a product's sign is the
-    product of the signs, so radius sin is (-radius) (-sin)."""
+    array.  A circle is a copy of its ``_circle_tables`` entry, its
+    values shifted by center(t) along r, which is what evaluating it
+    gives, bit for bit."""
     if not isinstance(exact, _Circle):
         rho = _grid(J, rule)
         return np.array(exact.d_rho(rho, t) if derivative else exact(rho, t), order="C")
-    turned = _trig(J, rule)[1:]
+    values, slopes = _circle_tables(J, rule, exact.radius)
     if derivative:
-        return turned * (TWO_PI * exact.radius)
-    out = np.empty_like(turned)
-    np.multiply(turned[:, 1], exact.radius, out=out[:, 0])
+        return slopes[1:].copy()
+    out = values.copy()
     out[:, 0] += exact.center(t)
-    np.multiply(turned[:, 0], -exact.radius, out=out[:, 1])
     return out
 
 
@@ -171,13 +175,13 @@ def h1_seminorm_error(
     slope = curve.edge_vectors() / h  # constant per element
     if rule == "nodal":
         if isinstance(exact, _Circle):
-            turned, scale = _trig(J, rule), TWO_PI * exact.radius
-            a, b = turned[:-1] * scale, turned[1:] * scale
+            slopes = _circle_tables(J, rule, exact.radius)[1]
         else:
-            b = _samples(exact, J, rule, t, derivative=True)
-            a = _previous(b)
-        a -= slope  # left endpoint of element j
-        b -= slope  # right endpoint
+            slopes = _samples(exact, J, rule, t, derivative=True)
+            slopes = np.concatenate((slopes[-1:], slopes))
+        # fresh and C-ordered like the table, whatever the layout of slope
+        a = slopes[:-1] - slope  # left endpoint of element j
+        b = slopes[1:] - slope  # right endpoint
         a *= a
         b *= b
         return sqrt(0.5 * h * float(_sum(a, None) + _sum(b, None)))
@@ -286,7 +290,8 @@ def _hull(pts: np.ndarray) -> np.ndarray:
     """Indices of the strict convex hull vertices of ``pts`` (two if collinear),
     counterclockwise: Andrew's monotone chain (IPL 9, 1979) over the nodes not
     strictly inside the octagon of extreme nodes (Akl, Toussaint, IPL 7, 1978),
-    scaled by a power of two to below 2^500 so that only negligible turns underflow."""
+    scaled by a power of two to below 2^500 so that only negligible turns underflow.
+    A set whose every node lies exactly on one line skips the chain."""
     x, y = np.ldexp(pts, 500 - np.frexp(np.abs(pts).max())[1]).T
     s, d = x + y, x - y
     octo = [x.argmax(), s.argmax(), y.argmax(), d.argmin(), x.argmin(), s.argmin(), y.argmin(), d.argmax()]
@@ -295,6 +300,12 @@ def _hull(pts: np.ndarray) -> np.ndarray:
     inside = (e[:, :1] * y - e[:, 1:] * x > (e[:, 0] * a[:, 1] - e[:, 1] * a[:, 0])[:, None]).all(axis=0)
     idx = np.flatnonzero(~inside)
     idx = idx[np.lexsort((y[idx], x[idx]))]
+    if len(idx) == len(x):
+        # a flat octagon filters nothing; when every node lies exactly on
+        # the line through the two extremes, those two are the hull
+        (xs, xl), (ys, yl) = x[idx[[0, -1]]], y[idx[[0, -1]]]
+        if not ((xl - xs) * (y - ys) - (yl - ys) * (x - xs)).any():
+            return idx[[0, -1]]
     px, py = x[idx].tolist(), y[idx].tolist()
     lower, upper = [], []
     for chain, sweep in (lower, range(len(idx))), (upper, range(len(idx) - 1, -1, -1)):

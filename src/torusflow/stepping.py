@@ -21,15 +21,21 @@ curve's element data, the admissibility check (three reductions over
 the whole stack; members are sorted only when one fails), the bands of
 the step matrix and of the right side, the solve and the new states'
 edges and bounds, under one np.errstate.  The source loads are taken
-before it, so that a forcing's own floating-point warnings still show.
+before it, so that a forcing's own floating-point warnings still show,
+the old level's first: a Crank-Nicolson step is then handed the load
+that the step before it left on the field for that level
+(``assembly.source_load``), and computes only its new level's.
 
-``run`` drives a scheme from t = 0 to a final time, recording
-diagnostics each step and stopping early with a typed event when the
-curve touches the axis, collapses to a point, degenerates an element,
-or the linear solver fails its residual audit.  The kernel advances a
-stack of curves on one grid at once, each member exactly as it would
-go alone; ``run`` is its one-curve case.  Each member leaves the stack
-through one path, on its last accepted curve if its step fails.
+``run`` drives a scheme from t = 0 to a final time on one time grid: it
+passes step m both of its levels, t_{m-1} = (m - 1) dt and t_m = m dt,
+the time it records, so each level's source is evaluated at the time
+recorded for it.  It records diagnostics each step and stops early
+with a typed event when the curve touches the axis, collapses to a
+point, degenerates an element, or the linear solver fails its residual
+audit.  The kernel advances a stack of curves on one grid at once,
+each member exactly as it would go alone; ``run`` is its one-curve
+case.  Each member leaves the stack through one path, on its last
+accepted curve if its step fails.
 """
 
 from __future__ import annotations
@@ -261,16 +267,18 @@ def _advance(
     time: float,
     dt: float,
     source: Optional[SourceField],
+    t_new: Optional[float] = None,
 ) -> tuple[CurveStack, dict[int, StepFailure]]:
     """One step of the scheme ``kind``, read off its row of ``_SCHEMES``,
-    for a stack of B curves on one grid.
+    for a stack of B curves on one grid, from the level at ``time`` to
+    the one at ``t_new`` (``time + dt`` unless given).
 
     Every check, assembly, solve and event test runs once for the whole
     stack and each member's numbers are the ones it gets alone.  Returns
     the new curves of the members that passed, in stack order, and the
     failure of each member (by row) that did not.
     """
-    (e0, e1), c, (h0, h1), theta, source_weights = _SCHEMES[kind]
+    (e0, e1), c, (h0, h1), theta, (s0, s1) = _SCHEMES[kind]
     # every array below is stored component by component, (2, B, J)
     x = current._components
     if e1 == 0.0:
@@ -281,13 +289,18 @@ def _advance(
     else:
         x_prev = previous._components
         weight = e0 * x + e1 * x_prev
-    t_new = time + dt
+    if t_new is None:
+        t_new = time + dt
     if source is not None:
-        load = sum(
-            w * source_load(source, x.shape[2], t)
-            for w, t in zip(source_weights, (time, t_new))
-            if w
-        )
+        J = x.shape[2]
+        if s0:
+            # the old level first: a CN step is then handed the load its
+            # predecessor computed for this level (see ``source_load``)
+            load = source_load(source, J, time)
+            load *= s0
+            load += s1 * source_load(source, J, t_new)
+        else:
+            load = source_load(source, J, t_new)  # s1 = 1 in these rows
     # squares of huge or tiny edges, and a solution that is not finite,
     # end as a typed failure, not as a floating-point warning
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -578,7 +591,7 @@ def _run_stack(
         if not members:
             break
         kind = SchemeKind.BDF1 if previous is None else scheme
-        new, failures = _STEPPERS[kind](current, previous, (m - 1) * dt, dt, source)
+        new, failures = _STEPPERS[kind](current, previous, (m - 1) * dt, dt, source, m * dt)
         if failures:
             # a failed member ends on its last accepted curve
             end({row: StopEvent(f.kind, m * dt, f.metric) for row, f in failures.items()})
@@ -632,7 +645,8 @@ def _forcing_coeffs(t: float) -> np.ndarray:
     """Time parts of the manufactured forcing, matching ``_forcing_basis``."""
     d = _drift(t)
     dp = _drift_rate(t)
-    return FOUR_PI_SQ * np.array([d * dp + 1.0, d + dp, 1.0, d])
+    # each entry scaled as a Python float: the bits of scaling the array
+    return np.array([FOUR_PI_SQ * (d * dp + 1.0), FOUR_PI_SQ * (d + dp), FOUR_PI_SQ, FOUR_PI_SQ * d])
 
 
 def manufactured_forcing() -> SourceField:

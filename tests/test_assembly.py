@@ -1,3 +1,4 @@
+import collections
 import re
 
 import numpy as np
@@ -242,6 +243,43 @@ class TestSeparableSource:
         out = source_load(f, 16, 0.5)
         out[:] = 0.0  # the returned load is the caller's own array
         assert np.abs(source_load(f, 16, 0.5)).max() > 0.0
+
+    def test_held_load_is_handed_over_only_for_its_own_grid_time_and_field(self):
+        # a field holds the last load computed for it: only a call for
+        # that (J, t) on that field is handed it, any other call computes
+        base = manufactured_forcing()
+        computed = []
+
+        def coeffs(t):
+            computed.append(t)
+            return base.coeffs(t)
+
+        t = 0.3
+        for J, time, same in ((16, t, True), (17, t, True), (16, np.nextafter(t, 1.0), True), (16, t, False)):
+            want = source_load(manufactured_forcing(), J, time)
+            f, other = (SourceField(base.func, base.basis, coeffs) for _ in range(2))
+            source_load(f, 16, t)
+            count = len(computed)
+            assert np.array_equal(source_load(f if same else other, J, time), want)
+            handed = (J, time, same) == (16, t, True)
+            assert len(computed) == count + (0 if handed else 1)
+
+    def test_writes_into_a_handed_load_leave_the_next_one(self):
+        f = manufactured_forcing()
+        first = source_load(f, 16, 0.7)
+        want = first.copy()
+        first[:] = 0.0
+        handed = source_load(f, 16, 0.7)  # the copy the first call left
+        assert np.array_equal(handed, want)
+        handed[:] = 0.0
+        assert np.array_equal(source_load(f, 16, 0.7), want)  # computed anew
+
+    def test_a_field_without_an_instance_dict_holds_nothing(self):
+        f = manufactured_forcing()
+        plain = collections.namedtuple("Plain", "basis coeffs")(f.basis, f.coeffs)
+        first = source_load(plain, 16, 0.7)
+        assert np.array_equal(source_load(plain, 16, 0.7), first)
+        assert np.array_equal(first, source_load(f, 16, 0.7))
 
     @pytest.mark.parametrize("given", [{"basis": np.cos}, {"coeffs": np.cos}])
     def test_half_a_form_is_rejected(self, given):

@@ -377,6 +377,8 @@ class TestEvolveCommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["command"]["scenario"] == "torus:0.6"
         assert meta["command"]["export_obj"] is True
+        # the default event thresholds, as the run used them
+        assert meta["thresholds"] == {"axis": 1e-3, "collapse": 1e-3, "edge_fraction": 1e-6}
 
 
 class TestBisectCommand:

@@ -57,6 +57,15 @@ class TestErrorNorms:
         # the quadrature rule still sees the sagging between the nodes
         assert l2_error(curve, EXACT, 0.3, rule="gauss5") > 0.0
 
+    def test_nodal_gap_is_kept_for_one_time_only(self):
+        # the nodal L2 error and the superconvergence distance share the
+        # gap kept on the curve; asked at another time, they compute it anew
+        curve = interpolate(EXACT, 24, 0.2)
+        for t in (0.2, 0.45, 0.2):
+            fresh = PeriodicCurve(np.array(curve.positions))
+            assert l2_error(curve, EXACT, t, rule="nodal") == l2_error(fresh, EXACT, t, rule="nodal")
+            assert superconvergence_error(curve, EXACT, t) == superconvergence_error(fresh, EXACT, t)
+
     def test_constant_offset_has_exact_norms(self):
         shift = np.array([0.3, -0.4])
         base = interpolate(EXACT, 32, 0.1)
@@ -113,8 +122,9 @@ class TestNormsBySlicing:
 
 
 class TestCachedCircleSamples:
-    """A circle's exact samples come from a per-grid (-sin, cos) table; the
-    norms equal those of the same circle evaluated point by point."""
+    """A circle's exact samples come from its per-grid value and
+    derivative tables; the norms equal those of the same circle
+    evaluated point by point."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -132,7 +142,7 @@ class TestCachedCircleSamples:
         rng = np.random.default_rng(seed)
         pos = interpolate(plain, J, t).positions + 0.05 * radius * rng.normal(size=(J, 2))
         curve = PeriodicCurve(pos)
-        hits = diagnostics._trig.cache_info().hits
+        hits = diagnostics._circle_tables.cache_info().hits
         for rule in ("nodal", "gauss5"):
             assert l2_error(curve, circle, t, rule=rule) == l2_error(curve, plain, t, rule=rule)
             assert h1_seminorm_error(curve, circle, t, rule=rule) == h1_seminorm_error(
@@ -140,16 +150,30 @@ class TestCachedCircleSamples:
             )
         assert superconvergence_error(curve, circle, t) == superconvergence_error(curve, plain, t)
         # every lookup after the first of each rule hits the cache
-        assert diagnostics._trig.cache_info().hits >= hits + 3
+        assert diagnostics._circle_tables.cache_info().hits >= hits + 3
+
+    def test_circles_of_two_radii_on_one_grid_keep_their_own_norms(self):
+        curve = interpolate(EXACT, 24, 0.1)
+        for radius in (0.5, 0.75, 0.5):
+            circle = _circle(lambda time: 2.0 + time, radius)
+            plain = CurveFunction(circle.value, circle.derivative)
+            for rule in diagnostics.ERROR_RULES:
+                assert l2_error(curve, circle, 0.1, rule) == l2_error(curve, plain, 0.1, rule)
+                assert h1_seminorm_error(curve, circle, 0.1, rule) == h1_seminorm_error(
+                    curve, plain, 0.1, rule
+                )
+            assert superconvergence_error(curve, circle, 0.1) == superconvergence_error(
+                curve, plain, 0.1
+            )
 
     def test_tables_are_read_only_and_the_cache_is_bounded(self):
-        keys = [(J, rule) for J in range(3, 40) for rule in ("nodal", "gauss5")]
+        keys = [(J, rule, 0.5) for J in range(3, 40) for rule in ("nodal", "gauss5")]
         for key in keys:
-            table = diagnostics._trig(*key)
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 0.0
-        info = diagnostics._trig.cache_info()
+            for table in diagnostics._circle_tables(*key):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 0.0
+        info = diagnostics._circle_tables.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize < len(keys)
 
 
@@ -522,6 +546,33 @@ class TestHullProperties:
         pos = np.where(which[:, None], np.array(other), np.array(node))
         verts = _check_hull(pos)
         assert {tuple(v) for v in verts.tolist()} == {tuple(p) for p in pos.tolist()}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t=arrays(np.int64, st.integers(2, 300), elements=st.integers(-1000, 1000)),
+        origin=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+        direction=st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -2), (3, 1), (0, 0)]),
+        scale=st.sampled_from([1.0, 0.125]),
+    )
+    def test_exactly_collinear_and_coincident_sets_give_the_two_extremes(
+        self, t, origin, direction, scale
+    ):
+        # small integers times a power of two: every cross product is
+        # exact, so the nodes lie exactly on one line, or on one point
+        pos = scale * (np.array(origin, dtype=float) + t[:, None] * np.array(direction, dtype=float))
+        order = np.lexsort((pos[:, 1], pos[:, 0]))
+        assert diagnostics._hull(pos).tolist() == order[[0, -1]].tolist()
+        if len(pos) >= 3:
+            (x0, y0), (x1, y1) = pos[order[[0, -1]]].tolist()
+            dx, dy = x1 - x0, y1 - y0
+            assert diameter(PeriodicCurve(pos)) == math.sqrt(dx * dx + dy * dy)
+
+    def test_a_node_just_off_the_line_goes_through_the_chain(self):
+        t = np.arange(-5.0, 6.0)
+        pos = np.column_stack([1.0 + t, 2.0 * t])
+        pos[4, 1] += 2.0**-20
+        assert len(_check_hull(pos)) == 3
+        _matches_pairwise(pos)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -36,6 +36,11 @@ class TestCheckpointSteps:
         assert _checkpoint_steps(32) == [4, 8, 12, 16, 20, 24, 28, 32]
         assert _checkpoint_steps(10000) == [1250 * k for k in range(1, 9)]
 
+    def test_steps_are_rounded_to_the_nearest_checkpoint_time(self):
+        # k * 20 / 8 = 7.5 and 17.5 round to even, 8 and 18; truncation
+        # would take 7 and 17
+        assert _checkpoint_steps(20) == [2, 5, 8, 10, 12, 15, 18, 20]
+
     def test_result_is_sorted_within_range_and_hits_the_end(self):
         for steps in (7, 12, 100, 12345):
             picked = _checkpoint_steps(steps)

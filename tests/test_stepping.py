@@ -545,6 +545,22 @@ class TestStepSystem:
         assert sum(few.values()) > 0 and computes(100) == few
 
 
+    def test_a_cn_run_computes_each_level_load_once(self):
+        # step m gets the times (m - 1) dt and m dt of one grid, so every
+        # CN step after the first is handed the load of its old level;
+        # at dt = 2e-4, (m - 1) dt + dt is not m dt at 17 of these steps
+        computed = []
+
+        def coeffs(t):
+            computed.append(t)
+            return FORCING.coeffs(t)
+
+        dt, steps = 2e-4, 60
+        forcing = SourceField(FORCING.func, FORCING.basis, coeffs)
+        report = run(EXACT, "cn", 16, dt, steps * dt, source=forcing, exact=EXACT)
+        assert report.event.kind is StopKind.REACHED_T
+        assert computed == [m * dt for m in range(1, steps + 1)]
+
     def test_calls_per_step_are_the_ones_the_benchmark_traces(self):
         # perfbench wraps these names of stepping and pins their counts:
         # one solve per stacked step; source loads 1 on the bdf1
@@ -953,6 +969,24 @@ class TestStack:
         assert new._components.shape == (2, 2, 16)
         for row, curve in zip((0, 1), (curves[0], curves[2])):
             alone = bdf1_step(StepperState(curve, None, 0.0, 1e-3))
+            assert np.array_equal(new.member(row).positions, alone.positions)
+
+    def test_zero_coefficient_edge_fails_only_its_member(self):
+        # the middle member's curves have no zero edge, but their CN
+        # extrapolation 1.5 X^m - 0.5 X^{m-1} puts nodes 0 and 1 at one
+        # point, exactly: (1.5 * 1.25 - 0.5 * 1.75, 1.5 * 0.25 - 0.5 * 0.75)
+        curves = [interpolate(torus_circle(r), 16) for r in (0.5, 0.6, 0.55)]
+        cur = np.stack([c.positions for c in curves])
+        prev = cur.copy()
+        cur[1, :2] = [[1.0, 0.0], [1.25, 0.25]]
+        prev[1, :2] = [[1.0, 0.0], [1.75, 0.75]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, failures = stepping._advance(SchemeKind.CN, stack(cur), stack(prev), 0.0, 1e-3, None)
+        assert list(failures) == [1]
+        assert failures[1].kind is StopKind.ELEMENT_DEGENERATE and failures[1].metric == 0.0
+        for row, member in zip((0, 1), (0, 2)):
+            alone = cn_step(StepperState(curves[member], PeriodicCurve(prev[member]), 0.0, 1e-3))
             assert np.array_equal(new.member(row).positions, alone.positions)
 
     def test_nonfinite_coefficient_curve_is_a_solver_failure(self):
