@@ -22,7 +22,12 @@ checked copy of the member.
 
 Each source tree is timed in a child process of its own, the trees in
 alternating rounds, and every figure is the least over the rounds of
-the minimum of 7 repeats of N steps (in-process ``timeit``):
+the minimum of 7 repeats of N steps (in-process ``timeit``).  The CPU
+speed of a child can differ from the next one's by more than the gap
+between two trees, while the floor, the script's own code, is the same
+for every tree.  So beside its microseconds, each kernel and record
+column is also given as a ratio to the floor of the same shape measured
+in the same child, the median over the rounds (JSON key ``per_floor``):
 
     python3 scripts/step_cost.py                      # this checkout
     python3 scripts/step_cost.py OLD/src NEW/src      # two trees, one session
@@ -35,6 +40,7 @@ import inspect
 import itertools
 import json
 import os
+import statistics
 import subprocess
 import sys
 import timeit
@@ -209,24 +215,32 @@ def main(argv=None) -> None:
         return
     trees = args.src or [os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")]
     best: list[dict] = [{} for _ in trees]
+    ratios: list[dict] = [{} for _ in trees]
     for round_ in range(args.rounds):
-        order = list(zip(trees, best))
-        for tree, seen in order if round_ % 2 == 0 else order[::-1]:
+        order = list(zip(trees, best, ratios))
+        for tree, seen, seen_ratios in order if round_ % 2 == 0 else order[::-1]:
             env = {**os.environ, "PYTHONPATH": os.path.abspath(tree)}
             command = [sys.executable, os.path.abspath(__file__), "--child", "--number", str(args.number)]
             result = json.loads(subprocess.run(command, env=env, capture_output=True, check=True).stdout)
             for key, value in result.items():
                 seen[key] = min(seen.get(key, value), value)
-    names = [f"{scheme}{'_forced' if forced else ''}" for scheme, forced in CASES]
-    header = ["B x J"] + [f"{name} [{i}]" for name in names for i in range(len(trees))]
-    header += [f"{name} [{i}]" for name in ("floor", "record") for i in range(len(trees))]
-    print(" | ".join(header))
+                name, shape = key.split()
+                if name != "floor":
+                    seen_ratios.setdefault(key, []).append(value / result[f"floor {shape}"])
+    per_floor = [{key: statistics.median(r) for key, r in tree.items()} for tree in ratios]
+    names = [f"{scheme}{'_forced' if forced else ''}" for scheme, forced in CASES] + ["floor", "record"]
+    print("us per step (per floor); [i] is tree i")
+    print(" | ".join(["B x J"] + [f"{name} [{i}]" for name in names for i in range(len(trees))]))
     for B, J in SHAPES:
         row = [f"{B} x {J}"]
-        row += [f"{best[i][f'{name} {B}x{J}']:.1f}" for name in names for i in range(len(trees))]
-        row += [f"{best[i][f'{name} {B}x{J}']:.1f}" for name in ("floor", "record") for i in range(len(trees))]
+        for name in names:
+            for i in range(len(trees)):
+                key = f"{name} {B}x{J}"
+                ratio = f" ({per_floor[i][key]:.3f})" if key in per_floor[i] else ""
+                row.append(f"{best[i][key]:.1f}{ratio}")
         print(" | ".join(row))
-    print(json.dumps({"trees": [os.path.abspath(t) for t in trees], "us_per_step": best}))
+    trees = [os.path.abspath(t) for t in trees]
+    print(json.dumps({"trees": trees, "us_per_step": best, "per_floor": per_floor}))
 
 
 if __name__ == "__main__":

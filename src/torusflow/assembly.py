@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .curves import _count
+from .curves import _built, _ByValue, _count
 from .quadrature import element_rho
 
 __all__ = [
@@ -32,20 +32,14 @@ __all__ = [
 ]
 
 
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class CyclicTridiagonal:
+@dataclass(frozen=True, eq=False)
+class CyclicTridiagonal(_ByValue):
     """Periodic tridiagonal matrix stored by diagonals.
 
     Row j holds ``sub[j]`` in column (j-1) % J, ``diag[j]`` in column j
     and ``sup[j]`` in column (j+1) % J.  These three columns are distinct
     for every J >= 3, so at J = 3 the matrix is full and every entry is
-    stored exactly once.
+    stored exactly once.  Matrices are unhashable values (``curves._ByValue``).
 
     The assemblers, given a ``CurveStack`` of B weight curves, return a
     stack of B matrices of one order: diagonals of shape (B, J), a
@@ -57,21 +51,20 @@ class CyclicTridiagonal:
     sub: np.ndarray
     sup: np.ndarray
 
-    # True only for bands an assembler built exactly symmetric:
-    # sub[j] == sup[j - 1] for every j, the corners included
-    _symmetric = False
-
     def __post_init__(self):
-        diag, sub, sup = map(_readonly, (self.diag, self.sub, self.sup))
+        bands = [np.array(a, dtype=float, copy=True) for a in (self.diag, self.sub, self.sup)]
+        for band in bands:
+            band.setflags(write=False)
+        diag, sub, sup = bands
         if not (diag.ndim == sub.ndim == sup.ndim == 1):
             raise ValueError("diagonals must be one-dimensional")
         if not (diag.shape == sub.shape == sup.shape):
             raise ValueError("diagonals must share one length")
         if diag.shape[0] < 3:
             raise ValueError("cyclic tridiagonal needs order >= 3")
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "sup", sup)
+        # _symmetric is True only for bands an assembler built exactly
+        # symmetric: sub[j] == sup[j - 1] for every j, the corners included
+        vars(self).update(diag=diag, sub=sub, sup=sup, _symmetric=False)
 
     @classmethod
     def _owned(cls, diag, sub, sup, symmetric: bool = False) -> "CyclicTridiagonal":
@@ -80,11 +73,9 @@ class CyclicTridiagonal:
         checks.  Bands of shape (B, J) make a stack of matrices.
         ``symmetric`` declares bands symmetric by construction, which
         the solver then takes on trust."""
-        matrix = object.__new__(cls)
         for band in (diag, sub, sup):
             band.setflags(write=False)
-        vars(matrix).update(diag=diag, sub=sub, sup=sup, _symmetric=symmetric)
-        return matrix
+        return _built(cls, diag=diag, sub=sub, sup=sup, _symmetric=symmetric)
 
     @property
     def order(self) -> int:

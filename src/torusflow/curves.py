@@ -10,7 +10,7 @@ analytic start geometries of the scenario library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable, Optional
@@ -59,6 +59,35 @@ def _finite(name: str, value, positive: bool = True) -> None:
         ) from None
     if not (ok and (value > 0.0 if positive else value >= 0.0)):
         raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def _built(cls, **values):
+    """A ``cls`` holding ``values`` by one instance-dict update: no copy, no check."""
+    instance = object.__new__(cls)
+    vars(instance).update(values)
+    return instance
+
+
+def _same(a, b) -> bool:
+    """Field equality: arrays by shape and entries, tuples item by item, NaN equal to NaN."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (a != a and b != b)
+
+
+class _ByValue:
+    """Value equality for frozen dataclasses made with ``eq=False``: declared
+    fields compare pairwise by ``_same``; instance-dict caches are no fields.  NaN
+    equals NaN, as nan marks untracked values.  Unhashable: hash(nan) is per object."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 # The two passes below wrap the components (2, ..., J) once, entry j of
@@ -164,13 +193,13 @@ class _NodePolygons:
             raise InadmissibleCurveError(f"{context}: zero-length edge")
 
 
-@dataclass(frozen=True)
-class PeriodicCurve(_NodePolygons):
+@dataclass(frozen=True, eq=False)
+class PeriodicCurve(_NodePolygons, _ByValue):
     """Closed polygon sampled on the uniform periodic grid rho_j = j/J.
 
     Column 0 of ``positions`` is the radial coordinate r, column 1 the
     axial coordinate z.  Edge j runs from node j-1 to node j, so edge 0
-    is the wrap-around segment.  Instances are immutable.
+    is the wrap-around segment.  Instances are immutable, unhashable values (``_ByValue``).
     """
 
     positions: np.ndarray
@@ -184,8 +213,7 @@ class PeriodicCurve(_NodePolygons):
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "_components", pos.T)
+        vars(self).update(positions=pos, _components=pos.T)
 
     def __reduce__(self):  # rebuilt from positions: read-only, components a view of them
         return PeriodicCurve, (self.positions,)
@@ -209,21 +237,18 @@ class CurveStack(_NodePolygons):
     def _stepped(cls, comp: np.ndarray) -> "CurveStack":
         """The step kernel's new states, with their edges and bounds
         computed at once, under the caller's np.errstate."""
-        stack = cls(comp)
         edges = _edge_data(comp)
-        vars(stack).update(_edges=edges, _bounds=_least(comp[0], edges[1]))
-        return stack
+        return _built(cls, _components=comp, _edges=edges, _bounds=_least(comp[0], edges[1]))
 
     def take(self, rows) -> "CurveStack":
         """The stack of the members in ``rows``, in that order, with the
         rows of the edges and bounds already computed."""
-        stack = CurveStack(self._components.take(rows, axis=1))
         edges = tuple(a.take(rows, axis=0) for a in self._edges)
         for a in edges:
             a.setflags(write=False)
         bounds = tuple([b[row] for row in rows] for b in self._bounds)
-        vars(stack).update(_edges=edges, _bounds=bounds)
-        return stack
+        comp = self._components.take(rows, axis=1)
+        return _built(CurveStack, _components=comp, _edges=edges, _bounds=bounds)
 
     def member(self, row: int) -> PeriodicCurve:
         """Member ``row`` as a curve that views the stack: its positions
@@ -232,10 +257,8 @@ class CurveStack(_NodePolygons):
         kernel's solver audit has passed every member of its new states."""
         comp = self._components[:, row]
         comp.setflags(write=False)
-        curve = object.__new__(PeriodicCurve)
         edges = self._edges
-        vars(curve).update(positions=comp.T, _components=comp, _edges=(edges[0][row], edges[1][row]))
-        return curve
+        return _built(PeriodicCurve, positions=comp.T, _components=comp, _edges=(edges[0][row], edges[1][row]))
 
 
 @dataclass(frozen=True)

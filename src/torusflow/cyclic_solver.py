@@ -45,6 +45,7 @@ from operator import itemgetter
 import numpy as np
 
 from .assembly import CyclicTridiagonal, _banded
+from .curves import _ByValue
 
 __all__ = ["SolveStatus", "SolveReport", "solve_cyclic", "RESIDUAL_RTOL"]
 
@@ -91,8 +92,8 @@ class SolveStatus(Enum):
 _RANK = {status: rank for rank, status in enumerate(SolveStatus)}
 
 
-@dataclass(frozen=True, init=False)
-class SolveReport:
+@dataclass(frozen=True, eq=False)
+class SolveReport(_ByValue):
     """Solution, its measured residual and audit status, the path taken
     (``"ldlt"`` or ``"lu"``) and the refinement steps used.
 
@@ -101,7 +102,7 @@ class SolveReport:
     ``residual_norm`` is the largest, ``path`` is ``"ldlt"`` when the
     block split served the stack (else the path the members took alone,
     ``"mixed"`` if they differ) and ``refinements`` the most any member
-    redone alone used.
+    redone alone used.  Reports are unhashable values (``curves._ByValue``).
     """
 
     solution: np.ndarray
@@ -110,14 +111,6 @@ class SolveReport:
     path: str = "lu"
     refinements: int = 0
     members: tuple = ()
-
-    def __init__(self, solution, residual_norm, status, path="lu", refinements=0, members=()):
-        # one update of the instance dict where a frozen dataclass's own
-        # __init__ sets each field through object.__setattr__
-        vars(self).update(
-            solution=solution, residual_norm=residual_norm, status=status,
-            path=path, refinements=refinements, members=members,
-        )
 
 
 # inf - inf and overflow in the split or the audit's residual end up as

@@ -41,7 +41,7 @@ from math import frexp, nan, sqrt
 
 import numpy as np
 
-from .curves import TWO_PI, CurveFunction, PeriodicCurve, _Circle
+from .curves import TWO_PI, CurveFunction, PeriodicCurve, _ByValue, _Circle
 from .quadrature import element_rho
 
 __all__ = [
@@ -57,9 +57,10 @@ __all__ = [
 ERROR_RULES = ("gauss5", "nodal")
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
-    """Diagnostics of one accepted step; nan marks untracked fields."""
+@dataclass(frozen=True, eq=False)
+class ErrorRecord(_ByValue):
+    """Diagnostics of one accepted step; nan marks untracked fields and
+    equals nan.  Records are unhashable values (``curves._ByValue``)."""
 
     step: int
     time: float

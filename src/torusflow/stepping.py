@@ -63,6 +63,7 @@ from .curves import (
     CurveFunction,
     CurveStack,
     PeriodicCurve,
+    _built,
     _circle,
     _count,
     _elements,
@@ -204,7 +205,8 @@ class StepperState:
 @dataclass(frozen=True)
 class RunReport:
     """Outcome of a run: stopping event, final curve, per-step records
-    and the event thresholds the run used."""
+    and the event thresholds the run used; an unhashable value whose curve
+    and records compare by value, nan equal to nan (``curves._ByValue``)."""
 
     scheme: SchemeKind
     node_count: int
@@ -451,20 +453,10 @@ def _record(
         e_sup = superconvergence_error(curve, exact, t)
     else:
         e_l2 = e_h1 = e_sup = nan
-    # one instance-dict update, where the frozen dataclass's __init__
-    # sets each field through object.__setattr__
-    record = object.__new__(ErrorRecord)
-    vars(record).update(
-        step=step,
-        time=t,
-        err_l2=e_l2,
-        err_h1=e_h1,
-        superconv_h1=e_sup,
-        mesh_ratio=ratio,
-        min_radius=rmin,
-        diameter=diameter(curve) if track_diameter else nan,
+    return _built(
+        ErrorRecord, step=step, time=t, err_l2=e_l2, err_h1=e_h1, superconv_h1=e_sup,
+        mesh_ratio=ratio, min_radius=rmin, diameter=diameter(curve) if track_diameter else nan,
     )
-    return record
 
 
 def run(

@@ -1,4 +1,5 @@
 import collections
+import pickle
 import re
 
 import numpy as np
@@ -45,6 +46,27 @@ class TestCyclicTridiagonal:
             CyclicTridiagonal(ok, np.ones(3), ok)
         with pytest.raises(ValueError):
             CyclicTridiagonal(np.ones(2), np.ones(2), np.ones(2))
+
+    def test_compares_by_value_and_is_unhashable(self, rng):
+        bands = [rng.normal(size=6) for _ in range(3)]
+        m = CyclicTridiagonal(*bands)
+        assert m == CyclicTridiagonal(*bands) and m == pickle.loads(pickle.dumps(m))
+        for i in range(3):
+            moved = [band.copy() for band in bands]
+            moved[i][4] = np.nextafter(moved[i][4], np.inf)
+            assert m != CyclicTridiagonal(*moved)
+        bands[0][2] = np.nan
+        assert CyclicTridiagonal(*bands) == CyclicTridiagonal(*[band.copy() for band in bands])
+        with pytest.raises(TypeError, match="unhashable type: 'CyclicTridiagonal'"):
+            hash(m)
+
+    def test_assembled_matrix_equals_its_checked_copy(self):
+        # the declared symmetry and the cached row sums are no fields
+        built = weighted_mass_matrix(diamond_curve())
+        built.inf_norm()
+        copy = CyclicTridiagonal(built.diag, built.sub, built.sup)
+        assert built._symmetric and not copy._symmetric
+        assert built == copy and copy == built
 
     def test_bands_are_immutable(self):
         m = CyclicTridiagonal(np.ones(4), np.zeros(4), np.zeros(4))

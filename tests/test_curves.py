@@ -17,6 +17,8 @@ from torusflow import (
     torus_circle,
 )
 
+from torusflow.curves import CurveStack
+
 from oracles import polygon_winding, random_admissible_positions
 
 
@@ -41,6 +43,34 @@ class TestPeriodicCurve:
         c = pickle.loads(pickle.dumps(square_curve()))
         assert np.array_equal(c.positions, square_curve().positions)
         assert np.shares_memory(c.r, c.positions) and not c.positions.flags.writeable
+
+    def test_compares_by_value_and_is_unhashable(self):
+        c = square_curve()
+        assert c == square_curve() and c == pickle.loads(pickle.dumps(c))
+        c.edge_lengths()  # a cache in the instance dict takes no part
+        assert c == square_curve()
+        moved = c.positions.copy()
+        moved[2, 1] = np.nextafter(moved[2, 1], 1.0)
+        assert c != PeriodicCurve(moved) and not c == PeriodicCurve(moved)
+        assert c != PeriodicCurve(c.positions[:3])
+        assert c != c.positions.tolist()
+        with pytest.raises(TypeError, match="unhashable type: 'PeriodicCurve'"):
+            hash(c)
+
+    def test_member_view_equals_its_checked_copy(self):
+        comp = np.stack([square_curve()._components, square_curve()._components + 1.0], axis=1)
+        view = CurveStack(comp).member(0)
+        assert view.positions.base is not None  # a view of the stack, strides (8, 8 B J)
+        assert view == square_curve() and square_curve() == view
+        assert view == pickle.loads(pickle.dumps(view))
+        assert CurveStack(comp).member(1) != view
+        comp[1, 0, 3] = np.nextafter(comp[1, 0, 3], 0.0)
+        assert CurveStack(comp).member(0) != square_curve()
+        # nan equals nan; only a member view can hold it
+        comp[0, 0, 1] = np.nan
+        assert CurveStack(comp).member(0) == CurveStack(comp.copy()).member(0)
+        with pytest.raises(TypeError, match="unhashable type: 'PeriodicCurve'"):
+            hash(view)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -259,6 +261,20 @@ class TestPaths:
         assert 1 <= report.refinements <= 2
         residual = np.abs(m.matvec(report.solution) - rhs).max()
         assert report.residual_norm == residual
+        expect = thomas_like_dense_solve(m.to_dense(), rhs)
+        assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_two_refinement_steps_recover_a_failed_audit(self):
+        # with diag[0] = 1e-13 the core's LDL^T breaks down and its LU
+        # solution passes the audit only after both refinement steps;
+        # with one step allowed it would fall through to the second shift
+        J = 8
+        diag = np.full(J, 4.0)
+        diag[0] = 1e-13
+        m = CyclicTridiagonal(diag, np.ones(J), np.ones(J))
+        rhs = np.arange(1.0, J + 1.0)
+        report = solve_cyclic(m, rhs)
+        assert (report.status, report.path, report.refinements) == (SolveStatus.OK, "lu", 2)
         expect = thomas_like_dense_solve(m.to_dense(), rhs)
         assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
 
@@ -607,6 +623,32 @@ sys.stdout.buffer.write(pickle.dumps((cyclic_solver.lapack.__name__, reports)))
         direct = [solve_cyclic(matrix, rhs) for matrix, rhs in cases]
         assert [report.path for report in direct] == ["ldlt", "lu"]
         for one, other in zip(direct, fallback):
-            assert one.solution.tobytes() == other.solution.tobytes()
-            fields = ("residual_norm", "status", "path", "refinements", "members")
-            assert [getattr(one, f) for f in fields] == [getattr(other, f) for f in fields]
+            # bytes tell -0.0 from 0.0, which equality does not
+            assert one.solution.tobytes() == other.solution.tobytes() and one == other
+
+
+class TestReportValue:
+    def test_reports_compare_by_value_and_are_unhashable(self, rng):
+        m = symmetric_dominant_matrix(rng, 6)
+        rhs = rng.normal(size=6)
+        report = solve_cyclic(m, rhs)
+        assert report == solve_cyclic(m, rhs) and report == pickle.loads(pickle.dumps(report))
+        moved = report.solution.copy()
+        moved[3] = np.nextafter(moved[3], np.inf)
+        assert report != dataclasses.replace(report, solution=moved)
+        assert report != dataclasses.replace(report, refinements=1)
+        with pytest.raises(TypeError, match="unhashable type: 'SolveReport'"):
+            hash(report)
+
+    def test_nan_equals_nan(self):
+        # a pure cyclic shift is reported singular with a nan solution
+        zeros = np.zeros(6)
+        m = CyclicTridiagonal(zeros, zeros, np.ones(6))
+        report = solve_cyclic(m, np.arange(6.0))
+        assert np.isnan(report.solution).all()
+        assert report == solve_cyclic(m, np.arange(6.0)) == pickle.loads(pickle.dumps(report))
+        # and in a member's (status, residual) pair, as a stack's report holds
+        members = ((SolveStatus.ILL_CONDITIONED, float("nan")),)
+        odd = dataclasses.replace(report, members=members)
+        assert odd == pickle.loads(pickle.dumps(odd))
+        assert odd != dataclasses.replace(report, members=((SolveStatus.ILL_CONDITIONED, math.inf),))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -394,16 +395,22 @@ class TestDiameterProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        par=arrays(float, st.integers(3, 300), elements=st.floats(0.0, 2.0 * np.pi), unique=True),
+        # the gaps between sorted distinct integers, drawn as one array
+        # with a fill value: far faster than unique floats, and a huge gap
+        # among small ones clusters the nodes down to ~1e-13 apart
+        gaps=arrays(np.int64, st.integers(3, 300), elements=st.integers(1, 2**40)),
         axes=st.tuples(st.floats(1e-3, 5.0), st.floats(1e-3, 5.0)),
         tilt=st.floats(0.0, np.pi),
         clockwise=st.booleans(),
         decimals=st.sampled_from([None, 1, 3]),
     )
-    def test_convex_polygons_either_orientation(self, par, axes, tilt, clockwise, decimals):
+    def test_convex_polygons_either_orientation(self, gaps, axes, tilt, clockwise, decimals):
         # nodes in order along an ellipse form a convex polygon, which is
-        # its own hull unless rounding makes it degenerate
-        par = np.sort(par)[::-1] if clockwise else np.sort(par)
+        # its own hull unless rounding makes it degenerate; the integers,
+        # below 2^49, scale to distinct increasing angles in (0, 2 pi)
+        k = np.cumsum(gaps)
+        par = (2.0 * np.pi / (k[-1] + 1)) * k
+        par = par[::-1] if clockwise else par
         c, s = np.cos(tilt), np.sin(tilt)
         pos = np.column_stack([axes[0] * np.cos(par), axes[1] * np.sin(par)]) @ np.array([[c, -s], [s, c]])
         if decimals is not None:
@@ -610,3 +617,16 @@ class TestErrorRecord:
         assert rec.step == 3 and rec.time == 0.1
         for value in (rec.err_l2, rec.err_h1, rec.superconv_h1, rec.mesh_ratio, rec.min_radius, rec.diameter):
             assert np.isnan(value)
+
+    def test_records_compare_by_value_nan_equal_to_nan(self):
+        # nan marks an untracked field; a pickle copy holds other nan objects
+        rec = ErrorRecord(step=3, time=0.1, err_l2=float("nan"), mesh_ratio=1.25, min_radius=0.5)
+        assert rec == pickle.loads(pickle.dumps(rec))
+        assert rec == ErrorRecord(step=3, time=0.1, err_l2=float("nan"), mesh_ratio=1.25, min_radius=0.5)
+        for name in ("time", "mesh_ratio", "min_radius"):
+            one_ulp = math.nextafter(getattr(rec, name), math.inf)
+            assert rec != dataclasses.replace(rec, **{name: one_ulp})
+        assert rec != dataclasses.replace(rec, step=4)
+        assert rec != dataclasses.replace(rec, diameter=1.0)
+        with pytest.raises(TypeError, match="unhashable type: 'ErrorRecord'"):
+            hash(rec)

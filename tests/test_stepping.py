@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
 import functools
+import math
+import pickle
 import re
 import warnings
 from unittest import mock
@@ -858,14 +860,42 @@ class TestStoppingEvents:
         assert len(report.records) == 1
 
 
-def astuple_records(report):
-    return np.array([dataclasses.astuple(rec) for rec in report.records])
+class TestValues:
+    """Run reports and stepper states compare by value, the curves and
+    records in them through ``curves._ByValue``, nan equal to nan."""
 
+    def test_run_reports_compare_by_value(self):
+        # no exact curve and no diameter: every record holds nan fields
+        args = (torus_circle(0.6), "cn", 16, 1e-3, 5e-3)
+        report = run(*args, track_diameter=False)
+        assert np.isnan(report.records[-1].diameter)
+        assert report == run(*args, track_diameter=False)
+        assert report == pickle.loads(pickle.dumps(report))
+        records = list(report.records)
+        last = records[-1]
+        records[-1] = dataclasses.replace(last, min_radius=math.nextafter(last.min_radius, 0.0))
+        assert report != dataclasses.replace(report, records=records)
+        moved = report.final.positions.copy()
+        moved[5, 1] = np.nextafter(moved[5, 1], np.inf)
+        assert report != dataclasses.replace(report, final=PeriodicCurve(moved))
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(report)
 
-def assert_same_run(ours, serial):
-    assert ours.event == serial.event
-    assert np.array_equal(ours.final.positions, serial.final.positions)
-    assert np.array_equal(astuple_records(ours), astuple_records(serial), equal_nan=True)
+    def test_stepper_states_compare_by_value(self):
+        cur, prev = interpolate(EXACT, 8, 0.2), interpolate(EXACT, 8, 0.19)
+        state = StepperState(cur, prev, 0.2, 0.01, 1)
+        assert state == StepperState(interpolate(EXACT, 8, 0.2), prev, 0.2, 0.01, 1)
+        assert state == pickle.loads(pickle.dumps(state))
+        moved = cur.positions.copy()
+        moved[5, 1] = np.nextafter(moved[5, 1], np.inf)
+        assert state != StepperState(PeriodicCurve(moved), prev, 0.2, 0.01, 1)
+        # a member view of a stack can hold nan, which equals nan
+        comp = cur._components[:, None].copy()
+        comp[0, 0, 3] = np.nan
+        twin = CurveStack(comp.copy()).member(0)
+        assert StepperState(CurveStack(comp).member(0), None, 0.2, 0.01) == StepperState(twin, None, 0.2, 0.01)
+        with pytest.raises(TypeError, match="unhashable type: 'PeriodicCurve'"):
+            hash(state)
 
 
 class TestStack:
@@ -885,7 +915,7 @@ class TestStack:
         stacked = stepping._run_stack([torus_circle(r) for r in radii], scheme, J, dt, t_end)
         assert len(stacked) == len(radii)
         for radius, ours in zip(radii, stacked):
-            assert_same_run(ours, run(torus_circle(radius), scheme, J, dt, t_end))
+            assert ours == run(torus_circle(radius), scheme, J, dt, t_end)
         if min(radii) < 0.7:
             assert stacked[0].event.time < max(r.event.time for r in stacked)
 
@@ -933,11 +963,7 @@ class TestStack:
             )
             assert calls == expected
             for ours, alone in zip(stacked, serial):
-                if keep_records:
-                    assert_same_run(ours, alone)
-                else:
-                    assert ours.event == alone.event and ours.records == []
-                    assert np.array_equal(ours.final.positions, alone.final.positions)
+                assert ours == (alone if keep_records else dataclasses.replace(alone, records=[]))
 
     def test_member_failing_the_coefficient_check_leaves_the_others_alone(self):
         # with the axis event off, the extrapolated coefficient curve of
@@ -953,7 +979,7 @@ class TestStack:
         assert failed.event.kind is StopKind.AXIS_TOUCH and failed.event.metric <= 0.0
         assert len(failed.records) == round(failed.event.time / dt)
         for radius, ours in zip(radii, stacked):
-            assert_same_run(ours, run(torus_circle(radius), "cn", 64, dt, 0.3, thresholds=thresholds))
+            assert ours == run(torus_circle(radius), "cn", 64, dt, 0.3, thresholds=thresholds)
         assert stacked[0].event.kind is StopKind.CURVE_COLLAPSE
 
     def test_one_step_of_a_stack_reports_each_failure_by_row(self):
