@@ -22,12 +22,15 @@ checked copy of the member.
 
 Each source tree is timed in a child process of its own, the trees in
 alternating rounds, and every figure is the least over the rounds of
-the minimum of 7 repeats of N steps (in-process ``timeit``).  The CPU
-speed of a child can differ from the next one's by more than the gap
-between two trees, while the floor, the script's own code, is the same
-for every tree.  So beside its microseconds, each kernel and record
-column is also given as a ratio to the floor of the same shape measured
-in the same child, the median over the rounds (JSON key ``per_floor``):
+the minimum of 7 repeats of N steps (in-process ``timeit``).  A child
+times the cases, the floor and the record of one shape in turn, repeat
+by repeat, so that a change in the machine's speed within the child
+reaches all of them alike.  The CPU speed of a child can differ from
+the next one's by more than the gap between two trees, while the floor,
+the script's own code, is the same for every tree.  So beside its
+microseconds, each kernel and record column is also given as a ratio
+to the floor of the same shape measured in the same child, the median
+over the rounds (JSON key ``per_floor``):
 
     python3 scripts/step_cost.py                      # this checkout
     python3 scripts/step_cost.py OLD/src NEW/src      # two trees, one session
@@ -152,17 +155,36 @@ def check_records(stack, exact, t) -> bool:
     return True
 
 
+def stepper(scheme: str, forced: bool, current, previous):
+    """One step of ``scheme`` from the states (current, previous): an
+    unforced step repeats the step from t = dt, a forced one takes step
+    m of a run, from t_{m-1} to t_m = m dt, for m = 2, 3, ..."""
+    from torusflow import manufactured_forcing, stepping
+
+    step = stepping._STEPPERS[stepping.SchemeKind(scheme)]
+    if not forced:
+        return lambda: step(current, previous, DT, DT, None)
+    source, grid = manufactured_forcing(), itertools.count(2)
+    takes_new_level = "t_new" in inspect.signature(stepping._advance).parameters
+
+    def consecutive():
+        m = next(grid)
+        new_level = (m * DT,) if takes_new_level else ()
+        return step(current, previous, (m - 1) * DT, DT, source, *new_level)
+
+    return consecutive
+
+
 def measure(number: int) -> dict:
     """Microseconds per step of every case and of the straight-line CN
     step, for the torusflow importable in this process."""
     import numpy as np
 
-    from torusflow import interpolate, manufactured_forcing, manufactured_solution, torus_circle
+    from torusflow import interpolate, manufactured_solution, torus_circle
     from torusflow import cyclic_solver, stepping
     from torusflow.curves import CurveStack
 
     out = {}
-    takes_new_level = "t_new" in inspect.signature(stepping._advance).parameters
     for B, J in SHAPES:
         start = np.stack([interpolate(torus_circle(0.6 + 0.01 * i), J).positions for i in range(B)])
         # the kernel's component-major form, (2, B, J)
@@ -170,36 +192,31 @@ def measure(number: int) -> dict:
         current, failures = stepping._STEPPERS[stepping.SchemeKind.BDF1](previous, None, 0.0, DT, None)
         if failures:
             raise RuntimeError(f"the bootstrap step failed: {failures}")
-        for scheme, forced in CASES:
-            source = manufactured_forcing() if forced else None
-            step = stepping._STEPPERS[stepping.SchemeKind(scheme)]
-            grid = itertools.count(2)
-
-            def repeated():
-                return step(current, previous, DT, DT, source)
-
-            def consecutive():
-                # step m of a run, from t_{m-1} to t_m = m dt
-                m = next(grid)
-                new_level = (m * DT,) if takes_new_level else ()
-                return step(current, previous, (m - 1) * DT, DT, source, *new_level)
-
-            timer = timeit.Timer(consecutive if forced else repeated)
-            out[f"{scheme}{'_forced' if forced else ''} {B}x{J}"] = min(timer.repeat(7, number)) / number * 1e6
+        runs = {
+            f"{scheme}{'_forced' if forced else ''} {B}x{J}": stepper(scheme, forced, current, previous)
+            for scheme, forced in CASES
+        }
         x, x_prev = current._components, previous._components
         floor = straight_cn(x, x_prev, DT, cyclic_solver.lapack, cyclic_solver.RESIDUAL_RTOL)
         kernel = stepping._STEPPERS[stepping.SchemeKind.CN](current, previous, DT, DT, None)[0]
         if floor is None or not np.array_equal(floor, kernel._components):
             raise RuntimeError(f"the straight-line CN step differs from the kernel at {B} x {J}")
-        timer = timeit.Timer(
-            lambda: straight_cn(x, x_prev, DT, cyclic_solver.lapack, cyclic_solver.RESIDUAL_RTOL)
+        runs[f"floor {B}x{J}"] = lambda: straight_cn(
+            x, x_prev, DT, cyclic_solver.lapack, cyclic_solver.RESIDUAL_RTOL
         )
-        out[f"floor {B}x{J}"] = min(timer.repeat(7, number)) / number * 1e6
         exact = manufactured_solution()
         if not check_records(current, exact, DT):
             raise RuntimeError(f"a member's record differs from its checked copy's at {B} x {J}")
-        timer = timeit.Timer(lambda: records(current, exact, DT))
-        out[f"record {B}x{J}"] = min(timer.repeat(7, number)) / number * 1e6 / B
+        runs[f"record {B}x{J}"] = lambda: records(current, exact, DT)
+        # every run of this shape in turn, repeat by repeat
+        timers = {key: timeit.Timer(run) for key, run in runs.items()}
+        for _ in range(7):
+            for key, timer in timers.items():
+                seconds = timer.timeit(number)
+                out[key] = min(out.get(key, seconds), seconds)
+        for key in timers:
+            out[key] *= 1e6 / number
+        out[f"record {B}x{J}"] /= B
     return out
 
 

@@ -77,6 +77,9 @@ class CyclicTridiagonal(_ByValue):
             band.setflags(write=False)
         return _built(cls, diag=diag, sub=sub, sup=sup, _symmetric=symmetric)
 
+    def __reduce__(self):  # copies and pickles: read-only bands, symmetry compared again
+        return CyclicTridiagonal._owned, (self.diag, self.sub, self.sup)
+
     @property
     def order(self) -> int:
         return self.diag.shape[-1]
@@ -257,17 +260,17 @@ def source_load(f, node_count: int, t: float) -> np.ndarray:
     sources used here essentially to roundoff.  A field with a separable
     form (``basis`` and ``coeffs``, see ``SourceField``) is loaded as
     coeffs(t) times its basis loads, computed once per grid.  Such a
-    field also holds a copy of the last load computed for it, with its
-    J and the bits of t: a call for that same (J, t) is handed the copy,
-    and the field keeps nothing; any other call computes its load and
-    leaves a copy of it behind.  A Crank-Nicolson run asks for each time
-    level twice, as the new level of one step and the old level of the
-    next, and so computes it once.
+    field also holds a copy of the last load computed for it, keyed by
+    its id, J and the bits of t: a call for that same (f, J, t) is handed
+    the copy, and the field keeps nothing; any other call, one on a copy
+    of f too, computes its load and leaves a copy of it behind.  A
+    Crank-Nicolson run asks for each time level twice, as the new level
+    of one step and the old level of the next, and so computes it once.
     """
     J = _count("node_count", node_count, 3)
     basis = getattr(f, "basis", None)
     if basis is not None:
-        key = (J, _bits(t))
+        key = (id(f), J, _bits(t))  # a copy of f copies the hold, not the id
         store = getattr(f, "__dict__", {})  # a field without one holds nothing
         held = store.pop("_held_load", None)
         if held is not None and held[0] == key:

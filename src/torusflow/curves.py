@@ -241,14 +241,11 @@ class CurveStack(_NodePolygons):
         return _built(cls, _components=comp, _edges=edges, _bounds=_least(comp[0], edges[1]))
 
     def take(self, rows) -> "CurveStack":
-        """The stack of the members in ``rows``, in that order, with the
-        rows of the edges and bounds already computed."""
-        edges = tuple(a.take(rows, axis=0) for a in self._edges)
-        for a in edges:
-            a.setflags(write=False)
-        bounds = tuple([b[row] for row in rows] for b in self._bounds)
-        comp = self._components.take(rows, axis=1)
-        return _built(CurveStack, _components=comp, _edges=edges, _bounds=bounds)
+        """The stack of the members in ``rows``, in that order, built as
+        ``_stepped`` builds the kernel's states: a member ends or fails
+        only a few times per run, so its edges are computed again."""
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return CurveStack._stepped(self._components.take(rows, axis=1))
 
     def member(self, row: int) -> PeriodicCurve:
         """Member ``row`` as a curve that views the stack: its positions

@@ -16,15 +16,16 @@ matrices symmetric by construction (mass, stiffness and step
 matrices); any other matrix has its bands compared.
 
 Each member is audited on its own, against the first bound that
-suffices.  A stack whose members all pass is done after one split and
-one audit: ``_split`` builds the cores, factors them, substitutes and
-applies the rank-one correction in one pass, and ``_audit`` gives each
-member's verdict, all under the one np.errstate of ``solve_cyclic``.
-Otherwise one loop redoes alone, as a stack of one, each member the
-block did not serve: every member when the block cannot be factored,
-else those that missed the audit.  A member redone alone is split
-again, gets up to MAX_REFINEMENTS refinement steps, each a split of its
-residual with the same shift (the same factors, computed again), and,
+suffices, by the caller that reads its verdict.  A stack whose members
+all pass is done after one split and one audit: ``_split`` builds the
+cores, factors them, substitutes and applies the rank-one correction in
+one pass, and ``_audit`` gives each member's verdict, both under the
+one np.errstate of ``solve_cyclic``.  Otherwise one loop redoes alone,
+as a stack of one, each member the block did not serve: all of them
+when it cannot be factored, else those that missed the audit.  A member
+redone alone is split and audited again, gets up to MAX_REFINEMENTS
+refinement steps, each a split of its residual with the same shift (the
+same factors, computed again) and an audit of the refined solution, and,
 when the split breaks down or stays inaccurate, is redone once with a
 second shift, -|A|_inf, keeping the better report.  Every result
 carries a measured residual, an explicit status and the path taken;
@@ -142,10 +143,12 @@ def solve_cyclic(matrix: CyclicTridiagonal, rhs) -> SolveReport:
     shifts = -matrix.diag[:, 0]
     if 0.0 in shifts.tolist():
         shifts[shifts == 0.0] = 1.0
-    path, x, _, outcomes, redo = _split(matrix, shifts, cols)
+    path, x = _split(matrix, shifts, cols)
     B = len(shifts)
     if x is None:
         x, outcomes, redo = np.empty(cols.shape), [None] * B, range(B)
+    else:
+        _, outcomes, redo = _audit(matrix, cols, x)
     status, refinements = SolveStatus.OK, 0
     if redo:
         # redo alone every member the block did not serve
@@ -193,12 +196,13 @@ def _alone(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: np.ndarray) -> So
 def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: np.ndarray) -> SolveReport:
     """Audited solution (k, 1, J) of a stack of one split with the shift
     gamma (1,), refined while it misses the audit: each correction solves
-    for the residual with the same split, whose factors come out the same."""
-    path, x, residual, outcomes, _ = _split(matrix, gamma, cols)
+    for the residual with the same split, whose factors come out the same,
+    and only the refined solution, not the correction, is audited."""
+    path, x = _split(matrix, gamma, cols)
     if x is None:
         nan, singular = np.full(cols.shape, np.nan), SolveStatus.SINGULAR
         return SolveReport(nan, math.inf, singular, path, 0, ((singular, math.inf),))
-    ((status, res_norm),) = outcomes
+    residual, ((status, res_norm),), _ = _audit(matrix, cols, x)
     refinements = 0
     while status is SolveStatus.ILL_CONDITIONED and refinements < MAX_REFINEMENTS:
         refinements += 1
@@ -211,14 +215,13 @@ def _refined(matrix: CyclicTridiagonal, cols: np.ndarray, gamma: np.ndarray) -> 
 
 
 def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
-    """(path, x, residual, outcomes, missed) for a stack of B matrices
-    split with the shifts gamma (B,): x the solutions of the right sides
-    cols, both stored column by column, (k, B, J), and the ``_audit`` of
-    x.  Exactly symmetric stacks are factored as one block LDL^T, a
-    single member otherwise by pivoted LU.  All but the path are None
-    when the split breaks down, or for B > 1 when the block cannot be
-    factored; a member whose rank-one denominator breaks down gets NaN,
-    which fails its audit."""
+    """(path, x) for a stack of B matrices split with the shifts gamma
+    (B,): x the solutions of the right sides cols, both stored column by
+    column, (k, B, J), unaudited; the callers audit what they read.
+    Exactly symmetric stacks are factored as one block LDL^T, a single
+    member otherwise by pivoted LU.  x is None when the split breaks
+    down, or for B > 1 when the block cannot be factored; a member whose
+    rank-one denominator breaks down gets NaN, which fails its audit."""
     diag, sub, sup = matrix.diag, matrix.sub, matrix.sup
     k, B, J = cols.shape
     alpha = sup[:, -1]  # corner entries in row J-1, column 0
@@ -243,10 +246,10 @@ def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
     if info != 0:
         path = "lu"
         if B > 1:
-            return path, None, None, None, None
+            return path, None
         *factors, info = lapack.dgttrf(sub[0, 1:], d, e)
         if info != 0:
-            return path, None, None, None, None
+            return path, None
         substitute = lapack.dgttrs
 
     # the right sides, then the rank-one vectors u, solved on the cores
@@ -261,8 +264,7 @@ def _split(matrix: CyclicTridiagonal, gamma: np.ndarray, cols: np.ndarray):
     q = 1.0 + z[:, 0] + ratio * z[:, -1]
     # q / q is 1 exactly where q is finite and nonzero, else NaN
     denom = q * (q / q)
-    x = y - z * ((y[:, :, 0] + ratio * y[:, :, -1]) / denom)[:, :, None]
-    return (path, x, *_audit(matrix, cols, x))
+    return path, y - z * ((y[:, :, 0] + ratio * y[:, :, -1]) / denom)[:, :, None]
 
 
 def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):

@@ -11,17 +11,16 @@ by contrast, is a closed form: the H1 norm of the difference between
 the polygon and the nodal interpolant of the exact curve is a quadratic
 in the nodal gaps.
 
-The sample points of each rule are fixed by the node count J.  For an
-exact curve that is a circle, such as the drifting circle of the
-convergence harness, the circle's own tables are computed once per grid
-and radius and cached read-only, keyed by (J, rule, radius): its values
-(radius cos, radius sin) of 2 pi rho at those points, and its rho
-derivative there with the last row repeated in front, so that its rows
-also sit at each point's left neighbour.  A norm shifts a copy of the
-values by the circle's center at t and reads the derivative as it is,
-instead of evaluating the curve, and its numbers are bit for bit those
-of evaluating it.  Any other exact curve is evaluated at the sample
-points.
+The sample points of each rule are fixed by the node count J.  The
+norms read an exact curve through two routines: ``_samples``, its values
+at the points, and ``_slopes``, its rho derivative there with the last
+row repeated in front, so that its rows also sit at each point's left
+neighbour.  A circle, such as the drifting circle of the convergence
+harness, is read off its own tables, computed once per grid and radius
+and cached read-only, keyed by (J, rule, radius): a copy of its values
+(radius cos, radius sin) of 2 pi rho shifted by its center at t, and
+its derivative table as it is, bit for bit what evaluating the circle
+gives.  Any other exact curve is evaluated at the points.
 
 A run records each accepted state on a read-only view of the step
 kernel's row (``CurveStack.member``), without a copy.  The nodal L2
@@ -109,21 +108,25 @@ def _circle_tables(J: int, rule: str, radius: float) -> tuple[np.ndarray, np.nda
     return values, slopes
 
 
-def _samples(exact: CurveFunction, J: int, rule: str, t: float, derivative: bool = False):
-    """``exact`` at the ``_grid`` points of ``rule`` at time t, or with
-    ``derivative`` its rho derivative there: a fresh C-ordered (n, 2)
-    array.  A circle is a copy of its ``_circle_tables`` entry, its
-    values shifted by center(t) along r, which is what evaluating it
-    gives, bit for bit."""
+def _samples(exact: CurveFunction, J: int, rule: str, t: float) -> np.ndarray:
+    """``exact`` at the ``_grid`` points of ``rule`` at time t, fresh and C-ordered
+    (n, 2); a circle's is a copy of its ``_circle_tables`` values plus center(t) in r."""
     if not isinstance(exact, _Circle):
-        rho = _grid(J, rule)
-        return np.array(exact.d_rho(rho, t) if derivative else exact(rho, t), order="C")
-    values, slopes = _circle_tables(J, rule, exact.radius)
-    if derivative:
-        return slopes[1:].copy()
-    out = values.copy()
+        return np.array(exact(_grid(J, rule), t), order="C")
+    out = _circle_tables(J, rule, exact.radius)[0].copy()
     out[:, 0] += exact.center(t)
     return out
+
+
+def _slopes(exact: CurveFunction, J: int, rule: str, t: float) -> np.ndarray:
+    """``exact``'s rho derivative at the ``_grid`` points of ``rule`` at time
+    t, C-ordered (n + 1, 2), row 0 a copy of row n, so rows 1: sit at the
+    points and rows :-1 at their left neighbours: a circle's read-only
+    ``_circle_tables`` entry, any other curve's fresh ``d_rho`` with that row."""
+    if isinstance(exact, _Circle):
+        return _circle_tables(J, rule, exact.radius)[1]
+    slopes = exact.d_rho(_grid(J, rule), t)
+    return np.concatenate((slopes[-1:], slopes))
 
 
 # The norms below sum C-ordered temporaries only: a member of a curve
@@ -174,22 +177,16 @@ def h1_seminorm_error(
     J = curve.node_count
     h = curve.spacing
     slope = curve.edge_vectors() / h  # constant per element
+    slopes = _slopes(exact, J, rule, t)
+    # the differences are fresh and C-ordered like slopes, whatever slope's layout
     if rule == "nodal":
-        if isinstance(exact, _Circle):
-            slopes = _circle_tables(J, rule, exact.radius)[1]
-        else:
-            slopes = _samples(exact, J, rule, t, derivative=True)
-            slopes = np.concatenate((slopes[-1:], slopes))
-        # fresh and C-ordered like the table, whatever the layout of slope
         a = slopes[:-1] - slope  # left endpoint of element j
         b = slopes[1:] - slope  # right endpoint
         a *= a
         b *= b
         return sqrt(0.5 * h * float(_sum(a, None) + _sum(b, None)))
     _, s, w = element_rho(J, 5)
-    # formed in place as derivative - slope: a difference's sign leaves its square
-    diff = _samples(exact, J, rule, t, derivative=True).reshape(J, len(s), 2)
-    diff -= slope[:, None, :]
+    diff = slopes[1:].reshape(J, len(s), 2) - slope[:, None, :]
     diff *= diff
     return sqrt(h * float(np.einsum("g,jgc->", w, diff)))
 

@@ -1,4 +1,5 @@
 import collections
+import copy
 import pickle
 import re
 
@@ -14,6 +15,7 @@ from torusflow import (
     SourceField,
     manufactured_forcing,
     radial_direction_load,
+    solve_cyclic,
     source_load,
     weighted_mass_matrix,
     weighted_stiffness_matrix,
@@ -21,6 +23,7 @@ from torusflow import (
 
 from torusflow import assembly
 from torusflow.assembly import _basis_loads, _hat_moments
+from torusflow.curves import CurveStack
 from torusflow.quadrature import element_rho
 
 from oracles import (
@@ -67,6 +70,23 @@ class TestCyclicTridiagonal:
         copy = CyclicTridiagonal(built.diag, built.sub, built.sup)
         assert built._symmetric and not copy._symmetric
         assert built == copy and copy == built
+
+    @pytest.mark.parametrize("rebuild", [lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy])
+    def test_copies_and_pickles_hold_read_only_bands_compared_again(self, rebuild, rng):
+        # an assembled matrix declares its bands symmetric; a copy or a
+        # pickle comes back read-only and without that declaration, so
+        # the solver compares its bands instead of trusting them
+        curves = [PeriodicCurve(random_admissible_positions(rng, 12)) for _ in range(3)]
+        single = weighted_mass_matrix(curves[0])
+        stack = weighted_mass_matrix(CurveStack(np.stack([c._components for c in curves], axis=1)))
+        for m, rhs in ((single, rng.normal(size=(12, 2))), (stack, rng.normal(size=(3, 12, 2)))):
+            back = rebuild(m)
+            assert m._symmetric and not back._symmetric
+            assert not any(band.flags.writeable for band in (back.diag, back.sub, back.sup))
+            assert back == m
+            got, want = solve_cyclic(back, rhs), solve_cyclic(m, rhs)
+            assert got.solution.tobytes() == want.solution.tobytes()
+            assert (got.status, got.path) == (want.status, want.path)
 
     def test_bands_are_immutable(self):
         m = CyclicTridiagonal(np.ones(4), np.zeros(4), np.zeros(4))
@@ -295,6 +315,18 @@ class TestSeparableSource:
         assert np.array_equal(handed, want)
         handed[:] = 0.0
         assert np.array_equal(source_load(f, 16, 0.7), want)  # computed anew
+
+    def test_a_copy_of_a_field_computes_its_own_load(self):
+        # copy.copy shares the field's hold; the hold names the field it
+        # belongs to, so the copy computes a load of its own
+        f = manufactured_forcing()
+        want = source_load(f, 16, 0.25)
+        g = copy.copy(f)
+        mine, theirs = source_load(f, 16, 0.25), source_load(g, 16, 0.25)
+        assert mine is not theirs
+        mine[:] = 0.0
+        assert np.array_equal(theirs, want)
+        assert np.array_equal(source_load(f, 16, 0.25), want)
 
     def test_a_field_without_an_instance_dict_holds_nothing(self):
         f = manufactured_forcing()

@@ -278,6 +278,18 @@ class TestPaths:
         expect = thomas_like_dense_solve(m.to_dense(), rhs)
         assert np.abs(report.solution - expect).max() <= 1e-12 * np.abs(expect).max()
 
+    def test_refinement_audits_each_solution_it_keeps_once(self):
+        # the block's solution, the solution redone alone and the two
+        # refined candidates are audited; the corrections are not
+        J = 8
+        diag = np.full(J, 4.0)
+        diag[0] = 1e-13
+        m = CyclicTridiagonal(diag, np.ones(J), np.ones(J))
+        with mock.patch.object(cyclic_solver, "_audit", wraps=_audit) as audit:
+            report = solve_cyclic(m, np.arange(1.0, J + 1.0))
+        assert (report.status, report.path, report.refinements) == (SolveStatus.OK, "lu", 2)
+        assert audit.call_count == 4
+
     def test_singular_core_is_redone_with_the_second_shift(self):
         # with gamma = -diag[0] = -1 the tridiagonal core is
         # [[2,2,0,0],[1,1,0,0],[0,1,3,1],[0,0,1,3]], exactly singular,
