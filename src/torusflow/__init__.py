@@ -1,111 +1,19 @@
 """Finite element evolution of axisymmetric torus-type surfaces via their
-generating curves."""
+generating curves.
+
+Each module's ``__all__`` is the one declaration of its public names; the
+package re-exports them, in module order, after ``__version__``.
+"""
 
 __version__ = "0.1.0"
 
-from .assembly import (
-    CyclicTridiagonal,
-    radial_direction_load,
-    source_load,
-    weighted_mass_matrix,
-    weighted_stiffness_matrix,
-)
-from .curves import (
-    CurveFunction,
-    InadmissibleCurveError,
-    PeriodicCurve,
-    ellipse_curve,
-    interpolate,
-    rose_curve,
-    spiral_curve,
-    torus_circle,
-)
-from .cyclic_solver import SolveReport, SolveStatus, solve_cyclic
-from .diagnostics import (
-    ErrorRecord,
-    diameter,
-    h1_seminorm_error,
-    l2_error,
-    mesh_ratio,
-    min_radial,
-    superconvergence_error,
-)
-from .experiments import (
-    BisectionResult,
-    ConvergenceRow,
-    ConvergenceStudy,
-    ScenarioResult,
-    Snapshot,
-    bisect_critical_radius,
-    classify_radius,
-    run_convergence,
-    run_scenario,
-    scenario_curve,
-)
-from .stepping import (
-    EventThresholds,
-    RunReport,
-    SchemeKind,
-    SourceField,
-    StepFailure,
-    StepperState,
-    StopEvent,
-    StopKind,
-    bdf1_step,
-    bdf2_step,
-    cn_step,
-    manufactured_forcing,
-    manufactured_solution,
-    run,
-)
+from . import assembly, curves, cyclic_solver, diagnostics, experiments, stepping
+from .assembly import *
+from .curves import *
+from .cyclic_solver import *
+from .diagnostics import *
+from .experiments import *
+from .stepping import *
 
-__all__ = [
-    "__version__",
-    "CyclicTridiagonal",
-    "radial_direction_load",
-    "source_load",
-    "weighted_mass_matrix",
-    "weighted_stiffness_matrix",
-    "CurveFunction",
-    "InadmissibleCurveError",
-    "PeriodicCurve",
-    "ellipse_curve",
-    "interpolate",
-    "rose_curve",
-    "spiral_curve",
-    "torus_circle",
-    "SolveReport",
-    "SolveStatus",
-    "solve_cyclic",
-    "ErrorRecord",
-    "diameter",
-    "h1_seminorm_error",
-    "l2_error",
-    "mesh_ratio",
-    "min_radial",
-    "superconvergence_error",
-    "BisectionResult",
-    "ConvergenceRow",
-    "ConvergenceStudy",
-    "ScenarioResult",
-    "Snapshot",
-    "bisect_critical_radius",
-    "classify_radius",
-    "run_convergence",
-    "run_scenario",
-    "scenario_curve",
-    "EventThresholds",
-    "RunReport",
-    "SchemeKind",
-    "SourceField",
-    "StepFailure",
-    "StepperState",
-    "StopEvent",
-    "StopKind",
-    "bdf1_step",
-    "bdf2_step",
-    "cn_step",
-    "manufactured_forcing",
-    "manufactured_solution",
-    "run",
-]
+_MODULES = (assembly, curves, cyclic_solver, diagnostics, experiments, stepping)
+__all__ = sum((module.__all__ for module in _MODULES), ["__version__"])

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .curves import _built, _ByValue, _count
+from .curves import _built, _ByValue, _count, _real
 from .quadrature import element_rho
 
 __all__ = [
@@ -221,8 +221,7 @@ def _hat_moments(vals, s, wts) -> np.ndarray:
 # are two times here, since a field's coeffs may tell them apart
 _bits = struct.Struct("d").pack
 
-# Gauss points per element of every source load; metadata.json states
-# it as "gauss3 per element"
+# Gauss points per element of every source load, stated in metadata.json
 _SOURCE_POINTS = 3
 # elements per block of a basis-load build: the build holds the basis
 # values of at most this many elements at once
@@ -268,6 +267,7 @@ def source_load(f, node_count: int, t: float) -> np.ndarray:
     of one step and the old level of the next, and so computes it once.
     """
     J = _count("node_count", node_count, 3)
+    _real("t", t)  # any sign: a held load tells 0.0 from -0.0
     basis = getattr(f, "basis", None)
     if basis is not None:
         key = (id(f), J, _bits(t))  # a copy of f copies the hold, not the id

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .assembly import _SOURCE_POINTS
 from .curves import PeriodicCurve, _count
 from .experiments import (
     TABLE_ERROR_RULE,
@@ -28,7 +29,7 @@ from .experiments import (
     run_convergence,
     run_scenario,
 )
-from .stepping import SchemeKind, StopEvent
+from .stepping import SchemeKind
 
 __all__ = [
     "main",
@@ -150,10 +151,6 @@ def _snapshot_label(t: float) -> str:
     return f"{t:g}".replace("-", "m")
 
 
-def _event_dict(event: StopEvent) -> dict:
-    return {"kind": event.kind.value, "time": event.time, "metric": event.metric}
-
-
 def write_evolution_bundle(
     result,
     directory,
@@ -198,7 +195,7 @@ def write_evolution_bundle(
     meta = {
         "tool": {"name": "torusflow", "version": __version__},
         "command": command_args or {},
-        "event": _event_dict(report.event),
+        "event": asdict(report.event),
         "snapshots": [
             {
                 "requested_time": snap.requested_time,
@@ -211,7 +208,7 @@ def write_evolution_bundle(
         "thresholds": asdict(report.thresholds),
         "numerics": {
             "assembly": "exact closed-form element integrals",
-            "source_quadrature": "gauss3 per element",
+            "source_quadrature": f"gauss{_SOURCE_POINTS} per element",
             "linear_solver": (
                 "cyclic tridiagonal via Sherman-Morrison: LDL^T (dpttrf) for the "
                 "symmetric positive definite step matrices, pivoted LU (dgttrf) otherwise"

@@ -47,18 +47,25 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _real(name: str, value, what: str = "a finite real number") -> None:
+    """Check that ``value`` is a finite real number, not a bool; else say
+    that ``name`` must be ``what``."""
+    try:  # a float first: a check against the Real ABC takes about 0.4 us
+        ok = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an int beyond the range of a float
+        raise ValueError(f"{name} must be {what}, got an integer too large for a float") from None
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def _finite(name: str, value, positive: bool = True) -> None:
     """Check that ``value`` is a finite real number, not a bool, positive
     or, with ``positive=False``, nonnegative."""
-    sign = "positive" if positive else "nonnegative"
-    try:
-        ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int beyond the range of a float
-        raise ValueError(
-            f"{name} must be {sign} and finite, got an integer too large for a float"
-        ) from None
-    if not (ok and (value > 0.0 if positive else value >= 0.0)):
-        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+    what = f"{'positive' if positive else 'nonnegative'} and finite"
+    _real(name, value, what)
+    if not (value > 0.0 if positive else value >= 0.0):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _built(cls, **values):

@@ -48,7 +48,7 @@ import numpy as np
 from .assembly import CyclicTridiagonal, _banded
 from .curves import _ByValue
 
-__all__ = ["SolveStatus", "SolveReport", "solve_cyclic", "RESIDUAL_RTOL"]
+__all__ = ["SolveStatus", "SolveReport", "solve_cyclic"]
 
 
 def _load_lapack():

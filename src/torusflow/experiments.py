@@ -46,8 +46,6 @@ __all__ = [
     "Snapshot",
     "ScenarioResult",
     "run_scenario",
-    "TABLE_ERROR_RULE",
-    "CHECKPOINT_COUNT",
 ]
 
 # sampling rule behind the published error tables (see decisions ledger):
@@ -322,14 +320,10 @@ def scenario_curve(name: str) -> CurveFunction:
         if not arg:
             raise ValueError("torus scenario needs a radius, e.g. 'torus:0.7'")
         return torus_circle(_scenario_param(name, "radius", float, arg))
-    if base == "ellipse":
+    if base in ("ellipse", "rose"):
         if arg:
-            raise ValueError("ellipse scenario takes no parameter")
-        return ellipse_curve()
-    if base == "rose":
-        if arg:
-            raise ValueError("rose scenario takes no parameter")
-        return rose_curve()
+            raise ValueError(f"{base} scenario takes no parameter")
+        return ellipse_curve() if base == "ellipse" else rose_curve()
     if base == "spiral":
         if not arg:
             return spiral_curve()

@@ -60,6 +60,7 @@ from .assembly import (
     weighted_stiffness_matrix,
 )
 from .curves import (
+    TWO_PI,
     CurveFunction,
     CurveStack,
     PeriodicCurve,
@@ -82,7 +83,6 @@ from .diagnostics import (
     superconvergence_error,
 )
 
-TWO_PI = 2.0 * np.pi
 FOUR_PI_SQ = 4.0 * np.pi**2
 
 __all__ = [

@@ -335,6 +335,23 @@ class TestSeparableSource:
         assert np.array_equal(source_load(plain, 16, 0.7), first)
         assert np.array_equal(first, source_load(f, 16, 0.7))
 
+    @pytest.mark.parametrize("separable", [True, False])
+    @pytest.mark.parametrize(
+        "t", ["a", None, True, np.nan, -np.inf, 10**400, np.array(0.5)],
+        ids=["str", "none", "bool", "nan", "-inf", "huge-int", "array"],
+    )
+    def test_a_time_that_is_not_a_finite_real_is_named(self, separable, t):
+        f = manufactured_forcing()
+        field = f if separable else SourceField(f.func)
+        with pytest.raises(ValueError, match="^t must be a finite real number, got "):
+            source_load(field, 16, t)
+
+    @pytest.mark.parametrize("t", [-0.25, -0.0, 0.0])
+    def test_negative_and_signed_zero_times_are_loaded(self, t):
+        f = manufactured_forcing()
+        direct = source_load(SourceField(f.func), 16, t)
+        assert np.allclose(source_load(f, 16, t), direct, rtol=1e-13, atol=1e-12)
+
     @pytest.mark.parametrize("given", [{"basis": np.cos}, {"coeffs": np.cos}])
     def test_half_a_form_is_rejected(self, given):
         with pytest.raises(ValueError, match="both basis and coeffs"):

@@ -413,6 +413,17 @@ class TestBisectCommand:
         assert 0.5 <= low < high <= 0.7
         assert high - low <= 0.1 + 1e-12
 
+    def test_file_output_and_bracket_line(self, capsys, tmp_path):
+        argv = ["bisect", "--lower", "0.5", "--upper", "0.7", "--tol", "0.1", "--scheme", "cn",
+                "--nodes", "48", "--dt", "1e-3", "--out"]
+        assert main(argv + ["-"]) == 0
+        table = capsys.readouterr().out
+        out = tmp_path / "sub" / "bisect.csv"
+        assert main(argv + [str(out)]) == 0
+        assert out.read_text() == table
+        _, low, high = table.splitlines()[-1].split(",")
+        assert capsys.readouterr().out == f"bracket [{low}, {high}]\n"
+
 
 class TestErrorHandling:
     def test_domain_errors_exit_nonzero(self, capsys, tmp_path):

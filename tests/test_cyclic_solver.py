@@ -290,6 +290,31 @@ class TestPaths:
         assert (report.status, report.path, report.refinements) == (SolveStatus.OK, "lu", 2)
         assert audit.call_count == 4
 
+    def test_refinement_that_raises_the_residual_keeps_the_first_solution(self, monkeypatch):
+        # a correction that makes the residual larger ends the refinement
+        # at once: the report is the first solution's, as its audit found it
+        J = 8
+        diag = np.full(J, 4.0)
+        diag[0] = 1e-13
+        matrix = cyclic_solver._rows(CyclicTridiagonal(diag, np.ones(J), np.ones(J)), None)
+        cols, gamma = np.arange(1.0, J + 1.0)[None, None], -matrix.diag[:, 0]
+        path, first = _split(matrix, gamma, cols)
+        _, ((status, res_norm),), _ = _audit(matrix, cols, first)
+        assert status is SolveStatus.ILL_CONDITIONED
+        calls = []
+
+        def split(matrix, gamma, cols):
+            path, x = _split(matrix, gamma, cols)
+            calls.append(path)
+            return path, x if len(calls) == 1 else -3.0 * x  # the correction reversed, tripled
+
+        monkeypatch.setattr(cyclic_solver, "_split", split)
+        report = _refined(matrix, cols, gamma)
+        assert len(calls) == 2
+        assert np.array_equal(report.solution, first)
+        assert (report.residual_norm, report.status, report.refinements) == (res_norm, status, 1)
+        assert report.path == path and report.members == ((status, res_norm),)
+
     def test_singular_core_is_redone_with_the_second_shift(self):
         # with gamma = -diag[0] = -1 the tridiagonal core is
         # [[2,2,0,0],[1,1,0,0],[0,1,3,1],[0,0,1,3]], exactly singular,

@@ -16,6 +16,7 @@ from torusflow import (
     run_convergence,
     run_scenario,
     scenario_curve,
+    spiral_curve,
     torus_circle,
 )
 from torusflow import experiments
@@ -351,8 +352,14 @@ class TestScenarioCurves:
                 scenario_curve(bad)
 
     def test_spiral_layers(self):
-        pts = scenario_curve("spiral:3")(np.linspace(0, 1, 4096, endpoint=False))
-        assert polygon_winding(pts, about=np.array([3.0, 0.0])) == 7
+        rho = np.linspace(0, 1, 4096, endpoint=False)
+        # the plain label is the default spiral, of 2 layers
+        plain, default = scenario_curve("spiral"), spiral_curve()
+        assert np.array_equal(plain(rho), default(rho))
+        assert np.array_equal(plain.d_rho(rho), default.d_rho(rho))
+        for name, winding in (("spiral:3", 7), ("spiral", 5)):
+            pts = scenario_curve(name)(rho)
+            assert polygon_winding(pts, about=np.array([3.0, 0.0])) == winding
 
     @pytest.mark.parametrize("name, param", [("spiral:x", "layers"), ("torus:abc", "radius")])
     def test_bad_parameters_are_named(self, name, param):

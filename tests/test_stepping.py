@@ -17,6 +17,7 @@ from torusflow import (
     EventThresholds,
     PeriodicCurve,
     SchemeKind,
+    SolveStatus,
     SourceField,
     StepFailure,
     StepperState,
@@ -1014,6 +1015,49 @@ class TestStack:
         for row, member in zip((0, 1), (0, 2)):
             alone = cn_step(StepperState(curves[member], PeriodicCurve(prev[member]), 0.0, 1e-3))
             assert np.array_equal(new.member(row).positions, alone.positions)
+
+    def test_member_missing_its_solve_audit_ends_on_its_last_curve(self, monkeypatch):
+        # no gate run misses an audit: a stand-in solve reports the middle
+        # member ILL_CONDITIONED at step m, with the residual it names
+        radii, J, dt, t_end, m, residual = (0.5, 0.6, 0.55), 32, 1e-3, 0.01, 4, 3.5e-7
+        serial = [run(torus_circle(r), "cn", J, dt, t_end) for r in radii]
+        before = run(torus_circle(radii[1]), "cn", J, dt, (m - 1) * dt)
+        solve, calls = stepping.solve_cyclic, []
+
+        def failing(matrix, rhs):
+            report = solve(matrix, rhs)
+            calls.append(None)  # one solve a step, the bootstrap's included
+            if len(calls) != m:
+                return report
+            members = list(report.members)
+            members[1] = (SolveStatus.ILL_CONDITIONED, residual)
+            return dataclasses.replace(
+                report, status=SolveStatus.ILL_CONDITIONED, residual_norm=residual,
+                members=tuple(members),
+            )
+
+        monkeypatch.setattr(stepping, "solve_cyclic", failing)
+        stacked = stepping._run_stack([torus_circle(r) for r in radii], "cn", J, dt, t_end)
+        failed = stacked[1]
+        assert failed.event == StopEvent(StopKind.SOLVER_FAILURE, m * dt, residual)
+        assert failed.final == before.final
+        assert failed.records == before.records and failed.records[-1].step == m - 1
+        assert stacked[0] == serial[0] and stacked[2] == serial[2]
+
+    def test_solver_failure_raises_from_one_step(self, monkeypatch):
+        solve = stepping.solve_cyclic
+
+        def failing(matrix, rhs):
+            report = solve(matrix, rhs)
+            return dataclasses.replace(
+                report, status=SolveStatus.ILL_CONDITIONED, residual_norm=2.5e-9,
+                members=((SolveStatus.ILL_CONDITIONED, 2.5e-9),),
+            )
+
+        monkeypatch.setattr(stepping, "solve_cyclic", failing)
+        with pytest.raises(StepFailure, match="^linear solve ill_conditioned at t = ") as caught:
+            cn_step(history_state(16, 1e-3))
+        assert (caught.value.kind, caught.value.metric) == (StopKind.SOLVER_FAILURE, 2.5e-9)
 
     def test_nonfinite_coefficient_curve_is_a_solver_failure(self):
         positions = interpolate(torus_circle(0.6), 16).positions[None].copy()
