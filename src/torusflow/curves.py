@@ -37,10 +37,10 @@ class InadmissibleCurveError(ValueError):
 
 def _count(name: str, value, least: int) -> int:
     """``value`` as a count of at least ``least``; an integral float such
-    as 64.0 passes, a bool does not."""
-    if isinstance(value, bool) or not (
+    as 64.0 passes, a bool does not; a plain int skips the ABC checks."""
+    if type(value) is not int and (isinstance(value, bool) or not (
         isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())
-    ):
+    )):
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
@@ -301,7 +301,7 @@ def interpolate(f: CurveFunction, node_count: int, t: float = 0.0) -> PeriodicCu
 class _Circle(CurveFunction):
     """Circle of ``radius`` about (center(t), 0), traversed once
     counterclockwise.  The error norms in ``diagnostics`` sample it from
-    its cached per-grid tables with the arithmetic of ``value`` and
+    cached per-grid tables of the centred circle's ``value`` and
     ``derivative``, so their numbers are the same either way."""
 
     center: Callable[[float], float]
@@ -328,9 +328,10 @@ def torus_circle(radius: float) -> CurveFunction:
 
     Requires 0 < radius < 1 so the revolved surface keeps its hole.
     """
+    _real("radius", radius, "a real number in (0, 1)")
     radius = float(radius)
     if not 0.0 < radius < 1.0:
-        raise ValueError(f"torus circle radius must lie in (0, 1), got {radius!r}")
+        raise ValueError(f"radius must be a real number in (0, 1), got {radius!r}")
     return _circle(lambda t: 1.0, radius)
 
 
@@ -364,27 +365,18 @@ def _triangle_wave(rho: np.ndarray) -> np.ndarray:
     return 1.0 - np.abs(1.0 - 2.0 * frac)
 
 
-def spiral_curve(
-    center: float = 3.0,
-    inner: float = 0.4,
-    spread: float = 1.2,
-    layers: int = 2,
-) -> CurveFunction:
-    """Tightly coiled loop about (center, 0) closing after 2*layers + 1 turns.
+def spiral_curve(layers: int = 2) -> CurveFunction:
+    """Tightly coiled loop about (3, 0) closing after 2*layers + 1 turns.
 
-    The distance from the center ramps linearly from ``inner`` up to
-    ``inner + spread`` and back while the angle advances an odd number of
-    full turns, so the curve closes after one period and winds
-    2*layers + 1 times about its center.  ``center`` and ``inner`` must
-    be positive and finite, ``spread`` nonnegative and finite, and
-    ``layers`` an integer of at least 1; parameter combinations that push
-    the curve out of r > 0 anywhere on a dense sample are rejected.
+    The distance from the center ramps linearly from 0.4 up to 1.6 and
+    back while the angle advances an odd number of full turns, so the
+    curve closes after one period, winds 2*layers + 1 times about its
+    center and stays in r >= 1.4.  ``layers`` must be an integer of at
+    least 1.
     """
-    _finite("center", center)
-    _finite("inner", inner)
-    _finite("spread", spread, positive=False)
     layers = _count("layers", layers, 1)
     turns = 2 * layers + 1
+    center, inner, spread = 3.0, 0.4, 1.2
 
     def value(rho, t=0.0):
         rho = np.asarray(rho, dtype=float)
@@ -403,8 +395,4 @@ def spiral_curve(
         dz = ds * np.sin(ang) + s * np.cos(ang) * dang
         return np.stack([dr, dz], axis=-1)
 
-    f = CurveFunction(value, derivative)
-    sample = f(np.linspace(0.0, 1.0, 4097))
-    if sample[:, 0].min() <= 0.0:
-        raise ValueError("spiral parameters leave the half-plane r > 0")
-    return f
+    return CurveFunction(value, derivative)

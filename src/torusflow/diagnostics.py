@@ -40,7 +40,7 @@ from math import frexp, nan, sqrt
 
 import numpy as np
 
-from .curves import TWO_PI, CurveFunction, PeriodicCurve, _ByValue, _Circle
+from .curves import CurveFunction, PeriodicCurve, _ByValue, _Circle, _circle
 from .quadrature import element_rho
 
 __all__ = [
@@ -96,12 +96,10 @@ def _circle_tables(J: int, rule: str, radius: float) -> tuple[np.ndarray, np.nda
     of 2 pi rho, shape (n, 2), and its rho derivative
     (2 pi radius) (-sin, cos), shape (n + 1, 2) with row 0 a copy of row
     n, so that rows 1: sit at the points and rows :-1 at their left
-    neighbours.  Each entry is the product a ``_Circle``'s ``value`` and
-    ``derivative`` form, bit for bit."""
-    ang = TWO_PI * _grid(J, rule)
-    cos, sin = np.cos(ang), np.sin(ang)
-    values = np.stack([radius * cos, radius * sin], axis=-1)
-    slopes = (TWO_PI * radius) * np.stack([-sin, cos], axis=-1)
+    neighbours: the circle's own ``value`` and ``derivative``, about -0.0,
+    since -0.0 + x is x, sign bit included."""
+    grid, circle = _grid(J, rule), _circle(lambda t: -0.0, radius)
+    values, slopes = circle.value(grid), circle.derivative(grid)
     slopes = np.concatenate((slopes[-1:], slopes))
     values.setflags(write=False)
     slopes.setflags(write=False)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .curves import CurveFunction, ellipse_curve, rose_curve, spiral_curve, torus_circle
-from .curves import _count, _finite
+from .curves import _count, _finite, _real
 from .stepping import (
-    EventThresholds,
     PeriodicCurve,
     RunReport,
     SchemeKind,
@@ -115,6 +114,10 @@ def run_convergence(
     scheme = SchemeKind(scheme)
     if axis not in ("spatial", "temporal"):
         raise ValueError(f"axis must be 'spatial' or 'temporal', got {axis!r}")
+    try:
+        levels = tuple(levels)
+    except TypeError:
+        raise TypeError(f"levels must be a sequence of counts, got {type(levels).__name__}") from None
     levels = [_count("levels", v, 3) for v in levels]
     if not levels:
         raise ValueError("need at least one level")
@@ -155,19 +158,16 @@ def run_convergence(
         err_l2 = max(rec.err_l2 for rec in picked)
         err_h1 = max(rec.err_h1 for rec in picked)
         superconv.append(max(rec.superconv_h1 for rec in picked))
-        if rows:
-            prev = rows[-1]
-            rows.append(
-                ConvergenceRow(
-                    level,
-                    err_l2,
-                    _order(prev.err_l2, err_l2, prev.resolution, level),
-                    err_h1,
-                    _order(prev.err_h1, err_h1, prev.resolution, level),
-                )
+        prev = rows[-1] if rows else None
+        rows.append(
+            ConvergenceRow(
+                level,
+                err_l2,
+                _order(prev.err_l2, err_l2, prev.resolution, level) if prev else None,
+                err_h1,
+                _order(prev.err_h1, err_h1, prev.resolution, level) if prev else None,
             )
-        else:
-            rows.append(ConvergenceRow(level, err_l2, None, err_h1, None))
+        )
     return ConvergenceStudy(scheme=scheme, axis=axis, rows=rows, superconv_h1=superconv)
 
 
@@ -177,20 +177,12 @@ def _classify(
     node_count: int,
     dt: float,
     t_max: float,
-    thresholds: Optional[EventThresholds],
 ) -> list[StopEvent]:
-    """The stop event of each radius's unforced torus circle, all advanced
-    as one stack; ``_singular`` judges whether it is a singularity."""
+    """The stop event of each radius's unforced torus circle under the default
+    ``EventThresholds``, all advanced as one stack; ``_singular`` judges it."""
     t_end = max(1, _nearest_step_count("t_max", t_max, dt, positive=True)) * dt
-    reports = _run_stack(
-        [torus_circle(radius) for radius in radii],
-        scheme,
-        node_count,
-        dt,
-        t_end,
-        thresholds=thresholds,
-        keep_records=False,
-    )
+    circles = [torus_circle(radius) for radius in radii]
+    reports = _run_stack(circles, scheme, node_count, dt, t_end, keep_records=False)
     return [report.event for report in reports]
 
 
@@ -216,14 +208,13 @@ def classify_radius(
     node_count: int = 512,
     dt: float = 1e-4,
     t_max: float = 0.5,
-    thresholds: Optional[EventThresholds] = None,
 ) -> StopEvent:
     """Evolve an unforced torus circle and report its terminal singularity.
 
     Returns the axis_touch or curve_collapse event; raises if the run
     reaches t_max without one, or dies of a non-geometric failure.
     """
-    (event,) = _classify([radius], scheme, node_count, dt, t_max, thresholds)
+    (event,) = _classify([radius], scheme, node_count, dt, t_max)
     return _singular(radius, event)
 
 
@@ -262,7 +253,6 @@ def bisect_critical_radius(
     node_count: int = 512,
     dt: float = 1e-4,
     t_max: float = 0.5,
-    thresholds: Optional[EventThresholds] = None,
 ) -> BisectionResult:
     """Bracket the radius separating collapse from axis contact.
 
@@ -277,6 +267,8 @@ def bisect_critical_radius(
     left out of the log.  The log lists the endpoints first, then every
     other radius classified as singular, including skipped ones.
     """
+    _real("lower", lower)
+    _real("upper", upper)
     if not 0.0 < lower < upper < 1.0:
         raise ValueError("need 0 < lower < upper < 1")
     _finite("tol", tol)
@@ -285,7 +277,7 @@ def bisect_critical_radius(
     results: dict[float, StopEvent] = {}  # each classified radius's stop event
 
     def classify_round(radii: list[float]) -> None:
-        results.update(zip(radii, _classify(radii, scheme, node_count, dt, t_max, thresholds)))
+        results.update(zip(radii, _classify(radii, scheme, node_count, dt, t_max)))
 
     def event(radius: float) -> StopEvent:
         return _singular(radius, results[radius])
@@ -315,19 +307,19 @@ def bisect_critical_radius(
 
 def scenario_curve(name: str) -> CurveFunction:
     """Parse a scenario label: 'torus:R', 'ellipse', 'rose', 'spiral[:layers]'."""
-    base, _, arg = name.partition(":")
+    if not isinstance(name, str):
+        raise TypeError(f"scenario name must be a str, got {type(name).__name__}")
+    base, colon, arg = name.partition(":")
     if base == "torus":
         if not arg:
             raise ValueError("torus scenario needs a radius, e.g. 'torus:0.7'")
         return torus_circle(_scenario_param(name, "radius", float, arg))
     if base in ("ellipse", "rose"):
-        if arg:
+        if colon:
             raise ValueError(f"{base} scenario takes no parameter")
         return ellipse_curve() if base == "ellipse" else rose_curve()
     if base == "spiral":
-        if not arg:
-            return spiral_curve()
-        return spiral_curve(layers=_scenario_param(name, "layers", int, arg))
+        return spiral_curve(_scenario_param(name, "layers", int, arg)) if colon else spiral_curve()
     raise ValueError(f"unknown scenario {name!r}")
 
 
@@ -362,20 +354,23 @@ def run_scenario(
     dt: float,
     t_end: float,
     snapshot_times: Sequence[float] = (),
-    thresholds: Optional[EventThresholds] = None,
 ) -> ScenarioResult:
     """Evolve a named scenario, capturing the curve at the grid times
     nearest the requested snapshot times.
 
-    An early stopping event truncates the snapshot list; the event
-    itself is recorded in the report.
+    The run uses the default ``EventThresholds``.  An early stopping
+    event truncates the snapshot list; the event itself is in the report.
     """
     f = scenario_curve(name)
     _step_count(t_end, dt)  # names a bad dt or t_end before any work
+    try:
+        snapshot_times = tuple(snapshot_times)
+    except TypeError:
+        kind = type(snapshot_times).__name__
+        raise TypeError(f"snapshot_times must be a sequence of times, got {kind}") from None
     wanted: dict[int, float] = {}
     for t_req in snapshot_times:
-        if not math.isfinite(t_req):
-            raise ValueError(f"snapshot_times must be finite, got {t_req!r}")
+        _real("snapshot_times", t_req, "finite")
         # clamped before dividing, so a huge time cannot overflow
         idx = int(round(min(max(t_req, 0.0), t_end) / dt))
         wanted.setdefault(idx, float(t_req))
@@ -386,13 +381,5 @@ def run_scenario(
         if step in wanted:
             snapshots.append(Snapshot(wanted[step], t, step, curve))
 
-    report = run(
-        f,
-        scheme,
-        node_count,
-        dt,
-        t_end,
-        thresholds=thresholds,
-        observers=(observer,),
-    )
+    report = run(f, scheme, node_count, dt, t_end, observers=(observer,))
     return ScenarioResult(report=report, snapshots=snapshots)

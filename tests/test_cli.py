@@ -10,7 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torusflow import EventThresholds, PeriodicCurve, experiments, interpolate, run_scenario, torus_circle
+from torusflow import (
+    EventThresholds,
+    PeriodicCurve,
+    ScenarioResult,
+    experiments,
+    interpolate,
+    run,
+    run_scenario,
+    torus_circle,
+)
 from torusflow.cli import (
     _build_parser,
     main,
@@ -283,9 +292,9 @@ class TestEvolutionBundle:
 
     def test_metadata_records_thresholds_of_the_run(self, tmp_path):
         used = EventThresholds(axis=0.25, collapse=2e-3, edge_fraction=1e-7)
-        run = run_scenario("torus:0.6", "bdf1", 16, 1e-3, 0.01, thresholds=used)
-        assert run.report.thresholds == used
-        bundle = write_evolution_bundle(run, tmp_path / "out")
+        report = run(torus_circle(0.6), "bdf1", 16, 1e-3, 0.01, thresholds=used)
+        assert report.thresholds == used
+        bundle = write_evolution_bundle(ScenarioResult(report, []), tmp_path / "out")
         meta = json.loads(bundle.metadata.read_text())
         assert meta["thresholds"] == asdict(used)
 

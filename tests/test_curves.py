@@ -167,6 +167,8 @@ class TestInterpolate:
     def test_node_count_must_be_an_integer(self):
         with pytest.raises(ValueError, match="^node_count must be an integer of at least 3, got 10.5$"):
             interpolate(torus_circle(0.5), 10.5)
+        with pytest.raises(ValueError, match="^node_count must be an integer of at least 3, got True$"):
+            interpolate(torus_circle(0.5), True)
         curve = interpolate(torus_circle(0.5), 10.0)
         assert curve.node_count == 10
         assert np.array_equal(curve.positions, interpolate(torus_circle(0.5), 10).positions)
@@ -206,9 +208,12 @@ class TestGeometries:
         expected = 2.0 * 0.5 * np.sin(np.pi / 64)
         assert np.allclose(lens, expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("radius", [-0.1, 0.0, 1.0, 1.5])
+    @pytest.mark.parametrize(
+        "radius",
+        [-0.1, 0.0, 1.0, 1.5, "0.5", "a", None, True, float("nan"), pytest.param(10**400, id="huge-int")],
+    )
     def test_torus_circle_domain(self, radius):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^radius must be a real number in \\(0, 1\\), got "):
             torus_circle(radius)
 
     def test_ellipse_anchor(self):
@@ -245,27 +250,18 @@ class TestGeometries:
         f = spiral_curve()
         assert np.allclose(f(np.array([0.0])), f(np.array([1.0])), atol=1e-12)
 
-    def test_spiral_rejects_axis_crossing(self):
-        with pytest.raises(ValueError):
-            spiral_curve(center=1.0, inner=0.4, spread=1.2)
+    def test_spiral_stays_in_r_above_1_4(self):
+        # radius 3 - (0.4 + 1.2) at the outermost turn, whatever the layers
+        rho = np.linspace(0.0, 1.0, 4097)
+        for layers in range(1, 9):
+            assert spiral_curve(layers=layers)(rho)[:, 0].min() >= 1.4 - 1e-12
 
     def test_spiral_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            spiral_curve(inner=0.0)
-        with pytest.raises(ValueError):
             spiral_curve(layers=0)
-        for kwargs, message in [
-            (dict(layers=1.5), "layers must be an integer of at least 1, got 1.5"),
-            (dict(inner=float("nan")), "inner must be positive and finite, got nan"),
-            (dict(spread=float("inf")), "spread must be nonnegative and finite, got inf"),
-            (dict(center=float("nan")), "center must be positive and finite, got nan"),
-            (
-                dict(center=10**400),
-                "center must be positive and finite, got an integer too large for a float",
-            ),
-        ]:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                spiral_curve(**kwargs)
+        message = "layers must be an integer of at least 1, got 1.5"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spiral_curve(layers=1.5)
 
 
 class TestInterpolationAccuracy:

@@ -61,6 +61,10 @@ class TestRunConvergence:
         with pytest.raises(ValueError):
             run_convergence("cn", "spatial", [2, 4])
 
+    def test_rejects_levels_that_are_not_iterable_by_name(self):
+        with pytest.raises(TypeError, match="^levels must be a sequence of counts, got int$"):
+            run_convergence("cn", "spatial", 5)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -179,7 +183,7 @@ class TestClassifyRadius:
 
         monkeypatch.setattr(experiments, "_run_stack", spy)
         radii, dt, t_max = [0.5, 0.7], 1e-3, 0.5
-        events = experiments._classify(radii, "cn", 32, dt, t_max, None)
+        events = experiments._classify(radii, "cn", 32, dt, t_max)
         assert kept == [0, 0]
         assert [event.kind for event in events] == [StopKind.CURVE_COLLAPSE, StopKind.AXIS_TOUCH]
         for radius, event in zip(radii, events):
@@ -212,6 +216,13 @@ class TestBisection:
             bisect_critical_radius(0.5, 1.0, 0.01, "cn")
         with pytest.raises(ValueError):
             bisect_critical_radius(0.5, 0.7, 0.0, "cn")
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    @pytest.mark.parametrize("value", ["a", None, True, float("nan")])
+    def test_rejects_an_endpoint_that_is_no_real_number_by_name(self, end, value):
+        bracket = {"lower": 0.5, "upper": 0.7, end: value}
+        with pytest.raises(ValueError, match=f"^{end} must be a finite real number, got "):
+            bisect_critical_radius(bracket["lower"], bracket["upper"], 0.01, "cn")
 
     @pytest.mark.parametrize(
         "tol", [float("nan"), float("inf"), -0.01, pytest.param(10**400, id="huge-int")]
@@ -347,7 +358,7 @@ class TestScenarioCurves:
     def test_plain_labels(self):
         assert scenario_curve("ellipse")(np.array([0.0]))[0] == pytest.approx([6.0, 0.0])
         assert scenario_curve("rose")(np.array([0.0]))[0] == pytest.approx([13.0, 0.0])
-        for bad in ("ellipse:2", "rose:1", "banana"):
+        for bad in ("ellipse:2", "rose:1", "banana", "ellipse:", "rose:", "spiral:"):
             with pytest.raises(ValueError):
                 scenario_curve(bad)
 
@@ -365,6 +376,10 @@ class TestScenarioCurves:
     def test_bad_parameters_are_named(self, name, param):
         with pytest.raises(ValueError, match=f"^scenario '{name}': {param} is not a valid "):
             scenario_curve(name)
+
+    def test_a_label_that_is_no_string_is_named(self):
+        with pytest.raises(TypeError, match="^scenario name must be a str, got int$"):
+            scenario_curve(5)
 
 
 class TestRunScenario:
@@ -386,10 +401,17 @@ class TestRunScenario:
             with pytest.raises(ValueError, match=f"^{name} must be "):
                 run_scenario("torus:0.6", "cn", 16, dt, t_end, snapshot_times=(0.0,))
 
-    @pytest.mark.parametrize("t_snap", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "t_snap",
+        [float("nan"), float("inf"), float("-inf"), "a", True, None, pytest.param(10**400, id="huge-int")],
+    )
     def test_rejects_nonfinite_snapshot_times_by_name(self, t_snap):
         with pytest.raises(ValueError, match="^snapshot_times must be finite"):
             run_scenario("torus:0.6", "cn", 16, 1e-3, 0.01, snapshot_times=(0.0, t_snap))
+
+    def test_rejects_snapshot_times_that_are_not_iterable_by_name(self):
+        with pytest.raises(TypeError, match="^snapshot_times must be a sequence of times, got int$"):
+            run_scenario("torus:0.6", "cn", 16, 1e-3, 0.01, snapshot_times=5)
 
     def test_huge_snapshot_time_clamps_to_the_end(self):
         result = run_scenario("torus:0.6", "cn", 16, 1e-3, 0.01, snapshot_times=(1e308,))
