@@ -144,6 +144,10 @@ def _element_bands(r, data, mass_factor: float, stiffness_factor: float):
     m = (mass_factor / 12.0) * hw if mass_factor else 0.0
     k = 0.5 * r.shape[-1] * stiffness_factor
     extra = (mass_factor / 6.0) * r * pairs if mass_factor else 0.0
+    if not k:  # mass only, as on every BDF right side: no mirror to build
+        sub = a * m
+        sub_next = np.concatenate((sub[..., 1:], sub[..., :1]), axis=-1)
+        return ((sub + sub_next + extra, sub, sub_next),) * 2
     # the element products a (m - k) and a (m + k), then their next
     # neighbours (entry j holding element j + 1) and the two diagonals,
     # each as one stacked operation

@@ -47,6 +47,17 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _sequence(name: str, value, what: str) -> tuple:
+    """``value`` as a tuple; a str or a non-iterable raises a TypeError
+    saying that ``name`` must be a sequence of ``what``."""
+    try:
+        if not isinstance(value, str):
+            return tuple(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{name} must be a sequence of {what}, got {type(value).__name__}")
+
+
 def _real(name: str, value, what: str = "a finite real number") -> None:
     """Check that ``value`` is a finite real number, not a bool; else say
     that ``name`` must be ``what``."""

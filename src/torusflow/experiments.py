@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .curves import CurveFunction, ellipse_curve, rose_curve, spiral_curve, torus_circle
-from .curves import _count, _finite, _real
+from .curves import _count, _finite, _real, _sequence
 from .stepping import (
     PeriodicCurve,
     RunReport,
@@ -114,11 +114,7 @@ def run_convergence(
     scheme = SchemeKind(scheme)
     if axis not in ("spatial", "temporal"):
         raise ValueError(f"axis must be 'spatial' or 'temporal', got {axis!r}")
-    try:
-        levels = tuple(levels)
-    except TypeError:
-        raise TypeError(f"levels must be a sequence of counts, got {type(levels).__name__}") from None
-    levels = [_count("levels", v, 3) for v in levels]
+    levels = [_count("levels", v, 3) for v in _sequence("levels", levels, "counts")]
     if not levels:
         raise ValueError("need at least one level")
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -363,13 +359,8 @@ def run_scenario(
     """
     f = scenario_curve(name)
     _step_count(t_end, dt)  # names a bad dt or t_end before any work
-    try:
-        snapshot_times = tuple(snapshot_times)
-    except TypeError:
-        kind = type(snapshot_times).__name__
-        raise TypeError(f"snapshot_times must be a sequence of times, got {kind}") from None
     wanted: dict[int, float] = {}
-    for t_req in snapshot_times:
+    for t_req in _sequence("snapshot_times", snapshot_times, "times"):
         _real("snapshot_times", t_req, "finite")
         # clamped before dividing, so a huge time cannot overflow
         idx = int(round(min(max(t_req, 0.0), t_end) / dt))

@@ -69,6 +69,7 @@ from .curves import (
     _count,
     _elements,
     _finite,
+    _sequence,
     interpolate,
 )
 from .cyclic_solver import SolveStatus, solve_cyclic
@@ -516,11 +517,7 @@ def _run_stack(
     node_count = _count("node_count", node_count, 3)
     scheme = SchemeKind(scheme)
     steps = _step_count(t_end, dt)
-    try:
-        observers = tuple(observers)
-    except TypeError:
-        kind = type(observers).__name__
-        raise TypeError(f"observers must be a sequence of callables, got {kind}") from None
+    observers = _sequence("observers", observers, "callables")
     for obs in observers:
         if not callable(obs):
             raise TypeError(f"observers must be callables, got {type(obs).__name__}")

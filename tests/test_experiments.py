@@ -65,6 +65,11 @@ class TestRunConvergence:
         with pytest.raises(TypeError, match="^levels must be a sequence of counts, got int$"):
             run_convergence("cn", "spatial", 5)
 
+    def test_rejects_levels_given_as_a_string_by_name(self):
+        # a str is iterable, but its characters are no levels
+        with pytest.raises(TypeError, match="^levels must be a sequence of counts, got str$"):
+            run_convergence("cn", "spatial", "32,64")
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -412,6 +417,10 @@ class TestRunScenario:
     def test_rejects_snapshot_times_that_are_not_iterable_by_name(self):
         with pytest.raises(TypeError, match="^snapshot_times must be a sequence of times, got int$"):
             run_scenario("torus:0.6", "cn", 16, 1e-3, 0.01, snapshot_times=5)
+
+    def test_rejects_snapshot_times_given_as_a_string_by_name(self):
+        with pytest.raises(TypeError, match="^snapshot_times must be a sequence of times, got str$"):
+            run_scenario("torus:0.6", "cn", 16, 1e-3, 0.01, snapshot_times="0.01")
 
     def test_huge_snapshot_time_clamps_to_the_end(self):
         result = run_scenario("torus:0.6", "cn", 16, 1e-3, 0.01, snapshot_times=(1e308,))

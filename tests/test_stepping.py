@@ -111,6 +111,10 @@ class TestStateValidation:
                 "observers must be a sequence of callables, got NoneType",
             ),
             (
+                lambda curve: run(curve, "cn", 8, 1e-3, 1e-3, observers="print"),
+                "observers must be a sequence of callables, got str",
+            ),
+            (
                 lambda curve: run(curve, "cn", 8, 1e-3, 1e-3, observers=[1]),
                 "observers must be callables, got int",
             ),
@@ -124,8 +128,8 @@ class TestStateValidation:
             ),
         ],
         ids=[
-            "initial", "thresholds", "current", "previous", "observers", "observer", "exact",
-            "exact-function",
+            "initial", "thresholds", "current", "previous", "observers", "observers-str", "observer",
+            "exact", "exact-function",
         ],
     )
     def test_rejects_wrong_input_types_by_name(self, call, message):
