@@ -155,6 +155,14 @@ def check_records(stack, exact, t) -> bool:
     return True
 
 
+def new_level(t: float) -> tuple:
+    """``(t,)``, the ``t_new`` argument of the step that ends at t, for a
+    kernel that takes it; ``()`` for a tree whose kernel forms t + dt."""
+    from torusflow import stepping
+
+    return (t,) if "t_new" in inspect.signature(stepping._advance).parameters else ()
+
+
 def stepper(scheme: str, forced: bool, current, previous):
     """One step of ``scheme`` from the states (current, previous): an
     unforced step repeats the step from t = dt, a forced one takes step
@@ -163,14 +171,15 @@ def stepper(scheme: str, forced: bool, current, previous):
 
     step = stepping._STEPPERS[stepping.SchemeKind(scheme)]
     if not forced:
-        return lambda: step(current, previous, DT, DT, None)
+        level = new_level(2 * DT)
+        return lambda: step(current, previous, DT, DT, None, *level)
     source, grid = manufactured_forcing(), itertools.count(2)
-    takes_new_level = "t_new" in inspect.signature(stepping._advance).parameters
+    takes_new_level = bool(new_level(0.0))
 
     def consecutive():
         m = next(grid)
-        new_level = (m * DT,) if takes_new_level else ()
-        return step(current, previous, (m - 1) * DT, DT, source, *new_level)
+        level = (m * DT,) if takes_new_level else ()
+        return step(current, previous, (m - 1) * DT, DT, source, *level)
 
     return consecutive
 
@@ -189,7 +198,8 @@ def measure(number: int) -> dict:
         start = np.stack([interpolate(torus_circle(0.6 + 0.01 * i), J).positions for i in range(B)])
         # the kernel's component-major form, (2, B, J)
         previous = CurveStack(np.ascontiguousarray(start.transpose(2, 0, 1)))
-        current, failures = stepping._STEPPERS[stepping.SchemeKind.BDF1](previous, None, 0.0, DT, None)
+        bootstrap = stepping._STEPPERS[stepping.SchemeKind.BDF1]
+        current, failures = bootstrap(previous, None, 0.0, DT, None, *new_level(DT))
         if failures:
             raise RuntimeError(f"the bootstrap step failed: {failures}")
         runs = {
@@ -198,7 +208,7 @@ def measure(number: int) -> dict:
         }
         x, x_prev = current._components, previous._components
         floor = straight_cn(x, x_prev, DT, cyclic_solver.lapack, cyclic_solver.RESIDUAL_RTOL)
-        kernel = stepping._STEPPERS[stepping.SchemeKind.CN](current, previous, DT, DT, None)[0]
+        kernel = stepping._STEPPERS[stepping.SchemeKind.CN](current, previous, DT, DT, None, *new_level(2 * DT))[0]
         if floor is None or not np.array_equal(floor, kernel._components):
             raise RuntimeError(f"the straight-line CN step differs from the kernel at {B} x {J}")
         runs[f"floor {B}x{J}"] = lambda: straight_cn(

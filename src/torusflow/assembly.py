@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .curves import _built, _ByValue, _count, _real
+from .curves import _built, _ByValue, _count, _next, _real, _wrapped
 from .quadrature import element_rho
 
 __all__ = [
@@ -124,8 +124,9 @@ class CyclicTridiagonal(_ByValue):
 def _banded(diag, sub, sup, x) -> np.ndarray:
     """Product of the cyclic tridiagonal bands, shape (J,) or (B, J), with
     x along its last axis: x of shape (..., J) or (..., B, J), such as
-    the step kernel's components (2, B, J)."""
-    wrapped = np.concatenate((x[..., -1:], x, x[..., :1]), axis=-1)
+    the step kernel's components (2, B, J); one padded copy of x
+    (``curves._wrapped``) gives both neighbours."""
+    wrapped = _wrapped(x)
     return diag * x + sub * wrapped[..., :-2] + sup * wrapped[..., 2:]
 
 
@@ -146,7 +147,7 @@ def _element_bands(r, data, mass_factor: float, stiffness_factor: float):
     extra = (mass_factor / 6.0) * r * pairs if mass_factor else 0.0
     if not k:  # mass only, as on every BDF right side: no mirror to build
         sub = a * m
-        sub_next = np.concatenate((sub[..., 1:], sub[..., :1]), axis=-1)
+        sub_next = _next(sub)
         return ((sub + sub_next + extra, sub, sub_next),) * 2
     # the element products a (m - k) and a (m + k), then their next
     # neighbours (entry j holding element j + 1) and the two diagonals,
@@ -155,7 +156,7 @@ def _element_bands(r, data, mass_factor: float, stiffness_factor: float):
     np.subtract(m, k, out=off[0])
     np.add(m, k, out=off[1])
     off *= a
-    off_next = np.concatenate((off[..., 1:], off[..., :1]), axis=-1)
+    off_next = _next(off)
     diags = off + off_next
     diags += extra
     return (diags[1], off[0], off_next[0]), (diags[0], off[1], off_next[1])
@@ -213,7 +214,7 @@ def _hat_moments(vals, s, wts) -> np.ndarray:
     element, vals of shape (..., J, npts, 2) -> (..., J, 2): node j takes
     the rising moment of element j and the falling one of element j + 1."""
     left, right = _element_moments(vals, s, wts, 1.0 / vals.shape[-3])
-    return right + np.concatenate((left[..., 1:, :], left[..., :1, :]), axis=-2)
+    return right + _next(left, -2)
 
 
 # the bits of a time, which a held load's time must match: 0.0 and -0.0
@@ -243,6 +244,7 @@ def _basis_loads(basis, node_count: int, quadrature_points: int) -> np.ndarray:
             left, loads = (np.empty((len(vals), node_count, 2)) for _ in range(2))
         moments = _element_moments(vals.reshape(-1, len(block), len(s), 2), s, wts, 1.0 / node_count)
         left[:, start : start + len(block)], loads[:, start : start + len(block)] = moments
+    # ``_next(left, -2)`` added in place, without its (K, J, 2) temporary
     loads[:, :-1] += left[:, 1:]
     loads[:, -1] += left[:, 0]
     loads.setflags(write=False)

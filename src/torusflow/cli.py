@@ -29,7 +29,6 @@ from .experiments import (
     run_convergence,
     run_scenario,
 )
-from .stepping import SchemeKind
 
 __all__ = [
     "main",
@@ -269,7 +268,7 @@ def cmd_converge(args) -> int:
         logger.setLevel(logging.INFO)
     try:
         study = run_convergence(
-            SchemeKind(args.scheme),
+            args.scheme,
             args.axis,
             _parse_levels(args.levels),
             t_end=args.t_end,
@@ -294,7 +293,7 @@ def cmd_evolve(args) -> int:
     _count("--obj-segments", args.obj_segments, 3)
     result = run_scenario(
         args.scenario,
-        SchemeKind(args.scheme),
+        args.scheme,
         args.nodes,
         args.dt,
         args.t_end,
@@ -327,7 +326,7 @@ def cmd_bisect(args) -> int:
         args.lower,
         args.upper,
         args.tol,
-        SchemeKind(args.scheme),
+        args.scheme,
         node_count=args.nodes,
         dt=args.dt,
         t_max=args.t_max,

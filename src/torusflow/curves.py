@@ -5,6 +5,16 @@ rho -> (r(rho), z(rho)) over the periodic reference interval [0, 1),
 kept strictly inside the half-plane r > 0.  This module provides the
 piecewise linear curve type used by the solver together with the
 analytic start geometries of the scenario library.
+
+Node order: node j of a J-node polygon sits at rho_j = j/J between nodes
+j - 1 and j + 1 mod J, and edge (element) j runs from node j - 1 to node
+j, so edge 0 is the wrap-around segment.  Every shift of the node axis in
+the package goes through ``_previous`` (entry j holds entry j - 1),
+``_next`` (entry j + 1) and ``_wrapped`` (a wrapped node padded at each
+end), along axis -1 of (2, ..., J) and 1-d arrays or axis -2 of
+(..., J, 2) arrays: one np.concatenate into a fresh C-ordered array each,
+a fraction of np.roll's cost.  Only ``assembly._basis_loads`` adds its
+next-node wrap in place.
 """
 
 from __future__ import annotations
@@ -108,8 +118,49 @@ class _ByValue:
         return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
-# The two passes below wrap the components (2, ..., J) once, entry j of
-# the wrap holding node j - 1, and square coordinate differences, which
+# index tuples along axis -1 and -2 of the last entry, all but the last,
+# the first and all but the first: built once, as building them costs
+# about a tenth of a shift
+_PIECES = {
+    axis: [(..., cut) + (slice(None),) * (-1 - axis)
+           for cut in (slice(-1, None), slice(None, -1), slice(None, 1), slice(1, None))]
+    for axis in (-1, -2)
+}
+
+
+def _into_c(parts: tuple, a: np.ndarray, axis: int, grown: int = 0) -> np.ndarray:
+    """``parts`` of a non-C-contiguous ``a`` joined along ``axis`` into a C-ordered
+    array ``grown`` entries longer there: np.concatenate alone keeps a
+    transposed layout, which a sum runs through in another order."""
+    shape = list(a.shape)
+    shape[axis] += grown
+    return np.concatenate(parts, axis, out=np.empty(shape, a.dtype))
+
+
+def _previous(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Entry j holds entry j - 1 of ``a`` along ``axis``, -1 or -2."""
+    last, head, _, _ = _PIECES[axis]
+    parts = a[last], a[head]
+    return np.concatenate(parts, axis) if a.flags.c_contiguous else _into_c(parts, a, axis)
+
+
+def _next(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Entry j holds entry j + 1 of ``a`` along ``axis``, -1 or -2."""
+    _, _, first, tail = _PIECES[axis]
+    parts = a[tail], a[first]
+    return np.concatenate(parts, axis) if a.flags.c_contiguous else _into_c(parts, a, axis)
+
+
+def _wrapped(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``a`` with its last entry along ``axis`` (-1 or -2) in front and its
+    first behind: entries :-2 and 2: neighbour entries 1:-1, the nodes."""
+    last, _, first, _ = _PIECES[axis]
+    parts = a[last], a, a[first]
+    return np.concatenate(parts, axis) if a.flags.c_contiguous else _into_c(parts, a, axis, 2)
+
+
+# The two passes below take the previous node of the components
+# (2, ..., J) once (``_previous``) and square coordinate differences, which
 # overflow to inf beyond about 1e154 and flush to 0 below about 1e-162;
 # their callers hold np.errstate so that this happens silently.
 
@@ -117,7 +168,7 @@ class _ByValue:
 def _edge_data(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge vectors, viewed as (..., J, 2), and squared lengths (..., J),
     both read-only, of polygons stored component by component, (2, ..., J)."""
-    vectors = comp - np.concatenate((comp[..., -1:], comp[..., :-1]), axis=-1)
+    vectors = comp - _previous(comp)
     squares = vectors * vectors
     squares = squares[0] + squares[1]
     vectors.setflags(write=False)
@@ -129,11 +180,11 @@ def _elements(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What the assemblers read of polygons stored component by
     component, (2, ..., J): a_j = r_{j-1} + r_j and hw_j = |e_j|^2 / h per
     element, squared without hypot, and hw_j + hw_{j+1}."""
-    left = np.concatenate((comp[..., -1:], comp[..., :-1]), axis=-1)
+    left = _previous(comp)
     squares = comp - left
     squares *= squares
     hw = (squares[0] + squares[1]) * comp.shape[-1]
-    return left[0] + comp[0], hw, hw + np.concatenate((hw[..., 1:], hw[..., :1]), axis=-1)
+    return left[0] + comp[0], hw, hw + _next(hw)
 
 
 def _least(r: np.ndarray, squares: np.ndarray) -> tuple[list[float], list[float]]:

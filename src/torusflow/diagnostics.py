@@ -40,7 +40,7 @@ from math import frexp, nan, sqrt
 
 import numpy as np
 
-from .curves import CurveFunction, PeriodicCurve, _ByValue, _Circle, _circle
+from .curves import CurveFunction, PeriodicCurve, _ByValue, _Circle, _circle, _next, _previous, _wrapped
 from .quadrature import element_rho
 
 __all__ = [
@@ -71,13 +71,8 @@ class ErrorRecord(_ByValue):
     diameter: float = nan
 
 
-def _previous(a: np.ndarray) -> np.ndarray:
-    """Row j holds row (j - 1) % J of ``a``, built by slicing."""
-    return np.concatenate((a[-1:], a[:-1]))
-
-
 def _check_rule(rule: str):
-    if rule not in ERROR_RULES:
+    if not isinstance(rule, str) or rule not in ERROR_RULES:
         raise ValueError(f"unknown error rule {rule!r}, expected one of {ERROR_RULES}")
 
 
@@ -100,7 +95,7 @@ def _circle_tables(J: int, rule: str, radius: float) -> tuple[np.ndarray, np.nda
     since -0.0 + x is x, sign bit included."""
     grid, circle = _grid(J, rule), _circle(lambda t: -0.0, radius)
     values, slopes = circle.value(grid), circle.derivative(grid)
-    slopes = np.concatenate((slopes[-1:], slopes))
+    slopes = _wrapped(slopes, -2)[:-1]
     values.setflags(write=False)
     slopes.setflags(write=False)
     return values, slopes
@@ -123,8 +118,7 @@ def _slopes(exact: CurveFunction, J: int, rule: str, t: float) -> np.ndarray:
     ``_circle_tables`` entry, any other curve's fresh ``d_rho`` with that row."""
     if isinstance(exact, _Circle):
         return _circle_tables(J, rule, exact.radius)[1]
-    slopes = exact.d_rho(_grid(J, rule), t)
-    return np.concatenate((slopes[-1:], slopes))
+    return _wrapped(exact.d_rho(_grid(J, rule), t), -2)[:-1]
 
 
 # The norms below sum C-ordered temporaries only: a member of a curve
@@ -158,11 +152,13 @@ def l2_error(
         gap = _nodal_gap(curve, exact, t)
         return sqrt(h * float(_sum(gap * gap, None)))
     _, s, w = element_rho(J, 5)
-    left = _previous(curve.positions)
-    poly = left[:, None, :] * (1.0 - s)[None, :, None] + curve.positions[:, None, :] * s[None, :, None]
+    # the polygon at the points, (2, 5, J) from the component rows: the
+    # node axis innermost, as a (J, 5, 2) product would loop over pairs
+    comp = curve._components
+    poly = _previous(comp)[:, None, :] * (1.0 - s)[:, None] + comp[:, None, :] * s[:, None]
     # formed in place as samples - polygon: a difference's sign leaves its square
     diff = _samples(exact, J, rule, t).reshape(J, len(s), 2)
-    diff -= poly
+    diff -= poly.T
     diff *= diff
     return sqrt(h * float(np.einsum("g,jgc->", w, diff)))
 
@@ -199,7 +195,7 @@ def superconvergence_error(
     """
     h = curve.spacing
     gap = _nodal_gap(curve, exact, t)
-    left = _previous(gap)
+    left = _previous(gap, -2)
     terms = left * left
     cross = left * gap
     terms += cross
@@ -239,21 +235,22 @@ def diameter(curve: PeriodicCurve) -> float:
     and parallel edges.  A node polygon that turns one way at every node
     and winds once is its own hull; any other goes through ``_hull``.
     """
+    # the shifts run along the x and y rows (verts.T): a member view's
+    # rows are contiguous, where its (J, 2) positions are strided
     verts = curve.positions
-    turn, e = _turns(verts)
+    turn, e = _turns(verts.T)
     total = float(turn.sum())  # 2 pi times the winding number
     if not ((turn > 0.0).all() and total < 3.0 * np.pi):
         clockwise = (turn < 0.0).all() and total > -3.0 * np.pi
         verts = verts[::-1] if clockwise else verts[_hull(verts)]
-        turn, e = _turns(verts)
+        turn, e = _turns(verts.T)
     n = len(verts)
     # direction of edge i (vertex i to i + 1) relative to edge 0
     ang = np.maximum.accumulate(np.concatenate(([0.0], np.cumsum(turn[:-1]))))
     k = np.searchsorted(np.concatenate((ang, ang + 2.0 * np.pi)), ang + np.pi) % n
-    # vertex i sits at entry i + 1 of the wrapped coordinates; edge i
-    # pairs vertex i or i + 1 with vertex k - 1, k or k + 1
-    x = np.concatenate((verts[-1:, 0], verts[:, 0], verts[:1, 0]))
-    y = np.concatenate((verts[-1:, 1], verts[:, 1], verts[:1, 1]))
+    # vertex i sits at entry i + 1 of the wrapped coordinates, one copy;
+    # edge i pairs vertex i or i + 1 with vertex k - 1, k or k + 1
+    x, y = _wrapped(verts.T)
     far = k + np.array([[0], [1], [2]])
     xf, yf = x[far], y[far]
     best = 0.0
@@ -265,20 +262,21 @@ def diameter(curve: PeriodicCurve) -> float:
     return float(np.ldexp(sqrt(best), e))
 
 
-def _turns(verts: np.ndarray):
-    """Signed turning angles from edge i to edge i + 1 of a closed polygon,
-    edge i running from vertex i to vertex i + 1, and the exponent e of the
-    edges' scaling: 0 when their largest component lies in [2^-401, 2^400],
-    else the power of two that scales it into [1/2, 1), so that no product
-    of two overflows and one that underflows is negligible."""
-    edges = np.concatenate((verts[1:], verts[:1])) - verts
+def _turns(rows: np.ndarray):
+    """Signed turning angles from edge i to edge i + 1 of a closed polygon
+    given as x and y rows (2, n), edge i running from vertex i to vertex
+    i + 1, and the exponent e of the edges' scaling: 0 when their largest
+    component lies in [2^-401, 2^400], else the power of two that scales
+    it into [1/2, 1), so that no product of two overflows and one that
+    underflows is negligible."""
+    edges = _next(rows) - rows
     e = frexp(np.abs(edges).max())[1]
     if abs(e) > 400:
         edges = np.ldexp(edges, -e)
     else:
         e = 0
-    ex, ey = edges.T
-    nx, ny = np.concatenate((edges[1:], edges[:1])).T
+    ex, ey = edges
+    nx, ny = _next(edges)
     return np.arctan2(ex * ny - ey * nx, ex * nx + ey * ny), e
 
 
@@ -292,7 +290,7 @@ def _hull(pts: np.ndarray) -> np.ndarray:
     s, d = x + y, x - y
     octo = [x.argmax(), s.argmax(), y.argmax(), d.argmin(), x.argmin(), s.argmin(), y.argmin(), d.argmax()]
     a = np.column_stack((x[octo], y[octo]))
-    e = np.concatenate((a[1:], a[:1])) - a  # a zero edge keeps every node
+    e = _next(a, -2) - a  # a zero edge keeps every node
     inside = (e[:, :1] * y - e[:, 1:] * x > (e[:, 0] * a[:, 1] - e[:, 1] * a[:, 0])[:, None]).all(axis=0)
     idx = np.flatnonzero(~inside)
     idx = idx[np.lexsort((y[idx], x[idx]))]

@@ -28,6 +28,7 @@ from .stepping import (
     StopKind,
     _nearest_step_count,
     _run_stack,
+    _scheme,
     _step_count,
     manufactured_forcing,
     manufactured_solution,
@@ -111,8 +112,8 @@ def run_convergence(
     invalidates the table and raises.  Each level is announced on the
     ``torusflow`` logger at INFO level.
     """
-    scheme = SchemeKind(scheme)
-    if axis not in ("spatial", "temporal"):
+    scheme = _scheme(scheme)
+    if not isinstance(axis, str) or axis not in ("spatial", "temporal"):
         raise ValueError(f"axis must be 'spatial' or 'temporal', got {axis!r}")
     levels = [_count("levels", v, 3) for v in _sequence("levels", levels, "counts")]
     if not levels:

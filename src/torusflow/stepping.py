@@ -110,6 +110,16 @@ class SchemeKind(str, Enum):
     BDF2 = "bdf2"
 
 
+def _scheme(scheme) -> SchemeKind:
+    """``scheme``, a SchemeKind or its value, as a SchemeKind; else a
+    ValueError that names the schemes (an array's == raises one too)."""
+    try:
+        return SchemeKind(scheme)
+    except (TypeError, ValueError):
+        names = ", ".join(kind.value for kind in SchemeKind)
+        raise ValueError(f"scheme must be one of {names}, got {scheme!r}") from None
+
+
 @dataclass(frozen=True)
 class SourceField:
     """Forcing field sampled as f(rho, t) -> (n, 2), 1-periodic in rho.
@@ -270,11 +280,11 @@ def _advance(
     time: float,
     dt: float,
     source: Optional[SourceField],
-    t_new: Optional[float] = None,
+    t_new: float,
 ) -> tuple[CurveStack, dict[int, StepFailure]]:
     """One step of the scheme ``kind``, read off its row of ``_SCHEMES``,
     for a stack of B curves on one grid, from the level at ``time`` to
-    the one at ``t_new`` (``time + dt`` unless given).
+    the one at ``t_new``, the caller's ``time + dt``.
 
     Every check, assembly, solve and event test runs once for the whole
     stack and each member's numbers are the ones it gets alone.  Returns
@@ -292,8 +302,6 @@ def _advance(
     else:
         x_prev = previous._components
         weight = e0 * x + e1 * x_prev
-    if t_new is None:
-        t_new = time + dt
     if source is not None:
         J = x.shape[2]
         if s0:
@@ -357,9 +365,8 @@ def _advance(
 def _step_one(kind: SchemeKind, state: StepperState, source: Optional[SourceField]) -> PeriodicCurve:
     """``_advance`` for the one curve of ``state``; raises its failure."""
     previous = None if state.previous is None else CurveStack(state.previous._components[:, None])
-    new, failures = _advance(
-        kind, CurveStack(state.current._components[:, None]), previous, state.time, state.dt, source
-    )
+    current = CurveStack(state.current._components[:, None])
+    new, failures = _advance(kind, current, previous, state.time, state.dt, source, state.time + state.dt)
     if failures:
         raise failures[0]
     return new.member(0)
@@ -515,7 +522,7 @@ def _run_stack(
     """
     _check_rule(error_rule)
     node_count = _count("node_count", node_count, 3)
-    scheme = SchemeKind(scheme)
+    scheme = _scheme(scheme)
     steps = _step_count(t_end, dt)
     observers = _sequence("observers", observers, "callables")
     for obs in observers:

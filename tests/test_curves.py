@@ -17,7 +17,7 @@ from torusflow import (
     torus_circle,
 )
 
-from torusflow.curves import CurveStack
+from torusflow.curves import CurveStack, _next, _previous, _wrapped
 
 from oracles import polygon_winding, random_admissible_positions
 
@@ -286,3 +286,65 @@ class TestInterpolationAccuracy:
             errs.append(np.sqrt(total))
         slopes = np.diff(np.log(errs)) / np.diff(np.log([1 / 32, 1 / 64, 1 / 128, 1 / 256]))
         assert np.all(slopes > 1.9) and np.all(slopes < 2.1)
+
+
+def _layout(rng, shape, layout):
+    """A random array of ``shape``: C-ordered, a transposed view, a view
+    with negative strides, or one that steps over every other entry."""
+    if layout == "transposed":
+        return rng.normal(size=shape[::-1]).T
+    if layout == "reversed":
+        return rng.normal(size=shape)[::-1, ...][..., ::-1]
+    if layout == "stepped":
+        return rng.normal(size=shape[:-1] + (2 * shape[-1],))[..., ::2]
+    return rng.normal(size=shape)
+
+
+class TestNodeShifts:
+    """``_previous``, ``_next`` and ``_wrapped`` against np.roll and
+    np.pad(mode="wrap"), on any layout: each result is a fresh C-ordered
+    array, since the norms sum their temporaries in memory order."""
+
+    @staticmethod
+    def check(a, axis):
+        pad = [(0, 0)] * a.ndim
+        pad[axis] = (1, 1)
+        for shift, expect in (
+            (_previous, np.roll(a, 1, axis)),
+            (_next, np.roll(a, -1, axis)),
+            (_wrapped, np.pad(a, pad, mode="wrap")),
+        ):
+            got = shift(a, axis)
+            assert np.array_equal(got, expect), shift.__name__
+            assert got.flags.c_contiguous and not np.shares_memory(got, a), shift.__name__
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ndim=st.integers(1, 3),
+        J=st.integers(3, 40),
+        others=st.lists(st.integers(1, 4), min_size=2, max_size=2),
+        layout=st.sampled_from(["c", "transposed", "reversed", "stepped"]),
+        along=st.sampled_from([-1, -2]),
+    )
+    def test_shifts_match_roll_and_pad(self, seed, ndim, J, others, layout, along):
+        axis = -1 if ndim == 1 else along
+        shape = others[: ndim - 1] + [J]
+        if axis == -2:
+            shape[-2:] = shape[-1], shape[-2]
+        a = _layout(np.random.default_rng(seed), tuple(shape), layout)
+        self.check(a, axis)
+
+    def test_stack_member_rows_and_transposed_positions(self):
+        # the views a run records: a member's positions, strides (8, 8 B J),
+        # its components (2, J), and a curve's (J, 2) positions transposed
+        rng = np.random.default_rng(3)
+        stack = CurveStack(np.ascontiguousarray(rng.normal(size=(2, 3, 17))))
+        member = stack.member(1)
+        assert not member.positions.flags.c_contiguous
+        self.check(member.positions, -2)
+        self.check(member._components, -1)
+        self.check(member.positions.T, -1)
+        curve = PeriodicCurve(rng.normal(size=(9, 2)) + [5.0, 0.0])
+        self.check(curve.positions, -2)
+        self.check(curve.positions.T, -1)

@@ -51,6 +51,12 @@ class TestErrorNorms:
         with pytest.raises(ValueError):
             h1_seminorm_error(curve, EXACT, 0.0, rule="simpson")
 
+    @pytest.mark.parametrize("norm", [l2_error, h1_seminorm_error])
+    def test_rejects_an_array_rule_by_name(self, norm):
+        curve = interpolate(EXACT, 16, 0.0)
+        with pytest.raises(ValueError, match="^unknown error rule array"):
+            norm(curve, EXACT, 0.0, rule=np.array(["nodal", "gauss5"]))
+
     def test_interpolant_has_zero_nodal_error(self):
         curve = interpolate(EXACT, 48, 0.3)
         assert l2_error(curve, EXACT, 0.3, rule="nodal") == 0.0

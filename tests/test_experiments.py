@@ -61,6 +61,15 @@ class TestRunConvergence:
         with pytest.raises(ValueError):
             run_convergence("cn", "spatial", [2, 4])
 
+    @pytest.mark.parametrize("scheme", ["rk4", np.array(["cn", "bdf2"])], ids=["unknown", "array"])
+    def test_rejects_a_bad_scheme_by_name(self, scheme):
+        with pytest.raises(ValueError, match="^scheme must be one of bdf1, cn, bdf2, got "):
+            run_convergence(scheme, "spatial", [8, 16])
+
+    def test_rejects_an_array_axis_by_name(self):
+        with pytest.raises(ValueError, match="^axis must be 'spatial' or 'temporal', got array"):
+            run_convergence("cn", np.array(["spatial", "temporal"]), [8, 16])
+
     def test_rejects_levels_that_are_not_iterable_by_name(self):
         with pytest.raises(TypeError, match="^levels must be a sequence of counts, got int$"):
             run_convergence("cn", "spatial", 5)

@@ -415,7 +415,7 @@ class TestStepSystem:
             return solve_cyclic(matrix, rhs)
 
         with mock.patch.object(stepping, "solve_cyclic", spy):
-            stepping._advance(SchemeKind.CN, stack(cur), stack(prev), 0.0, dt, None)
+            stepping._advance(SchemeKind.CN, stack(cur), stack(prev), 0.0, dt, None, dt)
         ((matrix, rhs),) = seen
         for i, band in enumerate(("diag", "sub", "sup")):
             assert np.array_equal(pair[i], getattr(step, band))
@@ -451,7 +451,7 @@ class TestStepSystem:
 
         with mock.patch.object(stepping, "solve_cyclic", spy):
             _, failures = stepping._advance(
-                scheme, stack(cur), stack(prev), time, dt, source
+                scheme, stack(cur), stack(prev), time, dt, source, time + dt
             )
         assert not failures
         ((matrix, rhs),) = seen
@@ -509,7 +509,7 @@ class TestStepSystem:
 
         with mock.patch.object(stepping, "solve_cyclic", solve):
             new, failures = stepping._advance(
-                scheme, stack(cur), stack(prev), 0.0, 1e-3, None
+                scheme, stack(cur), stack(prev), 0.0, 1e-3, None, 1e-3
             )
         assert list(failures) == ([] if how == "none" else [failing])
         left = members - len(failures)
@@ -725,6 +725,18 @@ class TestRunDriver:
                 observers=[lambda *args: seen.append(args)], error_rule="bogus",
             )
         assert seen == []
+
+    @pytest.mark.parametrize(
+        "scheme", ["rk4", np.array(["cn", "bdf2"]), None], ids=["unknown", "array", "none"]
+    )
+    def test_rejects_a_bad_scheme_by_name(self, scheme):
+        message = f"scheme must be one of bdf1, cn, bdf2, got {scheme!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(EXACT, scheme, 16, 1e-2, 0.02)
+
+    def test_rejects_an_array_error_rule_by_name(self):
+        with pytest.raises(ValueError, match="^unknown error rule array"):
+            run(EXACT, "cn", 16, 1e-2, 0.02, exact=EXACT, error_rule=np.array(["nodal", "gauss5"]))
 
     @pytest.mark.parametrize("node_count", [64.5, float("nan"), float("inf"), "64", True])
     def test_rejects_non_integer_node_count(self, node_count):
@@ -993,7 +1005,7 @@ class TestStack:
         positions = np.stack([c.positions for c in curves])
         positions[1, 8, 0] = 0.0
         new, failures = stepping._advance(
-            SchemeKind.BDF1, stack(positions), None, 0.0, 1e-3, None
+            SchemeKind.BDF1, stack(positions), None, 0.0, 1e-3, None, 1e-3
         )
         assert list(failures) == [1]
         assert failures[1].kind is StopKind.AXIS_TOUCH and failures[1].metric == 0.0
@@ -1013,7 +1025,7 @@ class TestStack:
         prev[1, :2] = [[1.0, 0.0], [1.75, 0.75]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            new, failures = stepping._advance(SchemeKind.CN, stack(cur), stack(prev), 0.0, 1e-3, None)
+            new, failures = stepping._advance(SchemeKind.CN, stack(cur), stack(prev), 0.0, 1e-3, None, 1e-3)
         assert list(failures) == [1]
         assert failures[1].kind is StopKind.ELEMENT_DEGENERATE and failures[1].metric == 0.0
         for row, member in zip((0, 1), (0, 2)):
@@ -1066,6 +1078,6 @@ class TestStack:
     def test_nonfinite_coefficient_curve_is_a_solver_failure(self):
         positions = interpolate(torus_circle(0.6), 16).positions[None].copy()
         positions[0, 3, 1] = np.inf
-        _, failures = stepping._advance(SchemeKind.BDF1, stack(positions), None, 0.0, 1e-3, None)
+        _, failures = stepping._advance(SchemeKind.BDF1, stack(positions), None, 0.0, 1e-3, None, 1e-3)
         assert failures[0].kind is StopKind.SOLVER_FAILURE
         assert "not finite" in str(failures[0])
