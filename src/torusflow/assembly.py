@@ -7,9 +7,9 @@ closed-form moment of the hat functions.  One private assembler builds
 the bands of a M + b K, and of a M - b K with them, from the weight
 curve's element data, read once; the mass, stiffness and radial-load
 assemblers are readers of it.  The source load alone integrates a smooth
-field, with a fixed Gauss rule per element, once per grid for each basis
-field of a separable source; such a field holds its last load for the
-next call at the same time level.
+field, a block of elements at a time with a fixed Gauss rule per element;
+a separable source's basis fields are loaded once per grid, and such a
+field holds its last load for the next call at the same time level.
 """
 
 from __future__ import annotations
@@ -199,54 +199,50 @@ def radial_direction_load(weight) -> np.ndarray:
     return out
 
 
-def _element_moments(vals, s, wts, h: float):
-    """Moments of field values at the Gauss points of each element, vals
-    of shape (..., n, npts, 2), against the hat falling and the hat
-    rising across it: two arrays (..., n, 2)."""
-    return (
-        h * np.einsum("g,...jgc->...jc", wts * (1.0 - s), vals),
-        h * np.einsum("g,...jgc->...jc", wts * s, vals),
-    )
-
-
-def _hat_moments(vals, s, wts) -> np.ndarray:
-    """Hat-function moments of field values at the Gauss points of each
-    element, vals of shape (..., J, npts, 2) -> (..., J, 2): node j takes
-    the rising moment of element j and the falling one of element j + 1."""
-    left, right = _element_moments(vals, s, wts, 1.0 / vals.shape[-3])
-    return right + _next(left, -2)
-
-
 # the bits of a time, which a held load's time must match: 0.0 and -0.0
 # are two times here, since a field's coeffs may tell them apart
 _bits = struct.Struct("d").pack
 
 # Gauss points per element of every source load, stated in metadata.json
 _SOURCE_POINTS = 3
-# elements per block of a basis-load build: the build holds the basis
-# values of at most this many elements at once
+# elements per block of a load build: the build holds the field values
+# of at most this many elements at once
 _LOAD_BLOCK = 4096
+
+
+def _hat_loads(values, node_count: int, quadrature_points: int) -> np.ndarray:
+    """Hat-function moments (K, J, 2) of the K fields whose values at the
+    Gauss points of one block of elements, a rho array of n entries,
+    ``values`` gives as (K, n, 2).  Node j takes the rising moment of
+    element j and the falling one of element j + 1."""
+    rho, s, wts = element_rho(node_count, quadrature_points)
+    h, falling, rising = 1.0 / node_count, wts * (1.0 - s), wts * s
+    left = loads = None
+    for start in range(0, node_count, _LOAD_BLOCK):
+        block = rho[start : start + _LOAD_BLOCK]
+        vals = values(block.ravel()).reshape(-1, len(block), len(s), 2)
+        if loads is None:
+            left, loads = (np.empty((len(vals), node_count, 2)) for _ in range(2))
+        cut = slice(start, start + len(block))
+        left[:, cut] = h * np.einsum("g,...jgc->...jc", falling, vals)
+        loads[:, cut] = h * np.einsum("g,...jgc->...jc", rising, vals)
+    # ``_next(left, -2)`` added in place, without its (K, J, 2) temporary
+    loads[:, :-1] += left[:, 1:]
+    loads[:, -1] += left[:, 0]
+    return loads
 
 
 @lru_cache(maxsize=8)
 def _basis_loads(basis, node_count: int, quadrature_points: int) -> np.ndarray:
-    """Loads of the K basis fields of a separable source, read-only (K, J, 2),
-    the ``_hat_moments`` of the basis values, evaluated and integrated one
-    block of elements at a time."""
-    rho, s, wts = element_rho(node_count, quadrature_points)
-    left = loads = None
-    for start in range(0, node_count, _LOAD_BLOCK):
-        block = rho[start : start + _LOAD_BLOCK]
-        vals = np.asarray(basis(block.ravel()), dtype=float)
-        if vals.ndim != 3 or vals.shape[1:] != (block.size, 2):
-            raise ValueError(f"source field basis gave shape {vals.shape}, expected (K, {block.size}, 2)")
-        if loads is None:
-            left, loads = (np.empty((len(vals), node_count, 2)) for _ in range(2))
-        moments = _element_moments(vals.reshape(-1, len(block), len(s), 2), s, wts, 1.0 / node_count)
-        left[:, start : start + len(block)], loads[:, start : start + len(block)] = moments
-    # ``_next(left, -2)`` added in place, without its (K, J, 2) temporary
-    loads[:, :-1] += left[:, 1:]
-    loads[:, -1] += left[:, 0]
+    """Loads of the K basis fields of a separable source, read-only (K, J, 2)."""
+
+    def values(rho):
+        vals = np.asarray(basis(rho), dtype=float)
+        if vals.ndim != 3 or vals.shape[1:] != (rho.size, 2):
+            raise ValueError(f"source field basis gave shape {vals.shape}, expected (K, {rho.size}, 2)")
+        return vals
+
+    loads = _hat_loads(values, node_count, quadrature_points)
     loads.setflags(write=False)
     return loads
 
@@ -286,8 +282,11 @@ def source_load(f, node_count: int, t: float) -> np.ndarray:
         load = (coeffs @ loads.reshape(len(loads), -1)).reshape(J, 2)
         store["_held_load"] = (key, load.copy())
         return load
-    rho, s, wts = element_rho(J, _SOURCE_POINTS)
-    vals = np.asarray(f(rho.ravel(), t), dtype=float)
-    if vals.shape != (rho.size, 2):
-        raise ValueError(f"source field gave shape {vals.shape}, expected ({rho.size}, 2)")
-    return _hat_moments(vals.reshape(J, len(s), 2), s, wts)
+
+    def values(rho):
+        vals = np.asarray(f(rho, t), dtype=float)
+        if vals.shape != (rho.size, 2):
+            raise ValueError(f"source field gave shape {vals.shape}, expected ({rho.size}, 2)")
+        return vals[None]
+
+    return _hat_loads(values, J, _SOURCE_POINTS)[0]

@@ -177,7 +177,9 @@ def write_evolution_bundle(
 
     snapshot_paths = []
     mesh_paths = []
-    face_rows = {}  # the face text depends only on (J, segments)
+    faces = ()  # one run has one J, so every mesh has the same faces
+    if export_obj and result.snapshots:
+        faces = tuple(_face_rows(report.node_count, obj_segments))
     for snap in result.snapshots:
         label = _snapshot_label(snap.requested_time)
         snap_path = directory / f"snapshot_t{label}.csv"
@@ -185,10 +187,7 @@ def write_evolution_bundle(
         snapshot_paths.append(snap_path)
         if export_obj:
             mesh_path = directory / f"snapshot_t{label}.obj"
-            J = snap.curve.node_count
-            if J not in face_rows:
-                face_rows[J] = tuple(_face_rows(J, obj_segments))
-            _write_obj(mesh_path, snap.curve, obj_segments, face_rows[J])
+            _write_obj(mesh_path, snap.curve, obj_segments, faces)
             mesh_paths.append(mesh_path)
 
     meta = {
@@ -304,17 +303,7 @@ def cmd_evolve(args) -> int:
         args.out,
         export_obj=args.export_obj,
         obj_segments=args.obj_segments,
-        command_args={
-            "subcommand": "evolve",
-            "scenario": args.scenario,
-            "scheme": args.scheme,
-            "nodes": args.nodes,
-            "dt": args.dt,
-            "t_end": args.t_end,
-            "snapshots": args.snapshots or "",
-            "export_obj": bool(args.export_obj),
-            "obj_segments": args.obj_segments,
-        },
+        command_args={k: v for k, v in vars(args).items() if k not in ("out", "handler")},
     )
     event = result.report.event
     print(f"{event.kind.value} at t={event.time:g}; wrote {bundle.directory}")

@@ -13,7 +13,7 @@ the package goes through ``_previous`` (entry j holds entry j - 1),
 ``_next`` (entry j + 1) and ``_wrapped`` (a wrapped node padded at each
 end), along axis -1 of (2, ..., J) and 1-d arrays or axis -2 of
 (..., J, 2) arrays: one np.concatenate into a fresh C-ordered array each,
-a fraction of np.roll's cost.  Only ``assembly._basis_loads`` adds its
+a fraction of np.roll's cost.  Only ``assembly._hat_loads`` adds its
 next-node wrap in place.
 """
 

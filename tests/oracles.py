@@ -87,6 +87,19 @@ def dense_source_load(f, J, t, npts=10):
     return out
 
 
+def _hat_moments(vals, s, wts):
+    """Hat-function moments of field values at the Gauss points of each
+    element, vals of shape (..., J, npts, 2) -> (..., J, 2), the whole
+    grid in one piece: node j takes the rising moment of element j and
+    the falling one of element j + 1.  Written with the package's einsum
+    on purpose, it is the one-shot reference that the blocked load build
+    must equal bit for bit."""
+    h = 1.0 / vals.shape[-3]
+    falling = h * np.einsum("g,...jgc->...jc", wts * (1.0 - s), vals)
+    rising = h * np.einsum("g,...jgc->...jc", wts * s, vals)
+    return rising + np.roll(falling, -1, axis=-2)
+
+
 def dense_step(scheme, cur, prev, dt, t, source=None):
     """End-to-end reference step built from the dense oracles.
 

@@ -2,6 +2,7 @@ import collections
 import copy
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from torusflow import (
 )
 
 from torusflow import assembly
-from torusflow.assembly import _basis_loads, _hat_moments
+from torusflow.assembly import _basis_loads
 from torusflow.curves import CurveStack
 from torusflow.quadrature import element_rho
 
 from oracles import (
+    _hat_moments,
     dense_mass,
     dense_radial_load,
     dense_source_load,
@@ -200,6 +202,16 @@ def unit_rows(rho):
     return np.stack([np.ones_like(rho), np.zeros_like(rho)])
 
 
+def assert_plain_loads_are_one_shot_moments(J):
+    """A plain field's load is its hat moments over the whole grid in one
+    piece, bit for bit, at times of both signs."""
+    f = manufactured_forcing()
+    rho, s, wts = element_rho(J, 3)
+    for t in (-0.25, -0.0, 0.3):
+        vals = np.asarray(f.func(rho.ravel(), t)).reshape(J, 3, 2)
+        assert np.array_equal(source_load(SourceField(f.func), J, t), _hat_moments(vals, s, wts))
+
+
 class TestSeparableSource:
     """The manufactured forcing carries a separable form; its load is a
     combination of cached basis loads and must match the direct load."""
@@ -258,6 +270,7 @@ class TestSeparableSource:
                 assert np.array_equal(_basis_loads(f.basis, J, npts), _hat_moments(vals, s, wts))
         finally:
             _basis_loads.cache_clear()
+        assert_plain_loads_are_one_shot_moments(J)
 
     def test_blocked_build_at_the_default_block_size(self):
         f = manufactured_forcing()
@@ -266,6 +279,23 @@ class TestSeparableSource:
             rho, s, wts = element_rho(J, 3)
             vals = np.asarray(f.basis(rho.ravel())).reshape(4, J, 3, 2)
             assert np.array_equal(_basis_loads(f.basis, J, 3), _hat_moments(vals, s, wts))
+            assert_plain_loads_are_one_shot_moments(J)
+
+    def test_plain_load_holds_one_block_of_values(self):
+        # a plain field is evaluated a block of elements at a time too, so
+        # one load at J = 50 000 holds its two (J, 2) arrays and one block
+        # of values, not the whole grid's values and moments at once
+        J = 50000
+        field = SourceField(manufactured_forcing().func)
+        element_rho(J, 3)  # the cached Gauss table is not the load's
+        tracemalloc.start()
+        try:
+            load = source_load(field, J, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load.shape == (J, 2)
+        assert peak < 5e6
 
     def test_every_call_shares_one_cache_entry(self):
         assert manufactured_forcing().basis is manufactured_forcing().basis

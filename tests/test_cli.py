@@ -389,6 +389,34 @@ class TestEvolveCommand:
         # the default event thresholds, as the run used them
         assert meta["thresholds"] == {"axis": 1e-3, "collapse": 1e-3, "edge_fraction": 1e-6}
 
+    @pytest.mark.parametrize(
+        "extra, given",
+        [
+            (
+                ["--snapshots", "0,0.01", "--export-obj", "--obj-segments", "8"],
+                {"snapshots": "0,0.01", "export_obj": True, "obj_segments": 8},
+            ),
+            ([], {"snapshots": "", "export_obj": False, "obj_segments": 64}),
+        ],
+        ids=["snapshots-and-meshes", "defaults"],
+    )
+    def test_metadata_records_the_whole_command(self, tmp_path, capsys, extra, given):
+        argv = ["--scenario", "torus:0.6", "--scheme", "cn", "--nodes", "16", "--dt", "1e-3", "--t-end", "0.01"]
+        out = tmp_path / "run"
+        assert main(["evolve", *argv, *extra, "--out", str(out)]) == 0
+        command = json.loads((out / "metadata.json").read_text())["command"]
+        want = {
+            "subcommand": "evolve",
+            "scenario": "torus:0.6",
+            "scheme": "cn",
+            "nodes": 16,
+            "dt": 1e-3,
+            "t_end": 0.01,
+            **given,
+        }
+        assert command == want
+        assert {k: type(v) for k, v in command.items()} == {k: type(v) for k, v in want.items()}
+
 
 class TestBisectCommand:
     def test_stdout_log_and_bracket(self, capsys):
