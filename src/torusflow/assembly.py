@@ -40,6 +40,7 @@ class CyclicTridiagonal(_ByValue):
     and ``sup[j]`` in column (j+1) % J.  These three columns are distinct
     for every J >= 3, so at J = 3 the matrix is full and every entry is
     stored exactly once.  Matrices are unhashable values (``curves._ByValue``).
+    Bands may hold inf or NaN: ``solve_cyclic`` reports such a member SINGULAR.
 
     The assemblers, given a ``CurveStack`` of B weight curves, return a
     stack of B matrices of one order: diagonals of shape (B, J), a

@@ -8,13 +8,15 @@ analytic start geometries of the scenario library.
 
 Node order: node j of a J-node polygon sits at rho_j = j/J between nodes
 j - 1 and j + 1 mod J, and edge (element) j runs from node j - 1 to node
-j, so edge 0 is the wrap-around segment.  Every shift of the node axis in
-the package goes through ``_previous`` (entry j holds entry j - 1),
-``_next`` (entry j + 1) and ``_wrapped`` (a wrapped node padded at each
-end), along axis -1 of (2, ..., J) and 1-d arrays or axis -2 of
-(..., J, 2) arrays: one np.concatenate into a fresh C-ordered array each,
-a fraction of np.roll's cost.  Only ``assembly._hat_loads`` adds its
-next-node wrap in place.
+j, so edge 0 is the wrap-around segment.  Every curve holds r and z as
+the C-ordered rows of ``_components``, (2, J), or (2, B, J) for a stack,
+and a curve's (J, 2) ``positions`` are their transposed view.  Every
+shift of the node axis in the package goes through ``_previous`` (entry
+j holds entry j - 1), ``_next`` (entry j + 1) and ``_wrapped`` (a wrapped
+node padded at each end), along axis -1 of (2, ..., J) and 1-d arrays or
+axis -2 of (..., J, 2) arrays: one np.concatenate each, fresh and in its
+input's layout, a fraction of np.roll's cost.  Only
+``assembly._hat_loads`` adds its next-node wrap in place.
 """
 
 from __future__ import annotations
@@ -45,15 +47,24 @@ class InadmissibleCurveError(ValueError):
     """Raised when a curve leaves r > 0 or carries a zero-length edge."""
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as a count of at least ``least``; an integral float such
-    as 64.0 passes, a bool does not; a plain int skips the ABC checks."""
+# Counts stop at 2**24: the paper's finest grid has 50 000 nodes, and a run
+# at J = 2**24 peaks near 5 GiB.  Step counts stop at 2**53, the end of the
+# run of integers a float holds exactly: M becomes a float in dt = t_end / M.
+_MAX_COUNT, _MAX_STEPS = 2**24, 2**53
+
+
+def _count(name: str, value, least: int, most: int = _MAX_COUNT) -> int:
+    """``value`` as a count from ``least`` to ``most``; an integral float
+    such as 64.0 passes, a bool does not; a plain int skips the ABC checks."""
     if type(value) is not int and (isinstance(value, bool) or not (
         isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())
     )):
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    if value > most:
+        got = repr(value) if value < 2**64 else "an integer of 2**64 or more"
+        raise ValueError(f"{name} must be at most {most}, got {got}")
     return int(value)
 
 
@@ -128,35 +139,23 @@ _PIECES = {
 }
 
 
-def _into_c(parts: tuple, a: np.ndarray, axis: int, grown: int = 0) -> np.ndarray:
-    """``parts`` of a non-C-contiguous ``a`` joined along ``axis`` into a C-ordered
-    array ``grown`` entries longer there: np.concatenate alone keeps a
-    transposed layout, which a sum runs through in another order."""
-    shape = list(a.shape)
-    shape[axis] += grown
-    return np.concatenate(parts, axis, out=np.empty(shape, a.dtype))
-
-
 def _previous(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Entry j holds entry j - 1 of ``a`` along ``axis``, -1 or -2."""
     last, head, _, _ = _PIECES[axis]
-    parts = a[last], a[head]
-    return np.concatenate(parts, axis) if a.flags.c_contiguous else _into_c(parts, a, axis)
+    return np.concatenate((a[last], a[head]), axis)
 
 
 def _next(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Entry j holds entry j + 1 of ``a`` along ``axis``, -1 or -2."""
     _, _, first, tail = _PIECES[axis]
-    parts = a[tail], a[first]
-    return np.concatenate(parts, axis) if a.flags.c_contiguous else _into_c(parts, a, axis)
+    return np.concatenate((a[tail], a[first]), axis)
 
 
 def _wrapped(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """``a`` with its last entry along ``axis`` (-1 or -2) in front and its
     first behind: entries :-2 and 2: neighbour entries 1:-1, the nodes."""
     last, _, first, _ = _PIECES[axis]
-    parts = a[last], a, a[first]
-    return np.concatenate(parts, axis) if a.flags.c_contiguous else _into_c(parts, a, axis, 2)
+    return np.concatenate((a[last], a, a[first]), axis)
 
 
 # The two passes below take the previous node of the components
@@ -274,17 +273,18 @@ class PeriodicCurve(_NodePolygons, _ByValue):
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=float, copy=True, order="C")
+        pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError("positions must have shape (J, 2)")
         if pos.shape[0] < 3:
             raise ValueError("a closed polygon needs at least 3 nodes")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        pos.setflags(write=False)
-        vars(self).update(positions=pos, _components=pos.T)
+        comp = pos.T.copy()  # C order
+        comp.setflags(write=False)
+        vars(self).update(positions=comp.T, _components=comp)
 
-    def __reduce__(self):  # rebuilt from positions: read-only, components a view of them
+    def __reduce__(self):  # rebuilt from positions: read-only, C-ordered components
         return PeriodicCurve, (self.positions,)
 
 
@@ -317,8 +317,8 @@ class CurveStack(_NodePolygons):
             return CurveStack._stepped(self._components.take(rows, axis=1))
 
     def member(self, row: int) -> PeriodicCurve:
-        """Member ``row`` as a curve that views the stack: its positions
-        a read-only view of the row, strides (8, 8 B J), and its edges
+        """Member ``row`` as a curve that views the stack: its components
+        a read-only view of the row, strides (8 B J, 8), and its edges
         rows of the stack's.  No copy and no finiteness check: the
         kernel's solver audit has passed every member of its new states."""
         comp = self._components[:, row]

@@ -25,8 +25,10 @@ gives.  Any other exact curve is evaluated at the points.
 A run records each accepted state on a read-only view of the step
 kernel's row (``CurveStack.member``), without a copy.  The nodal L2
 error and the superconvergence distance share one nodal gap, kept on
-the curve for the last (exact, t) asked.  Every temporary the norms sum
-is C-ordered, so a view sums in the order of a copy, bit for bit.
+the curve for the last (exact, t) asked.  A sum runs in memory order,
+so the norms sum only temporaries of C-ordered operands (curve rows,
+fresh samples, gaps, slope tables; NumPy orders a mixed product C too):
+a constructed curve, a member view and a copy of it sum alike, bit for bit.
 
 The diameter searches the convex hull of the nodes, which a prefiltered
 monotone chain finds when the node polygon is not its own hull.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import frexp, nan, sqrt
+from math import frexp, inf, nan, sqrt
 
 import numpy as np
 
@@ -118,13 +120,11 @@ def _slopes(exact: CurveFunction, J: int, rule: str, t: float) -> np.ndarray:
     ``_circle_tables`` entry, any other curve's fresh ``d_rho`` with that row."""
     if isinstance(exact, _Circle):
         return _circle_tables(J, rule, exact.radius)[1]
-    return _wrapped(exact.d_rho(_grid(J, rule), t), -2)[:-1]
+    return _wrapped(np.asarray(exact.d_rho(_grid(J, rule), t), order="C"), -2)[:-1]
 
 
-# The norms below sum C-ordered temporaries only: a member of a curve
-# stack views the stack, strides (8, 8 B J), and a temporary that took
-# its layout would be summed in another order.  np.add.reduce(x, None)
-# is the pairwise sum of ndarray.sum without its Python layer.
+# np.add.reduce(x, None) is the pairwise sum of ndarray.sum without its
+# Python layer; the norms hand it C-ordered temporaries only.
 _sum = np.add.reduce
 
 
@@ -172,7 +172,6 @@ def h1_seminorm_error(
     h = curve.spacing
     slope = curve.edge_vectors() / h  # constant per element
     slopes = _slopes(exact, J, rule, t)
-    # the differences are fresh and C-ordered like slopes, whatever slope's layout
     if rule == "nodal":
         a = slopes[:-1] - slope  # left endpoint of element j
         b = slopes[1:] - slope  # right endpoint
@@ -210,10 +209,16 @@ def superconvergence_error(
 def mesh_ratio(curve):
     """Longest edge over shortest edge, roots of the extreme squared edges
     (which read 0 below about 1e-162); inf when an edge has length zero.
-    For a ``CurveStack``, a list of one ratio per member."""
-    squares = curve._edges[1].reshape(-1, curve.node_count)
-    longest = np.sqrt(np.maximum.reduce(squares, 1)).tolist()  # ufunc: no ndarray.max layer
-    ratios = [hi / lo if lo != 0.0 else float("inf") for hi, lo in zip(longest, curve._bounds[1])]
+    A member whose squares overflow, beyond about 1e154, reads its hypot
+    ``edge_lengths()`` instead.  For a ``CurveStack``, one ratio per member."""
+    J = curve.node_count
+    longest = np.sqrt(np.maximum.reduce(curve._edges[1].reshape(-1, J), 1)).tolist()  # no ndarray.max layer
+    ratios = []
+    for row, (hi, lo) in enumerate(zip(longest, curve._bounds[1])):
+        if hi == inf:
+            lengths = curve.edge_lengths().reshape(-1, J)[row]
+            hi, lo = float(lengths.max()), float(lengths.min())
+        ratios.append(hi / lo if lo != 0.0 else inf)
     return ratios if curve._components.ndim == 3 else ratios[0]
 
 
@@ -235,22 +240,20 @@ def diameter(curve: PeriodicCurve) -> float:
     and parallel edges.  A node polygon that turns one way at every node
     and winds once is its own hull; any other goes through ``_hull``.
     """
-    # the shifts run along the x and y rows (verts.T): a member view's
-    # rows are contiguous, where its (J, 2) positions are strided
-    verts = curve.positions
-    turn, e = _turns(verts.T)
+    verts = curve._components  # x and y rows (2, J)
+    turn, e = _turns(verts)
     total = float(turn.sum())  # 2 pi times the winding number
     if not ((turn > 0.0).all() and total < 3.0 * np.pi):
         clockwise = (turn < 0.0).all() and total > -3.0 * np.pi
-        verts = verts[::-1] if clockwise else verts[_hull(verts)]
-        turn, e = _turns(verts.T)
-    n = len(verts)
+        verts = verts[:, ::-1] if clockwise else verts[:, _hull(verts.T)]
+        turn, e = _turns(verts)
+    n = verts.shape[1]
     # direction of edge i (vertex i to i + 1) relative to edge 0
     ang = np.maximum.accumulate(np.concatenate(([0.0], np.cumsum(turn[:-1]))))
     k = np.searchsorted(np.concatenate((ang, ang + 2.0 * np.pi)), ang + np.pi) % n
     # vertex i sits at entry i + 1 of the wrapped coordinates, one copy;
     # edge i pairs vertex i or i + 1 with vertex k - 1, k or k + 1
-    x, y = _wrapped(verts.T)
+    x, y = _wrapped(verts)
     far = k + np.array([[0], [1], [2]])
     xf, yf = x[far], y[far]
     best = 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .curves import CurveFunction, ellipse_curve, rose_curve, spiral_curve, torus_circle
-from .curves import _count, _finite, _real, _sequence
+from .curves import _MAX_COUNT, _MAX_STEPS, _count, _finite, _real, _sequence
 from .stepping import (
     PeriodicCurve,
     RunReport,
@@ -115,13 +115,14 @@ def run_convergence(
     scheme = _scheme(scheme)
     if not isinstance(axis, str) or axis not in ("spatial", "temporal"):
         raise ValueError(f"axis must be 'spatial' or 'temporal', got {axis!r}")
-    levels = [_count("levels", v, 3) for v in _sequence("levels", levels, "counts")]
+    most = _MAX_COUNT if axis == "spatial" else _MAX_STEPS  # temporal levels count steps
+    levels = [_count("levels", v, 3, most) for v in _sequence("levels", levels, "counts")]
     if not levels:
         raise ValueError("need at least one level")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be strictly increasing, got {levels!r}")
     _finite("t_end", t_end)
-    fixed_steps = _count("fixed_steps", fixed_steps, 1)
+    fixed_steps = _count("fixed_steps", fixed_steps, 1, _MAX_STEPS)
     fixed_nodes = _count("fixed_nodes", fixed_nodes, 3)
 
     exact = manufactured_solution()

@@ -10,11 +10,26 @@ from torusflow import (
     CurveFunction,
     InadmissibleCurveError,
     PeriodicCurve,
+    StepperState,
+    bdf1_step,
+    bdf2_step,
+    cn_step,
+    diameter,
     ellipse_curve,
+    h1_seminorm_error,
     interpolate,
+    l2_error,
+    manufactured_solution,
+    mesh_ratio,
+    min_radial,
+    radial_direction_load,
     rose_curve,
+    solve_cyclic,
     spiral_curve,
+    superconvergence_error,
     torus_circle,
+    weighted_mass_matrix,
+    weighted_stiffness_matrix,
 )
 
 from torusflow.curves import CurveStack, _next, _previous, _wrapped
@@ -302,8 +317,9 @@ def _layout(rng, shape, layout):
 
 class TestNodeShifts:
     """``_previous``, ``_next`` and ``_wrapped`` against np.roll and
-    np.pad(mode="wrap"), on any layout: each result is a fresh C-ordered
-    array, since the norms sum their temporaries in memory order."""
+    np.pad(mode="wrap"), on any layout: each result is a fresh array,
+    C-ordered whenever its input is, since the norms sum their
+    temporaries in memory order."""
 
     @staticmethod
     def check(a, axis):
@@ -316,7 +332,8 @@ class TestNodeShifts:
         ):
             got = shift(a, axis)
             assert np.array_equal(got, expect), shift.__name__
-            assert got.flags.c_contiguous and not np.shares_memory(got, a), shift.__name__
+            assert not np.shares_memory(got, a), shift.__name__
+            assert got.flags.c_contiguous or not a.flags.c_contiguous, shift.__name__
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -337,7 +354,8 @@ class TestNodeShifts:
 
     def test_stack_member_rows_and_transposed_positions(self):
         # the views a run records: a member's positions, strides (8, 8 B J),
-        # its components (2, J), and a curve's (J, 2) positions transposed
+        # its components (2, J), and a curve's C-ordered components with
+        # their transposed (J, 2) positions
         rng = np.random.default_rng(3)
         stack = CurveStack(np.ascontiguousarray(rng.normal(size=(2, 3, 17))))
         member = stack.member(1)
@@ -345,6 +363,79 @@ class TestNodeShifts:
         self.check(member.positions, -2)
         self.check(member._components, -1)
         self.check(member.positions.T, -1)
+        # a row-strided member shifts into C order, as a copy of it does
+        for shift in _previous, _next, _wrapped:
+            assert shift(member._components).flags.c_contiguous, shift.__name__
         curve = PeriodicCurve(rng.normal(size=(9, 2)) + [5.0, 0.0])
+        assert curve._components.flags.c_contiguous
+        assert curve.positions.strides == curve._components.strides[::-1]
         self.check(curve.positions, -2)
         self.check(curve.positions.T, -1)
+
+
+def _curve_from(layout, pos):
+    """The curve of the positions ``pos`` (J, 2), built from an input of
+    ``layout``, or as the member view of a one-member stack."""
+    if layout == "c":
+        return PeriodicCurve(np.ascontiguousarray(pos))
+    if layout == "f":
+        return PeriodicCurve(np.asfortranarray(pos))
+    if layout == "reversed":
+        return PeriodicCurve(pos[::-1, ::-1].copy()[::-1, ::-1])
+    if layout == "stepped":
+        wide = np.zeros((len(pos), 4))
+        wide[:, ::2] = pos
+        return PeriodicCurve(wide[:, ::2])
+    if layout == "list":
+        return PeriodicCurve(pos.tolist())
+    if layout == "pickled":
+        return pickle.loads(pickle.dumps(PeriodicCurve(pos)))
+    return CurveStack._stepped(np.ascontiguousarray(pos.T)[:, None]).member(0)
+
+
+LAYOUTS = ["c", "f", "reversed", "stepped", "list", "pickled", "member"]
+
+
+class TestOneLayout:
+    """Every curve holds read-only, C-ordered components (2, J) with its
+    positions their transposed view, whatever it was built from, and
+    every result read from it is the same, bit for bit."""
+
+    @staticmethod
+    def results(curve, t):
+        exact = manufactured_solution()
+        evaluated = CurveFunction(exact.value, exact.derivative)
+        norms = [
+            norm(curve, f, t, rule)
+            for f in (exact, evaluated)
+            for norm in (l2_error, h1_seminorm_error)
+            for rule in ("gauss5", "nodal")
+        ]
+        norms += [superconvergence_error(curve, f, t) for f in (exact, evaluated)]
+        norms += [diameter(curve), mesh_ratio(curve), min_radial(curve)]
+        mass = weighted_mass_matrix(curve)
+        arrays = [radial_direction_load(curve), solve_cyclic(mass, curve.positions).solution]
+        for matrix in mass, weighted_stiffness_matrix(curve):
+            arrays += [matrix.diag, matrix.sub, matrix.sup]
+        state = StepperState(curve, curve, t, 1e-3, 1)
+        arrays += [step(state).positions for step in (bdf1_step, cn_step, bdf2_step)]
+        return norms, arrays
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 60), t=st.floats(0.0, 1.0))
+    def test_every_layout_gives_one_curve(self, seed, J, t):
+        rng = np.random.default_rng(seed)
+        pos = interpolate(manufactured_solution(), J, t).positions + 0.05 * rng.normal(size=(J, 2))
+        norms, arrays = self.results(PeriodicCurve(pos), t)
+        for layout in LAYOUTS:
+            curve = _curve_from(layout, pos)
+            comp = curve._components
+            assert comp.flags.c_contiguous and not comp.flags.writeable, layout
+            assert not curve.positions.flags.writeable, layout
+            assert np.shares_memory(curve.positions, comp), layout
+            assert curve.positions.strides == comp.strides[::-1], layout
+            assert np.array_equal(curve.positions, pos), layout
+            got_norms, got_arrays = self.results(curve, t)
+            assert got_norms == norms, layout
+            for got, expect in zip(got_arrays, arrays):
+                assert np.array_equal(got, expect), layout

@@ -159,6 +159,28 @@ class TestFailureModes:
         assert pair.members[1][0] is SolveStatus.OK
         assert np.array_equal(pair.solution[1], solve_cyclic(matrix, np.ones(8)).solution)
 
+    @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("band", ["diag", "sub", "sup"])
+    def test_non_finite_band_is_reported_singular_without_a_warning(self, band, poison):
+        # one verdict for every band entry that is not finite, alone and
+        # as the middle member of a stack whose other members stay OK
+        bands = {"diag": np.full(6, 4.0), "sub": np.ones(6), "sup": np.ones(6)}
+        bad = {name: values.copy() for name, values in bands.items()}
+        bad[band][2] = poison
+        rhs = np.arange(1.0, 7.0)
+        stack = [np.stack([bands[name], bad[name], bands[name]]) for name in ("diag", "sub", "sup")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = solve_cyclic(CyclicTridiagonal(**bad), rhs)
+            triple = solve_cyclic(CyclicTridiagonal._owned(*stack), np.stack([rhs] * 3))
+            alone = solve_cyclic(CyclicTridiagonal(**bands), rhs)
+        assert (single.status, single.residual_norm) == (SolveStatus.SINGULAR, np.inf)
+        assert (triple.status, triple.residual_norm) == (SolveStatus.SINGULAR, np.inf)
+        assert triple.members[1] == (SolveStatus.SINGULAR, np.inf)
+        for row in (0, 2):
+            assert triple.members[row] == (SolveStatus.OK, alone.residual_norm)
+            assert np.array_equal(triple.solution[row], alone.solution)
+
     def test_incompatible_singular_system_is_not_hidden(self, rng):
         # a weighted stiffness matrix annihilates constants, so a right
         # hand side with a constant component has no solution; pivoted
@@ -585,20 +607,20 @@ class TestAudit:
         with np.errstate(invalid="ignore"):  # inf - inf in a poisoned residual
             # the audit reads the solver's column-major (k, B, J) arrays
             residual, outcomes, missed = _audit(matrix, cols.transpose(2, 0, 1), x.transpose(2, 0, 1))
-            product = matrix.matvec(x)
+            gaps = matrix.matvec(x) - cols
 
         assert len(outcomes) == B
         assert missed == [i for i, (status, _) in enumerate(outcomes) if status is not SolveStatus.OK]
         for i, (status, res) in enumerate(outcomes):
-            if not np.isfinite(x[i]).all():
+            true_res = np.abs(gaps[i]).max()
+            if not (np.isfinite(x[i]).all() and np.isfinite(true_res)):
                 assert (status, res) == (SolveStatus.SINGULAR, np.inf)
                 continue
-            true_res = np.abs(product[i] - cols[i]).max()
             full = RESIDUAL_RTOL * (np.abs(cols[i]).max() + a_norms[i] * np.abs(x[i]).max())
             expect = SolveStatus.OK if true_res <= full else SolveStatus.ILL_CONDITIONED
             assert status is expect
-            assert res == true_res or np.isnan(res) and np.isnan(true_res)
-            assert np.array_equal(residual[:, i].T, product[i] - cols[i], equal_nan=True)
+            assert res == true_res
+            assert np.array_equal(residual[:, i].T, gaps[i])
 
 
 class TestLapackLoader:

@@ -25,8 +25,10 @@ from torusflow import (
     mesh_ratio,
     min_radial,
     rose_curve,
+    run,
     spiral_curve,
     superconvergence_error,
+    torus_circle,
 )
 from torusflow import diagnostics
 from torusflow.curves import CurveFunction, CurveStack, _circle
@@ -230,7 +232,8 @@ class TestMemberViews:
         back = pickle.loads(pickle.dumps(member))
         assert np.array_equal(back.positions, pos[1])
         assert not back.positions.flags.writeable
-        assert back.positions.flags.c_contiguous
+        assert back._components.flags.c_contiguous
+        assert back.positions.strides == back._components.strides[::-1]
 
 
 class TestMeshMetrics:
@@ -242,6 +245,19 @@ class TestMeshMetrics:
     def test_uniform_polygon_has_unit_ratio(self):
         diamond = PeriodicCurve(np.array([[3.0, 0.0], [2.0, 1.0], [1.0, 0.0], [2.0, -1.0]]))
         assert mesh_ratio(diamond) == 1.0
+
+    def test_overflowing_squares_take_the_hypot_lengths(self):
+        # the squared edges of a curve scaled by 1e160 overflow, so its
+        # ratio comes from the hypot lengths, alone, as a member of a stack
+        # beside a plain curve, and in the records of a run
+        plain = interpolate(torus_circle(0.6), 16)
+        big = PeriodicCurve(plain.positions * 1e160)
+        lengths = big.edge_lengths()
+        expect = float(lengths.max()) / float(lengths.min())
+        assert math.isfinite(expect) and mesh_ratio(big) == expect
+        stack = CurveStack(np.stack([big._components, plain._components], axis=1))
+        assert mesh_ratio(stack) == [expect, mesh_ratio(plain)]
+        assert run(big, "bdf2", 16, 1e-3, 1e-3).records[0].mesh_ratio == expect
 
     def test_stack_gives_one_value_per_member(self, rng):
         curves = [PeriodicCurve(random_admissible_positions(rng, 12)) for _ in range(3)]

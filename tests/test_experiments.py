@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +13,17 @@ from torusflow import (
     bisect_critical_radius,
     classify_radius,
     interpolate,
+    manufactured_forcing,
     run,
     run_convergence,
     run_scenario,
     scenario_curve,
+    source_load,
     spiral_curve,
     torus_circle,
 )
 from torusflow import experiments
+from torusflow.cli import main
 from torusflow.experiments import CHECKPOINT_COUNT, _checkpoint_steps
 from torusflow.stepping import StopEvent
 
@@ -441,3 +445,61 @@ class TestRunScenario:
         )
         assert result.report.event.kind is StopKind.AXIS_TOUCH
         assert [s.requested_time for s in result.snapshots] == [0.05]
+
+
+def _peak_of(call) -> tuple[int, str]:
+    """The tracemalloc peak of ``call``, which must raise a ValueError, and its message."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as raised:
+            call()
+        return tracemalloc.get_traced_memory()[1], str(raised.value)
+    finally:
+        tracemalloc.stop()
+
+
+class TestCountBounds:
+    """A node count above 2**24, or a step count above 2**53, the largest
+    run of integers a float holds, fails typed and named before any work."""
+
+    NODE_CALLS = {
+        "run": ("node_count", lambda n: run(torus_circle(0.6), "cn", n, 1e-3, 0.01)),
+        "interpolate": ("node_count", lambda n: interpolate(torus_circle(0.6), n)),
+        "source_load": ("node_count", lambda n: source_load(manufactured_forcing(), n, 0.0)),
+        "classify_radius": ("node_count", lambda n: classify_radius(0.5, "cn", node_count=n)),
+        "fixed_nodes": ("fixed_nodes", lambda n: run_convergence("cn", "temporal", [4], fixed_nodes=n)),
+        "spatial_levels": ("levels", lambda n: run_convergence("cn", "spatial", [4, n])),
+    }
+    STEP_CALLS = {
+        "fixed_steps": ("fixed_steps", lambda n: run_convergence("cn", "spatial", [4], fixed_steps=n)),
+        "temporal_levels": ("levels", lambda n: run_convergence("cn", "temporal", [4, n], fixed_nodes=8)),
+    }
+
+    @pytest.mark.parametrize("count", [10**12, 10**400], ids=["1e12", "1e400"])
+    @pytest.mark.parametrize("call", list(NODE_CALLS))
+    def test_node_counts(self, call, count):
+        name, make = self.NODE_CALLS[call]
+        peak, message = _peak_of(lambda: make(count))
+        assert message.startswith(f"{name} must be at most {2**24}, got ")
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("call", list(STEP_CALLS))
+    def test_step_counts(self, call):
+        name, make = self.STEP_CALLS[call]
+        peak, message = _peak_of(lambda: make(10**400))
+        assert message == f"{name} must be at most {2**53}, got an integer of 2**64 or more"
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("count", [10**12, 10**400], ids=["1e12", "1e400"])
+    def test_evolve_nodes(self, count, tmp_path, capsys):
+        argv = ["evolve", "--scenario", "torus:0.6", "--scheme", "cn", "--nodes", str(count),
+                "--dt", "1e-3", "--t-end", "0.01", "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 1e6
+        assert capsys.readouterr().err.startswith(f"error: node_count must be at most {2**24}, got ")
+        assert not (tmp_path / "out").exists()
