@@ -93,10 +93,8 @@ class CyclicTridiagonal(_ByValue):
         if x.shape[: len(dims)] != dims or x.ndim > len(dims) + 1:
             raise ValueError(f"x must have shape {dims} or {dims} + (k,), got {x.shape}")
         columns = x.ndim > len(dims)
-        if columns:
-            # the columns as rows of a transposed view: the step kernel
-            # stores them so, component by component
-            x = x.T if x.ndim == 2 else x.transpose(2, 0, 1)
+        if columns:  # one C-ordered row per column, as the step kernel stores components
+            x = np.ascontiguousarray(x.T if x.ndim == 2 else x.transpose(2, 0, 1))
         out = _banded(self.diag, self.sub, self.sup, x)
         if columns:
             out = out.T if out.ndim == 2 else out.transpose(1, 2, 0)

@@ -47,9 +47,8 @@ class InadmissibleCurveError(ValueError):
     """Raised when a curve leaves r > 0 or carries a zero-length edge."""
 
 
-# Counts stop at 2**24: the paper's finest grid has 50 000 nodes, and a run
-# at J = 2**24 peaks near 5 GiB.  Step counts stop at 2**53, the end of the
-# run of integers a float holds exactly: M becomes a float in dt = t_end / M.
+# Counts stop at 2**24 (the paper's finest grid has 50 000 nodes; a run at 2**24 peaks
+# near 5 GiB), step counts at 2**53, past which a float in dt = t_end / M skips integers.
 _MAX_COUNT, _MAX_STEPS = 2**24, 2**53
 
 

@@ -275,8 +275,8 @@ def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):
     A residual within RESIDUAL_RTOL * |b|_inf passes at once: the full
     bound only adds |A|_inf * |x|_inf >= 0, and a finite residual below
     a finite bound implies a finite x, since every entry of x enters the
-    residual.  Only a member that misses pays for |x|_inf and |A|_inf.
-    A residual left not finite by inf or NaN in x, the bands or b is SINGULAR.
+    residual.  Only a member that misses pays for |x|_inf and |A|_inf; its
+    residual, if inf or NaN in x, the bands or b left it not finite, is SINGULAR.
     """
     residual = _banded(matrix.diag, matrix.sub, matrix.sup, x)
     residual -= cols
@@ -288,10 +288,9 @@ def _audit(matrix: CyclicTridiagonal, cols: np.ndarray, x: np.ndarray):
     )):
         verdict = ok
         if not res <= RESIDUAL_RTOL * b_max < math.inf:
-            x_max = float(np.abs(x[:, i]).max())
             if not math.isfinite(res):
                 verdict, res = SolveStatus.SINGULAR, math.inf
-            elif not res <= RESIDUAL_RTOL * (b_max + matrix._member_norms[i] * x_max):
+            elif not res <= RESIDUAL_RTOL * (b_max + matrix._member_norms[i] * np.abs(x[:, i]).max()):
                 verdict = SolveStatus.ILL_CONDITIONED
             if verdict is not ok:
                 missed.append(i)

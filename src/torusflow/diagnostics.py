@@ -25,10 +25,9 @@ gives.  Any other exact curve is evaluated at the points.
 A run records each accepted state on a read-only view of the step
 kernel's row (``CurveStack.member``), without a copy.  The nodal L2
 error and the superconvergence distance share one nodal gap, kept on
-the curve for the last (exact, t) asked.  A sum runs in memory order,
-so the norms sum only temporaries of C-ordered operands (curve rows,
-fresh samples, gaps, slope tables; NumPy orders a mixed product C too):
-a constructed curve, a member view and a copy of it sum alike, bit for bit.
+the curve for the last (exact, t) asked.  A sum runs in memory order, so
+the norms sum only temporaries of C-ordered operands (curve rows, samples,
+gaps, slope tables): every curve and a copy of it sum alike, bit for bit.
 
 The diameter searches the convex hull of the nodes, which a prefiltered
 monotone chain finds when the node polygon is not its own hull.
@@ -207,18 +206,16 @@ def superconvergence_error(
 
 
 def mesh_ratio(curve):
-    """Longest edge over shortest edge, roots of the extreme squared edges
-    (which read 0 below about 1e-162); inf when an edge has length zero.
-    A member whose squares overflow, beyond about 1e154, reads its hypot
-    ``edge_lengths()`` instead.  For a ``CurveStack``, one ratio per member."""
-    J = curve.node_count
-    longest = np.sqrt(np.maximum.reduce(curve._edges[1].reshape(-1, J), 1)).tolist()  # no ndarray.max layer
-    ratios = []
-    for row, (hi, lo) in enumerate(zip(longest, curve._bounds[1])):
-        if hi == inf:
-            lengths = curve.edge_lengths().reshape(-1, J)[row]
-            hi, lo = float(lengths.max()), float(lengths.min())
-        ratios.append(hi / lo if lo != 0.0 else inf)
+    """Longest over shortest edge, roots of the extreme squared edges (0 below
+    about 1e-162), or of hypot ``edge_lengths()`` where squares overflow; inf
+    when an edge has length zero.  For a ``CurveStack``, one ratio per member."""
+    squares = curve._edges[1].reshape(-1, curve.node_count)
+    longest = np.sqrt(np.maximum.reduce(squares, 1)).tolist()  # ufunc: no ndarray.max layer
+    bounds = zip(longest, curve._bounds[1])
+    if inf in longest:  # overflowing squares: one hypot pass for every member
+        lengths = curve.edge_lengths().reshape(squares.shape).tolist()
+        bounds = [(hi, lo) if hi < inf else (max(e), min(e)) for e, (hi, lo) in zip(lengths, bounds)]
+    ratios = [hi / lo if lo != 0.0 else inf for hi, lo in bounds]
     return ratios if curve._components.ndim == 3 else ratios[0]
 
 

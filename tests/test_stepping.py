@@ -363,7 +363,8 @@ class TestSymmetries:
         scheme=st.sampled_from(["bdf1", "cn", "bdf2"]),
     )
     def test_unforced_run_commutes_with_the_axial_mirror(self, seed, J, scheme):
-        # z -> -z maps an unforced run onto the run of the mirrored curve,
+        # test_axial_mirror checks one forced step to 1e-12; unforced,
+        # z -> -z maps a whole run onto the run of the mirrored curve,
         # bit for bit: the kernel squares z differences or scales z, and
         # rounding is odd.  Records and stop events agree, the diameter of
         # the clockwise image included; the forced field is not mirror
